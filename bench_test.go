@@ -41,9 +41,7 @@ var (
 func paperSweeps(b *testing.B) []*core.Sweep {
 	b.Helper()
 	sweepOnce.Do(func() {
-		for _, app := range perfect.Apps() {
-			sweeps = append(sweeps, Sweep(app, Options{}))
-		}
+		sweeps = Sweeps(perfect.Apps(), Options{})
 	})
 	return sweeps
 }
@@ -129,7 +127,7 @@ func BenchmarkTable4_ContentionOverhead(b *testing.B) {
 // regenerating the paper's columns from scratch.
 func BenchmarkEndToEnd_FLO52Sweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := Sweep(perfect.FLO52(), Options{})
+		s := Sweeps([]perfect.App{perfect.FLO52()}, Options{})[0]
 		if s.Results[32].CT == 0 {
 			b.Fatal("no completion time")
 		}
@@ -149,9 +147,9 @@ func BenchmarkPaperSweep(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ss := AllSweeps(Options{Parallel: workers})
+				ss := Sweeps(perfect.Apps(), Options{Parallel: workers})
 				if len(ss) != len(perfect.Apps()) {
-					b.Fatalf("AllSweeps returned %d sweeps", len(ss))
+					b.Fatalf("Sweeps returned %d sweeps", len(ss))
 				}
 			}
 		})
@@ -194,7 +192,7 @@ func BenchmarkAblation_CombiningTree(b *testing.B) {
 			var ct float64
 			var hot float64
 			for i := 0; i < b.N; i++ {
-				run := SimulateRun(app, arch.Unclustered32, Options{TreeFanout: fanout})
+				run := mustRun(b, app, arch.Unclustered32, Options{TreeFanout: fanout})
 				ct = float64(run.Result.CT)
 				_, d := run.Machine.GM.Net().MaxPortDelay()
 				hot = float64(d)

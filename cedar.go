@@ -7,7 +7,7 @@
 //	res := cedar.Simulate(perfect.FLO52(), arch.Cedar32, cedar.Options{})
 //	fmt.Println(res.OSShare(), res.Task(0).OverheadFraction())
 //
-// Sweep runs an application across the paper's five configurations and
+// Sweeps runs applications across the paper's five configurations and
 // normalizes reported seconds so the 1-processor completion time
 // matches the paper's Table 1 (the calibration policy in DESIGN.md);
 // every multiprocessor quantity is model output.
@@ -82,17 +82,17 @@ type Options struct {
 	// zero-cost path). The zero obs.Options value gives defaults.
 	Observe *obs.Options
 	// Parallel bounds how many independent simulations the batch
-	// helpers (Sweep, SweepConfigs, Sweeps, AllSweeps, FaultSweep,
-	// CheckCorpus) run concurrently. Zero uses GOMAXPROCS; 1 forces
-	// the sequential path. Parallelism is wall-clock only: every
-	// simulation owns its kernel and deterministic seed, and results
-	// are assembled in input order, so batch output is byte-identical
-	// at any setting (see internal/engine).
+	// helpers (Sweeps, FaultSweep, CheckCorpus) run concurrently. Zero
+	// uses GOMAXPROCS; 1 forces the sequential path. Parallelism is
+	// wall-clock only: every simulation owns its kernel and
+	// deterministic seed, and results are assembled in input order, so
+	// batch output is byte-identical at any setting (see
+	// internal/engine).
 	Parallel int
 
-	// cancelFrom is the context the ctx-aware entry points
-	// (SimulateRunCtx and friends) thread into the kernel's interrupt
-	// check. Unexported: plain Simulate paths never pay for it.
+	// cancelFrom is the context SimulateRunCtx threads into the
+	// kernel's interrupt check. Unexported: plain Simulate paths never
+	// pay for it.
 	cancelFrom context.Context
 }
 
@@ -132,32 +132,14 @@ type Run struct {
 
 // Simulate runs one application on one configuration and returns the
 // analysis result. The result's Scale is 1 (raw simulated seconds);
-// Sweep sets the paper normalization. It panics on invalid input or a
-// failed simulation; SimulateErr is the error-returning form.
+// Sweeps sets the paper normalization. It panics on invalid input or a
+// failed simulation; SimulateRunErr is the error-returning form.
 func Simulate(app perfect.App, cfg arch.Config, opts Options) *core.Result {
-	return SimulateRun(app, cfg, opts).Result
-}
-
-// SimulateErr is Simulate with error reporting instead of panics:
-// invalid apps, configurations, and fault plans come back as errors,
-// and so do simulation failures (sim.ErrDeadlock, sim.ErrCycleBudget,
-// process panics) — check with errors.Is. On a simulation error the
-// returned Run still carries the partial result for inspection.
-func SimulateErr(app perfect.App, cfg arch.Config, opts Options) (*core.Result, error) {
-	run, err := SimulateRunErr(app, cfg, opts)
-	if run == nil {
-		return nil, err
-	}
-	return run.Result, err
-}
-
-// SimulateRun is SimulateRunErr, panicking on error.
-func SimulateRun(app perfect.App, cfg arch.Config, opts Options) *Run {
 	run, err := SimulateRunErr(app, cfg, opts)
 	if err != nil {
 		panic(err)
 	}
-	return run
+	return run.Result
 }
 
 // SimulateRunErr runs one application on one configuration, applying
@@ -388,38 +370,14 @@ func (r *Run) TraceBundle() *obs.Bundle {
 	return b
 }
 
-// Sweep runs the app across the paper's five configurations and
-// normalizes seconds so the 1-processor completion time matches the
-// paper's (when the app is one of the five; synthetic apps keep
-// Scale 1). The configurations run concurrently per Options.Parallel;
-// every result is identical to a sequential run's.
-func Sweep(app perfect.App, opts Options) *core.Sweep {
-	return SweepConfigs(app, arch.PaperConfigs(), opts)
-}
-
-// SweepConfigs runs the app across an arbitrary list of configurations
-// (e.g. arch.ScaledConfigs(), or paper plus scaled machines for a
-// scaling study), keyed by CE count like Sweep. When the list includes
-// a 1-processor configuration and the app has a published CT1 the same
-// paper normalization applies; otherwise seconds are raw model output
-// (Scale 1). Configurations run concurrently per Options.Parallel.
-func SweepConfigs(app perfect.App, cfgs []arch.Config, opts Options) *core.Sweep {
-	s := &core.Sweep{App: app.Name, Results: map[int]*core.Result{}}
-	results := engine.Map(opts.Parallel, cfgs, func(_ int, cfg arch.Config) *core.Result {
-		return Simulate(app, cfg, opts)
-	})
-	for i, cfg := range cfgs {
-		s.Results[cfg.CEs()] = results[i]
-	}
-	normalize(s)
-	return s
-}
-
-// Sweeps runs several applications' paper sweeps through one worker
-// pool: the application × configuration grid is flattened into
-// independent jobs, so a 4-worker pool stays busy even while one
-// application's slowest configuration trails. Results are assembled in
-// application order with each sweep normalized exactly as Sweep does.
+// Sweeps runs each application across the paper's five configurations
+// through one worker pool: the application × configuration grid is
+// flattened into independent jobs, so a 4-worker pool stays busy even
+// while one application's slowest configuration trails. Results are
+// assembled in application order, every one identical to a sequential
+// run's. Each sweep normalizes seconds so its 1-processor completion
+// time matches the paper's (when the app is one of the five; synthetic
+// apps keep Scale 1).
 func Sweeps(apps []perfect.App, opts Options) []*core.Sweep {
 	cfgs := arch.PaperConfigs()
 	type job struct {
@@ -499,8 +457,11 @@ func FaultSweep(app perfect.App, cfg arch.Config, plans []faults.Plan, opts Opti
 	}
 	bases := engine.Map(opts.Parallel, []arch.Config{arch.Cedar1, cfg},
 		func(_ int, c arch.Config) baseOut {
-			res, err := SimulateErr(app, c, healthy)
-			return baseOut{res, err}
+			run, err := SimulateRunErr(app, c, healthy)
+			if err != nil {
+				return baseOut{err: err}
+			}
+			return baseOut{res: run.Result}
 		})
 	for _, b := range bases {
 		if b.err != nil {
@@ -522,10 +483,4 @@ func FaultSweep(app perfect.App, cfg arch.Config, plans []faults.Plan, opts Opti
 		return fr
 	})
 	return out, nil
-}
-
-// AllSweeps runs every paper application across every configuration,
-// flattening the grid through one worker pool (see Sweeps).
-func AllSweeps(opts Options) []*core.Sweep {
-	return Sweeps(perfect.Apps(), opts)
 }

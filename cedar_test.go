@@ -9,6 +9,17 @@ import (
 	"repro/internal/perfect"
 )
 
+// mustRun is SimulateRunErr for tests and benchmarks that treat any
+// simulation error as fatal.
+func mustRun(tb testing.TB, app perfect.App, cfg arch.Config, opts Options) *Run {
+	tb.Helper()
+	run, err := SimulateRunErr(app, cfg, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return run
+}
+
 func TestSimulateDeterministic(t *testing.T) {
 	opts := Options{Steps: 2}
 	a := Simulate(perfect.FLO52(), arch.Cedar16, opts)
@@ -30,7 +41,7 @@ func TestSimulateSeedChangesRun(t *testing.T) {
 }
 
 func TestSimulateRunExposesInternals(t *testing.T) {
-	run := SimulateRun(perfect.ADM(), arch.Cedar8, Options{Steps: 1, TraceCapacity: 1 << 16})
+	run := mustRun(t, perfect.ADM(), arch.Cedar8, Options{Steps: 1, TraceCapacity: 1 << 16})
 	if run.Machine == nil || run.OS == nil || run.RT == nil {
 		t.Fatal("internals missing")
 	}
@@ -43,7 +54,7 @@ func TestSimulateRunExposesInternals(t *testing.T) {
 }
 
 func TestSweepNormalizesToPaperCT1(t *testing.T) {
-	s := Sweep(perfect.ADM(), Options{Steps: 2})
+	s := Sweeps([]perfect.App{perfect.ADM()}, Options{Steps: 2})[0]
 	base := s.Base()
 	if base == nil {
 		t.Fatal("no 1-processor result")
@@ -78,8 +89,8 @@ func TestPaperQualitativeResults(t *testing.T) {
 	}
 	opts := Options{}
 	sweeps := map[string]*core.Sweep{}
-	for _, app := range perfect.Apps() {
-		sweeps[app.Name] = Sweep(app, opts)
+	for _, s := range Sweeps(perfect.Apps(), opts) {
+		sweeps[s.App] = s
 	}
 
 	s32 := func(app string) float64 {
@@ -196,15 +207,14 @@ func TestSpeedupShapeMatchesPaperWithin35Percent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-calibration sweep in -short mode")
 	}
-	for _, app := range perfect.Apps() {
-		s := Sweep(app, Options{})
-		paper := perfect.PaperTable1[app.Name]
+	for _, s := range Sweeps(perfect.Apps(), Options{}) {
+		paper := perfect.PaperTable1[s.App]
 		for _, p := range []int{4, 8, 16, 32} {
 			got := s.Results[p].Speedup(s.Base())
 			want := paper.Speedup[p]
 			if got < want*0.65 || got > want*1.35 {
 				t.Errorf("%s %dp: speedup %.2f vs paper %.2f (outside ±35%%)",
-					app.Name, p, got, want)
+					s.App, p, got, want)
 			}
 		}
 	}
@@ -234,15 +244,14 @@ func TestTable3ShapeWithinTolerance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-calibration sweep in -short mode")
 	}
-	for _, app := range perfect.Apps() {
-		s := Sweep(app, Options{})
+	for _, s := range Sweeps(perfect.Apps(), Options{}) {
 		for _, p := range []int{4, 8, 16, 32} {
-			want := perfect.PaperTable3[app.Name][p]
+			want := perfect.PaperTable3[s.App][p]
 			got := s.Results[p].ParallelLoopConcurrency()
 			for c := range want {
 				if diff := got[c] - want[c]; diff > 1.6 || diff < -1.6 {
 					t.Errorf("%s %dp cluster %d: par_concurr %.2f vs paper %.2f",
-						app.Name, p, c, got[c], want[c])
+						s.App, p, c, got[c], want[c])
 				}
 			}
 		}
@@ -257,16 +266,15 @@ func TestTable4GrowthAndBand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-calibration sweep in -short mode")
 	}
-	for _, app := range perfect.Apps() {
-		s := Sweep(app, Options{})
-		paper := perfect.PaperTable4[app.Name].OvCont[32]
+	for _, s := range Sweeps(perfect.Apps(), Options{}) {
+		paper := perfect.PaperTable4[s.App].OvCont[32]
 		cont, err := core.ContentionOverhead(s.Base(), s.Results[32])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cont.OvCont < paper*0.45 || cont.OvCont > paper*2.2 {
 			t.Errorf("%s: 32p Ov_cont %.1f%% vs paper %.1f%% (outside factor-2 band)",
-				app.Name, cont.OvCont, paper)
+				s.App, cont.OvCont, paper)
 		}
 	}
 }

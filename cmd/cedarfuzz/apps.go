@@ -9,7 +9,7 @@ import (
 	"time"
 
 	cedar "repro"
-	"repro/internal/arch"
+	"repro/internal/cli"
 	"repro/internal/engine"
 	"repro/internal/perfect"
 	"repro/internal/perfect/gen"
@@ -95,9 +95,9 @@ type appsOutcome struct {
 // alone. Findings are the sweep's purpose, not failures — only a
 // sample that errors counts against the exit status.
 func appsSweep(configName string, seed int64, n, shrinkRuns, parallel int, promoteDir string) (failures int) {
-	cfg, ok := arch.FamilyByName(configName)
-	if !ok {
-		fatalf(2, "unknown configuration %q", configName)
+	cfg, err := cli.Config(configName)
+	if err != nil {
+		fatalf(2, "%v", err)
 	}
 	if seed == 0 {
 		seed = time.Now().UnixNano()

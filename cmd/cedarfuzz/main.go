@@ -48,10 +48,9 @@ import (
 	"time"
 
 	cedar "repro"
-	"repro/internal/arch"
+	"repro/internal/cli"
 	"repro/internal/engine"
 	"repro/internal/faults/replay"
-	"repro/internal/perfect"
 )
 
 func fatalf(code int, format string, args ...any) {
@@ -64,7 +63,7 @@ func main() {
 	quick := flag.Bool("quick", false, "also run the bounded randomized sweep (fault schedules, or generator samples with -apps)")
 	n := flag.Int("n", 25, "sweep: number of randomized scenarios (or generator samples)")
 	seed := flag.Int64("seed", 0, "sweep: RNG seed (0 = wall clock; the used seed is always printed)")
-	appName := flag.String("app", "FLO52", "sweep: application")
+	appName := flag.String("app", "FLO52", "sweep: application (a registry name, a gen: spec, a .workload file, or an inline document)")
 	configName := flag.String("config", "8proc", "sweep: machine configuration")
 	steps := flag.Int("steps", 1, "sweep: timestep count")
 	shrinkRuns := flag.Int("shrink", 60, "max replays spent shrinking a failing scenario (or pathological workload)")
@@ -125,13 +124,13 @@ func replayCorpus(dir string, parallel int) (failures int) {
 // lines. Scenarios (including any shrinking, which is per-scenario
 // deterministic) run concurrently; results print in schedule order.
 func sweep(appName, configName string, steps int, seed int64, n, shrinkRuns, parallel int) (failures int) {
-	app, ok := perfect.ByName(appName)
-	if !ok {
-		fatalf(2, "unknown application %q", appName)
+	app, err := cli.App(appName)
+	if err != nil {
+		fatalf(2, "%v", err)
 	}
-	cfg, ok := arch.FamilyByName(configName)
-	if !ok {
-		fatalf(2, "unknown configuration %q", configName)
+	cfg, err := cli.Config(configName)
+	if err != nil {
+		fatalf(2, "%v", err)
 	}
 	if seed == 0 {
 		seed = time.Now().UnixNano()

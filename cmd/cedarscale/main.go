@@ -37,6 +37,7 @@ import (
 
 	cedar "repro"
 	"repro/internal/arch"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/perfect"
@@ -52,7 +53,7 @@ type row struct {
 }
 
 func main() {
-	appName := flag.String("app", "FLO52", "application: FLO52, ARC2D, MDG, OCEAN, ADM")
+	appName := flag.String("app", "FLO52", "application: a registry name, a gen: spec, a .workload file, or an inline document")
 	configList := flag.String("configs", "32proc,64proc,128proc,256proc",
 		"comma-separated named configurations (see cedarsim -list-configs)")
 	steps := flag.Int("steps", 0, "override timestep count (0 = app default)")
@@ -74,9 +75,9 @@ func main() {
 		}
 	}()
 
-	app, ok := perfect.ByName(*appName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "cedarscale: unknown application %q\n", *appName)
+	app, err := cli.App(*appName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cedarscale: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -86,9 +87,9 @@ func main() {
 		if name == "" {
 			continue
 		}
-		cfg, ok := arch.FamilyByName(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "cedarscale: unknown configuration %q (see cedarsim -list-configs)\n", name)
+		cfg, err := cli.Config(name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cedarscale: %v\n", err)
 			os.Exit(2)
 		}
 		if err := cfg.Validate(); err != nil {
@@ -139,7 +140,7 @@ func main() {
 		bases[f] = baseResults[i]
 	}
 
-	// Normalize seconds the way Sweep does — the unscaled 1-processor
+	// Normalize seconds the way Sweeps does — the unscaled 1-processor
 	// run matches the paper's CT1 — so every row reads in Table-1
 	// units. One shared scale keeps rows comparable across problem
 	// sizes in weak mode.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,6 +41,20 @@ func runStatfx(app perfect.App, cfg arch.Config, opts cedar.Options, faultSpec s
 	}
 	fmt.Print(run.StatfxText())
 	exp.write(run)
+}
+
+// remoteWorkload derives the inline workload a -server run submits for
+// the -app source src, which resolved to app. A registry name travels
+// as the job's app name, so the result is empty. Every other source — a
+// gen: spec, a .workload path, an inline document — travels as the
+// app's canonical document text: the server never reads client-side
+// paths, and one workload caches under one result-cache key however
+// the command line spelled it.
+func remoteWorkload(src string, app perfect.App) string {
+	if slices.Contains(perfect.KnownApps(), src) {
+		return ""
+	}
+	return string(perfect.PrintWorkload(app))
 }
 
 // runRemote submits the invocation to a cedarserved instance as a

@@ -7,10 +7,10 @@
 //
 // Usage:
 //
-//	cedarsim [-app FLO52 | -workload file.workload | -gen seed=7,hot=1]
+//	cedarsim [-app FLO52 | gen:seed=7,hot=1 | file.workload]
 //	         [-list-apps] [-scenario file.scenario]
-//	         [-ces 32] [-steps N] [-flat] [-no-baseline]
-//	         [-config 64proc] [-clusters N -ces-per-cluster N
+//	         [-ces 32] [-steps N] [-no-baseline]
+//	         [-config 64proc|32flat] [-clusters N -ces-per-cluster N
 //	          -gm-modules N -stages N -degree N] [-list-configs]
 //	         [-fault ce:2@1e6,module:17@5e5]
 //	         [-record-scenario corpus.scenario]
@@ -29,10 +29,11 @@
 //
 // The machine defaults to the paper configuration selected by -ces
 // (1, 4, 8, 16, or 32 — the closed list the paper measures). -config
-// selects any named family member (see -list-configs), and the
+// selects any named family member (see -list-configs), including
+// 32flat, the unclustered machine of the paper's Section 6; the
 // parametric flags build a custom machine validated by
 // arch.Config.Validate, whose error names the violated topology
-// constraint.
+// constraint. Every command shares this selection (internal/cli).
 //
 // With -fault, the run is repeated healthy and degraded and a
 // baseline-vs-degraded overhead-decomposition delta table is printed.
@@ -45,19 +46,20 @@
 // run it came from.
 //
 // The application is a workload source: -app takes a registry name
-// (see -list-apps) or a single-line gen: spec, -workload runs a
-// .workload document file, and -gen samples the parametric generator
-// (internal/perfect/gen). -scenario runs one .scenario file and prints
-// its canonical record capture — byte-diffable against cedarbench and
-// a cedarserved bench job of the same document.
+// (see -list-apps), a gen: spec sampling the parametric generator
+// (internal/perfect/gen), a .workload document file, or an inline
+// document — the same sources every command's -app accepts. -scenario
+// runs one .scenario file and prints its canonical record capture —
+// byte-diffable against cedarbench and a cedarserved bench job of the
+// same document.
 //
 // -statfx prints only the run's canonical statfx accounting block
 // (Run.StatfxText). -server submits the same invocation to a running
 // cedarserved instance (see cmd/cedarserved) and prints the job's
 // result — byte-identical to the -statfx output for the same app,
-// configuration, steps, and fault plan. Generated and document
-// workloads travel to the server inline (the canonical document text),
-// so their results cache under the full workload identity.
+// configuration, steps, and fault plan. Any -app source other than a
+// registry name travels to the server inline as the canonical document
+// text, so one workload caches under one key however it was spelled.
 //
 // The observability flags arm the obs layer: -trace writes a
 // Chrome/Perfetto trace-event file (load it at ui.perfetto.dev),
@@ -79,12 +81,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 
 	cedar "repro"
 	"repro/internal/arch"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
@@ -96,41 +98,7 @@ import (
 	"repro/internal/profio"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-
-	// Link the generator so -gen and gen: app sources resolve.
-	_ "repro/internal/perfect/gen"
 )
-
-// supportedCEs lists the CE counts of the paper configurations, for
-// error messages.
-func supportedCEs() string {
-	var counts []int
-	for _, c := range arch.PaperConfigs() {
-		counts = append(counts, c.CEs())
-	}
-	sort.Ints(counts)
-	parts := make([]string, len(counts))
-	for i, n := range counts {
-		parts[i] = fmt.Sprint(n)
-	}
-	return strings.Join(parts, ", ")
-}
-
-// printConfigs lists every named member of the machine family with its
-// topology (the -list-configs output).
-func printConfigs() {
-	fmt.Printf("%-10s %5s %9s %5s %8s %7s %7s\n",
-		"name", "CEs", "clusters", "CE/cl", "GM mods", "stages", "degree")
-	for _, c := range arch.Families() {
-		note := ""
-		if c.Unclustered {
-			note = "  (unclustered)"
-		}
-		fmt.Printf("%-10s %5d %9d %5d %8d %7d %7d%s\n",
-			c.Name, c.CEs(), c.Clusters, c.CEsPerCluster,
-			c.GMModules, c.NetStages, c.SwitchDegree, note)
-	}
-}
 
 // printApps lists the built-in application registry — the names the
 // resolver accepts as bare -app values (the -list-apps output).
@@ -174,24 +142,14 @@ func usageErr(format string, args ...any) {
 }
 
 func main() {
-	appName := flag.String("app", "FLO52", "application: a registry name (see -list-apps) or a gen: spec")
-	workloadPath := flag.String("workload", "", "run a .workload document file instead of -app")
-	genSpec := flag.String("gen", "", "generate the app from a gen: spec, e.g. seed=7,hot=1 (see internal/perfect/gen)")
+	appName := flag.String("app", "FLO52", "application: a registry name (see -list-apps), a gen: spec, a .workload file, or an inline document")
 	listApps := flag.Bool("list-apps", false, "print the built-in application registry and exit")
 	scenarioPath := flag.String("scenario", "", "run one .scenario file and print its canonical record capture")
-	ces := flag.Int("ces", 32, "processor count: 1, 4, 8, 16, or 32")
-	configName := flag.String("config", "", "named machine family member (see -list-configs)")
-	clusters := flag.Int("clusters", 0, "custom machine: cluster count")
-	cesPer := flag.Int("ces-per-cluster", 0, "custom machine: CEs per cluster")
-	gmModules := flag.Int("gm-modules", 0, "custom machine: global memory modules (default 32)")
-	stages := flag.Int("stages", 0, "custom machine: network stages (default 2)")
-	degree := flag.Int("degree", 0, "custom machine: crossbar switch degree (default 8)")
-	listConfigs := flag.Bool("list-configs", false, "print all named machine configurations and exit")
+	machine := cli.MachineFlags(flag.CommandLine, 32, true)
 	steps := flag.Int("steps", 0, "override timestep count (0 = app default)")
-	flat := flag.Bool("flat", false, "run the unclustered 32-processor machine (Section 6 discussion)")
 	noBase := flag.Bool("no-baseline", false, "skip the 1-processor baseline (no contention estimate)")
 	chunk := flag.Int("chunk", 0, "XDOALL pickup chunk size (>1 amortizes the iteration lock)")
-	tree := flag.Int("tree", 0, "combining-tree fanout for the flat machine's barriers (>1 enables)")
+	tree := flag.Int("tree", 0, "combining-tree fanout for the unclustered machine's barriers (-config 32flat; >1 enables)")
 	faultSpec := flag.String("fault", "", "fault plan, e.g. ce:2@1e6,module:17@5e5 (see internal/faults)")
 	replayArg := flag.String("replay", "", "replay a recorded fault scenario: a scenario line, or a path to a .scenario corpus file")
 	recordPath := flag.String("record-scenario", "", "with -fault: append the run's replay scenario line to this corpus file")
@@ -206,8 +164,8 @@ func main() {
 	statfx := flag.Bool("statfx", false, "run locally and print only the canonical statfx accounting block (byte-diffable against a -server run)")
 	flag.Parse()
 
-	if *listConfigs {
-		printConfigs()
+	if machine.List {
+		cli.PrintConfigs(os.Stdout)
 		return
 	}
 	if *listApps {
@@ -246,119 +204,13 @@ func main() {
 	if *tree < 0 {
 		usageErr("-tree %d is negative", *tree)
 	}
-	if *flat {
-		// -flat fixes the machine at 32 unclustered CEs; an explicit
-		// contradictory -ces is a mistake, not something to ignore.
-		explicitCEs := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "ces" {
-				explicitCEs = true
-			}
-		})
-		if explicitCEs && *ces != 32 {
-			usageErr("-flat implies 32 CEs; contradictory -ces %d", *ces)
-		}
+	app, err := cli.App(*appName)
+	if err != nil {
+		usageErr("%v", err)
 	}
-
-	// The three workload sources are mutually exclusive; -app only
-	// conflicts when set explicitly (it has a default).
-	explicitApp := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "app" {
-			explicitApp = true
-		}
-	})
-	if *workloadPath != "" && *genSpec != "" {
-		usageErr("-workload and -gen are mutually exclusive")
-	}
-	if explicitApp && (*workloadPath != "" || *genSpec != "") {
-		usageErr("-app conflicts with -workload and -gen")
-	}
-	// remoteWorkload is the inline source a -server run submits instead
-	// of a registry name: the gen: spec verbatim, or the canonical
-	// document text of a -workload file (the server must not read
-	// client-side paths).
-	var app perfect.App
-	var remoteWorkload string
-	switch {
-	case *genSpec != "":
-		src := *genSpec
-		if !strings.HasPrefix(src, perfect.GenPrefix) {
-			src = perfect.GenPrefix + src
-		}
-		if app, err = (perfect.Resolver{}).Resolve(src); err != nil {
-			usageErr("%v", err)
-		}
-		remoteWorkload = src
-	case *workloadPath != "":
-		if app, err = perfect.LoadWorkload(*workloadPath); err != nil {
-			usageErr("%v", err)
-		}
-		remoteWorkload = string(perfect.PrintWorkload(app))
-	default:
-		if app, err = (perfect.Resolver{AllowFiles: true}).Resolve(*appName); err != nil {
-			usageErr("%v", err)
-		}
-		if strings.Contains(*appName, "\n") || strings.HasSuffix(*appName, perfect.WorkloadExt) || strings.HasPrefix(*appName, perfect.GenPrefix) {
-			remoteWorkload = string(perfect.PrintWorkload(app))
-		}
-	}
-
-	custom := *clusters != 0 || *cesPer != 0 || *gmModules != 0 || *stages != 0 || *degree != 0
-	var cfg arch.Config
-	switch {
-	case custom:
-		// A custom parametric machine: unset dimensions keep Cedar's
-		// values, and arch.Config.Validate names any violated topology
-		// constraint.
-		if *configName != "" {
-			usageErr("-config %s conflicts with the parametric machine flags", *configName)
-		}
-		if *flat {
-			usageErr("-flat conflicts with the parametric machine flags")
-		}
-		cfg = arch.Cedar32
-		if *clusters > 0 {
-			cfg.Clusters = *clusters
-		}
-		if *cesPer > 0 {
-			cfg.CEsPerCluster = *cesPer
-		}
-		if *gmModules > 0 {
-			cfg.GMModules = *gmModules
-		}
-		if *stages > 0 {
-			cfg.NetStages = *stages
-		}
-		if *degree > 0 {
-			cfg.SwitchDegree = *degree
-		}
-		cfg.Name = fmt.Sprintf("custom-%dx%d", cfg.Clusters, cfg.CEsPerCluster)
-		if err := cfg.Validate(); err != nil {
-			usageErr("%v", err)
-		}
-	case *configName != "":
-		if *flat {
-			usageErr("-flat conflicts with -config")
-		}
-		var ok bool
-		cfg, ok = arch.FamilyByName(*configName)
-		if !ok {
-			usageErr("unknown configuration %q (see -list-configs)", *configName)
-		}
-	case *flat:
-		cfg = arch.Unclustered32
-	default:
-		found := false
-		for _, c := range arch.PaperConfigs() {
-			if c.CEs() == *ces {
-				cfg, found = c, true
-				break
-			}
-		}
-		if !found {
-			usageErr("no paper configuration with %d CEs (supported: %s; use -config or the parametric flags for scaled machines)", *ces, supportedCEs())
-		}
+	cfg, err := machine.Config()
+	if err != nil {
+		usageErr("%v", err)
 	}
 
 	opts := cedar.Options{Steps: *steps, XdoallChunk: *chunk, TreeFanout: *tree, Parallel: *parallel}
@@ -367,10 +219,10 @@ func main() {
 	// else, so a local and a remote run of the same invocation diff
 	// byte-for-byte.
 	if *serverURL != "" {
-		if custom {
+		if machine.Custom() {
 			usageErr("-server needs a named configuration the service knows (see -list-configs)")
 		}
-		runRemote(*serverURL, app, remoteWorkload, cfg, *steps, *faultSpec)
+		runRemote(*serverURL, app, remoteWorkload(*appName, app), cfg, *steps, *faultSpec)
 		return
 	}
 	if *statfx {
@@ -396,14 +248,19 @@ func main() {
 	// The measured run and the 1-processor baseline are independent
 	// simulations; run them through the engine pool.
 	var runX *cedar.Run
+	var runErr error
 	var base *core.Result
 	jobs := []func(){
-		func() { runX = cedar.SimulateRun(app, cfg, opts) },
+		func() { runX, runErr = cedar.SimulateRunErr(app, cfg, opts) },
 	}
 	if !*noBase && cfg.CEs() > 1 {
 		jobs = append(jobs, func() { base = cedar.Simulate(app, arch.Cedar1, opts) })
 	}
 	engine.Do(*parallel, jobs...)
+	if runErr != nil {
+		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", runErr)
+		os.Exit(1)
+	}
 	res := runX.Result
 	exp.write(runX)
 

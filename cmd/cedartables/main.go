@@ -13,7 +13,10 @@
 //
 // Usage:
 //
-//	cedartables [-app FLO52,...] [-steps N] [-paper] [-parallel N]
+//	cedartables [-app FLO52,gen:seed=7,...] [-steps N] [-paper] [-parallel N]
+//
+// -app takes a comma-separated list of workload sources; a gen: spec
+// keeps its own commas (its key=value parameters).
 //
 // The application × configuration grid is simulated through the
 // deterministic parallel engine: -parallel bounds the worker count
@@ -32,6 +35,7 @@ import (
 
 	cedar "repro"
 	"repro/internal/arch"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/metricreg"
 	"repro/internal/perfect"
@@ -47,7 +51,11 @@ func writeRegistrySnapshots(dir string, apps []perfect.App, opts cedar.Options) 
 		os.Exit(1)
 	}
 	for _, app := range apps {
-		run := cedar.SimulateRun(app, arch.Cedar32, opts)
+		run, err := cedar.SimulateRunErr(app, arch.Cedar32, opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cedartables: %v\n", err)
+			os.Exit(1)
+		}
 		path := filepath.Join(dir, strings.ToLower(app.Name)+"_32proc.metrics.json")
 		f, err := os.Create(path)
 		if err != nil {
@@ -67,7 +75,7 @@ func writeRegistrySnapshots(dir string, apps []perfect.App, opts cedar.Options) 
 }
 
 func main() {
-	appsFlag := flag.String("app", "", "comma-separated app names (default: all five)")
+	appsFlag := flag.String("app", "", "comma-separated app sources: registry names, gen: specs, .workload files (default: all five paper apps)")
 	steps := flag.Int("steps", 0, "override timestep count (0 = app default)")
 	paper := flag.Bool("paper", false, "print the paper's published values after each table")
 	csv := flag.Bool("csv", false, "emit machine-readable CSV instead of formatted tables")
@@ -77,14 +85,10 @@ func main() {
 
 	apps := perfect.Apps()
 	if *appsFlag != "" {
-		apps = nil
-		for _, name := range strings.Split(*appsFlag, ",") {
-			a, ok := perfect.ByName(strings.TrimSpace(name))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "cedartables: unknown application %q\n", name)
-				os.Exit(2)
-			}
-			apps = append(apps, a)
+		var err error
+		if apps, err = cli.Apps(*appsFlag); err != nil {
+			fmt.Fprintf(os.Stderr, "cedartables: %v\n", err)
+			os.Exit(2)
 		}
 	}
 

@@ -8,9 +8,11 @@
 //	cedartrace [-app FLO52] [-ces 16] [-config 64proc] [-list-configs]
 //	           [-steps 1] [-max 200] [-summary [-json]] [-hw] [-obs]
 //
-// -ces selects among the paper's closed configuration list; -config
-// selects any named family member, including the scaled machines
-// (-list-configs prints them all).
+// -app takes any workload source (a registry name, a gen: spec, a
+// .workload file, or an inline document). -ces selects among the
+// paper's closed configuration list; -config selects any named family
+// member, including the scaled machines (-list-configs prints them
+// all). Both selections are shared with every command (internal/cli).
 //
 // -summary prints per-event counts and pair durations; with -json the
 // same summary is emitted as a JSON object for scripting. -hw prints
@@ -25,35 +27,16 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	cedar "repro"
-	"repro/internal/arch"
+	"repro/internal/cli"
 	"repro/internal/hpm"
 	"repro/internal/obs"
-	"repro/internal/perfect"
 )
 
-// supportedCEs lists the CE counts of the paper configurations, for
-// error messages.
-func supportedCEs() string {
-	var counts []int
-	for _, c := range arch.PaperConfigs() {
-		counts = append(counts, c.CEs())
-	}
-	sort.Ints(counts)
-	parts := make([]string, len(counts))
-	for i, n := range counts {
-		parts[i] = fmt.Sprint(n)
-	}
-	return strings.Join(parts, ", ")
-}
-
 func main() {
-	appName := flag.String("app", "FLO52", "application name")
-	ces := flag.Int("ces", 16, "processor count: 1, 4, 8, 16, or 32")
-	configName := flag.String("config", "", "named machine family member (see -list-configs)")
-	listConfigs := flag.Bool("list-configs", false, "print all named machine configurations and exit")
+	appName := flag.String("app", "FLO52", "application: a registry name, a gen: spec, a .workload file, or an inline document")
+	machine := cli.MachineFlags(flag.CommandLine, 16, false)
 	steps := flag.Int("steps", 1, "timesteps to run (trace volume grows fast)")
 	max := flag.Int("max", 200, "maximum trace records to print")
 	summary := flag.Bool("summary", false, "print per-event counts and pair durations only")
@@ -62,12 +45,8 @@ func main() {
 	obsMode := flag.Bool("obs", false, "arm the obs recorder and print a span/series digest")
 	flag.Parse()
 
-	if *listConfigs {
-		for _, c := range arch.Families() {
-			fmt.Printf("%-10s %3d CEs  %2d clusters x %2d  GM %3d  %d-stage degree-%d\n",
-				c.Name, c.CEs(), c.Clusters, c.CEsPerCluster,
-				c.GMModules, c.NetStages, c.SwitchDegree)
-		}
+	if machine.List {
+		cli.PrintConfigs(os.Stdout)
 		return
 	}
 	if *jsonOut && !*summary {
@@ -75,35 +54,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	app, ok := perfect.ByName(*appName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "cedartrace: unknown application %q\n", *appName)
+	app, err := cli.App(*appName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cedartrace: %v\n", err)
 		os.Exit(2)
 	}
-	// Exact-match the configuration: a -ces value that matches no paper
-	// configuration must not fall through to the zero arch.Config
-	// (an empty machine would "run" and report nonsense). -config opens
-	// the full named family, scaled machines included.
-	var cfg arch.Config
-	found := false
-	if *configName != "" {
-		cfg, found = arch.FamilyByName(*configName)
-		if !found {
-			fmt.Fprintf(os.Stderr, "cedartrace: unknown configuration %q (use -list-configs)\n", *configName)
-			os.Exit(2)
-		}
-	} else {
-		for _, c := range arch.PaperConfigs() {
-			if c.CEs() == *ces {
-				cfg, found = c, true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "cedartrace: no paper configuration with %d CEs (supported: %s; -config opens the scaled machines)\n",
-				*ces, supportedCEs())
-			os.Exit(2)
-		}
+	cfg, err := machine.Config()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cedartrace: %v\n", err)
+		os.Exit(2)
 	}
 
 	opts := cedar.Options{
@@ -113,7 +72,11 @@ func main() {
 	if *obsMode {
 		opts.Observe = &obs.Options{}
 	}
-	run := cedar.SimulateRun(app, cfg, opts)
+	run, err := cedar.SimulateRunErr(app, cfg, opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cedartrace: %v\n", err)
+		os.Exit(1)
+	}
 	mon := run.Monitor
 
 	if *summary && *jsonOut {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/perfect"
 )
 
@@ -31,50 +29,4 @@ func SimulateRunCtx(ctx context.Context, app perfect.App, cfg arch.Config, opts 
 	}
 	opts.cancelFrom = ctx
 	return SimulateRunErr(app, cfg, opts)
-}
-
-// SimulateCtx is SimulateRunCtx returning just the analysis result.
-func SimulateCtx(ctx context.Context, app perfect.App, cfg arch.Config, opts Options) (*core.Result, error) {
-	run, err := SimulateRunCtx(ctx, app, cfg, opts)
-	if run == nil {
-		return nil, err
-	}
-	return run.Result, err
-}
-
-// SweepConfigsCtx is SweepConfigs with cooperative cancellation
-// threaded through the worker pool and into every simulation kernel:
-// once ctx is done no further configuration starts, running
-// simulations stop at their next context check, and the first error
-// is returned. A completed sweep is byte-identical to SweepConfigs'.
-func SweepConfigsCtx(ctx context.Context, app perfect.App, cfgs []arch.Config, opts Options) (*core.Sweep, error) {
-	type outT struct {
-		res *core.Result
-		err error
-	}
-	results, err := engine.MapCtx(ctx, opts.Parallel, cfgs,
-		func(ctx context.Context, _ int, cfg arch.Config) outT {
-			res, rerr := SimulateCtx(ctx, app, cfg, opts)
-			return outT{res, rerr}
-		})
-	if err != nil {
-		return nil, err
-	}
-	for i, o := range results {
-		if o.err != nil {
-			return nil, fmt.Errorf("cedar: sweep %s on %s: %w", app.Name, cfgs[i].Name, o.err)
-		}
-	}
-	s := &core.Sweep{App: app.Name, Results: map[int]*core.Result{}}
-	for i, cfg := range cfgs {
-		s.Results[cfg.CEs()] = results[i].res
-	}
-	normalize(s)
-	return s, nil
-}
-
-// SweepCtx is Sweep with cooperative cancellation (the paper's five
-// configurations through SweepConfigsCtx).
-func SweepCtx(ctx context.Context, app perfect.App, opts Options) (*core.Sweep, error) {
-	return SweepConfigsCtx(ctx, app, arch.PaperConfigs(), opts)
 }

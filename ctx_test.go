@@ -59,40 +59,15 @@ func TestSimulateRunCtxDeadline(t *testing.T) {
 // byte-identical to the plain path, per configuration.
 func TestSweepConfigsCtxIdentical(t *testing.T) {
 	app := perfect.FLO52()
-	cfgs := []arch.Config{arch.Cedar1, arch.Cedar4, arch.Cedar8}
-	opts := Options{Steps: 2, Parallel: 2}
-	plain := SweepConfigs(app, cfgs, opts)
-	viaCtx, err := SweepConfigsCtx(context.Background(), app, cfgs, opts)
-	if err != nil {
-		t.Fatalf("SweepConfigsCtx: %v", err)
-	}
-	for _, cfg := range cfgs {
-		a, b := plain.Results[cfg.CEs()], viaCtx.Results[cfg.CEs()]
-		if a.CT != b.CT || a.Scale != b.Scale {
-			t.Fatalf("%s: ctx path diverged: CT %d vs %d, scale %g vs %g",
-				cfg.Name, a.CT, b.CT, a.Scale, b.Scale)
+	opts := Options{Steps: 2}
+	for _, cfg := range []arch.Config{arch.Cedar1, arch.Cedar4, arch.Cedar8} {
+		plain := mustRun(t, app, cfg, opts)
+		viaCtx, err := SimulateRunCtx(context.Background(), app, cfg, opts)
+		if err != nil {
+			t.Fatalf("SimulateRunCtx: %v", err)
 		}
-	}
-}
-
-// Canceling a sweep mid-flight stops claiming configurations and
-// returns promptly.
-func TestSweepConfigsCtxCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	cfgs := []arch.Config{arch.Cedar32, arch.Cedar32, arch.Cedar32, arch.Cedar32}
-	_, err := SweepConfigsCtx(ctx, perfect.ADM(), cfgs, Options{Steps: 500, Parallel: 2})
-	if err == nil {
-		t.Fatal("canceled sweep returned nil error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("canceled sweep took %v to return", d)
+		if a, b := plain.StatfxText(), viaCtx.StatfxText(); a != b {
+			t.Fatalf("%s: ctx path diverged:\n%s\nvs\n%s", cfg.Name, a, b)
+		}
 	}
 }

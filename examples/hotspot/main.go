@@ -21,6 +21,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	cedar "repro"
 	"repro/internal/arch"
@@ -44,7 +45,11 @@ func main() {
 	fmt.Printf("%-36s %12s %14s %16s\n", "machine", "CT (cycles)", "hot port", "port queueing")
 	var baseline float64
 	for i, v := range variants {
-		run := cedar.SimulateRun(app, v.cfg, v.opts)
+		run, err := cedar.SimulateRunErr(app, v.cfg, v.opts)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "hotspot:", err)
+			os.Exit(1)
+		}
 		ct := float64(run.Result.CT)
 		if i == 0 {
 			baseline = ct

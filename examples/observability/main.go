@@ -23,11 +23,15 @@ import (
 )
 
 func main() {
-	run := cedar.SimulateRun(perfect.FLO52(), arch.Cedar16, cedar.Options{
+	run, err := cedar.SimulateRunErr(perfect.FLO52(), arch.Cedar16, cedar.Options{
 		Steps:         1,
 		TraceCapacity: 1 << 20,
 		Observe:       &obs.Options{},
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	dir, err := os.MkdirTemp("", "cedar-obs")
 	if err != nil {

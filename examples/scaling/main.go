@@ -18,17 +18,17 @@ import (
 )
 
 func main() {
-	appName := flag.String("app", "MDG", "FLO52, ARC2D, MDG, OCEAN, or ADM")
+	appName := flag.String("app", "MDG", "FLO52, ARC2D, MDG, OCEAN, ADM, or a .workload file")
 	flag.Parse()
 
-	app, ok := perfect.ByName(*appName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown application %q\n", *appName)
+	app, err := perfect.Resolver{AllowFiles: true}.Resolve(*appName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	fmt.Printf("simulating %s across Cedar configurations...\n\n", app.Name)
-	sweep := cedar.Sweep(app, cedar.Options{})
+	sweep := cedar.Sweeps([]perfect.App{app}, cedar.Options{})[0]
 	base := sweep.Base()
 	paper := perfect.PaperTable1[app.Name]
 

@@ -33,10 +33,7 @@ func TestFaultCEFailCompletes(t *testing.T) {
 	if run.Injector == nil || len(run.Injector.Applied()) != 1 {
 		t.Fatal("injector did not record the activation")
 	}
-	healthy, err := SimulateErr(perfect.FLO52(), arch.Cedar8, Options{Steps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	healthy := mustRun(t, perfect.FLO52(), arch.Cedar8, Options{Steps: 1}).Result
 	// A 7-CE machine past the fail point must not finish faster than
 	// the healthy lower bound by more than contention relief plausibly
 	// allows; mostly this guards against the run silently truncating.
@@ -127,7 +124,7 @@ func TestFaultMaxCyclesBudget(t *testing.T) {
 
 func TestFaultInvalidPlanRejectedBeforeRun(t *testing.T) {
 	plan := faults.Plan{{Kind: faults.CEFail, Target: 99, At: 1}}
-	if _, err := SimulateErr(perfect.FLO52(), arch.Cedar8, Options{Steps: 1, Faults: plan}); err == nil {
+	if _, err := SimulateRunErr(perfect.FLO52(), arch.Cedar8, Options{Steps: 1, Faults: plan}); err == nil {
 		t.Fatal("out-of-range CE target accepted")
 	}
 }
@@ -162,14 +159,8 @@ func TestQuickFaultConservation(t *testing.T) {
 	cfg := arch.Cedar8
 	opts := Options{Steps: 1}
 	seed := faultQuickSeed(t)
-	base1p, err := SimulateErr(app, arch.Cedar1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := SimulateErr(app, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base1p := mustRun(t, app, arch.Cedar1, opts).Result
+	baseline := mustRun(t, app, cfg, opts).Result
 
 	f := func(r uint64) bool {
 		plan := randomPlan(r, cfg)

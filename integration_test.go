@@ -22,7 +22,7 @@ import (
 // model's ground truth). They must match exactly: the trace brackets
 // the same virtual-time intervals the accounts charge.
 func TestTraceAgreesWithAccounts(t *testing.T) {
-	run := SimulateRun(perfect.FLO52(), arch.Cedar32, Options{
+	run := mustRun(t, perfect.FLO52(), arch.Cedar32, Options{
 		Steps:         2,
 		TraceCapacity: 1 << 22,
 	})
@@ -66,7 +66,7 @@ func TestTraceAgreesWithAccounts(t *testing.T) {
 // in the trace against the workload's arithmetic.
 func TestIterationEventsMatchWorkload(t *testing.T) {
 	app := perfect.ADM().WithSteps(1)
-	run := SimulateRun(app, arch.Cedar16, Options{
+	run := mustRun(t, app, arch.Cedar16, Options{
 		Steps:         1,
 		TraceCapacity: 1 << 20,
 	})
@@ -137,7 +137,7 @@ func TestGlobalMemoryTrafficAccounting(t *testing.T) {
 		Name: "traffic", Steps: 1, LoopsPerStep: 1,
 		Outer: 2, Inner: 16, Work: 500, GMWords: 64,
 	}.App()
-	run := SimulateRun(app, arch.Cedar8, Options{})
+	run := mustRun(t, app, arch.Cedar8, Options{})
 	// Body traffic: 32 iterations x 64 words.
 	body := uint64(32 * 64)
 	total := run.Result.GM.Words
@@ -156,7 +156,7 @@ func TestGlobalMemoryTrafficAccounting(t *testing.T) {
 // roughly 4x the faults of the 1-cluster run.
 func TestFaultCountsScaleWithClusters(t *testing.T) {
 	count := func(cfg arch.Config) uint64 {
-		run := SimulateRun(perfect.OCEAN(), cfg, Options{Steps: 2})
+		run := mustRun(t, perfect.OCEAN(), cfg, Options{Steps: 2})
 		return run.OS.SeqFaults() + run.OS.ConcFaults()
 	}
 	f1 := count(arch.Cedar8)  // one cluster
@@ -171,7 +171,7 @@ func TestFaultCountsScaleWithClusters(t *testing.T) {
 // system + interrupt charges; kernel lock spin is accounted only on
 // the CEs).
 func TestOSBreakdownMatchesAccounts(t *testing.T) {
-	run := SimulateRun(perfect.FLO52(), arch.Cedar16, Options{Steps: 2})
+	run := mustRun(t, perfect.FLO52(), arch.Cedar16, Options{Steps: 2})
 	res := run.Result
 	var acct sim.Duration
 	for _, a := range res.Accounts {

@@ -276,6 +276,16 @@ func FamilyByName(name string) (Config, bool) {
 	return Config{}, false
 }
 
+// UnknownConfigError is the one error every layer reports for a name
+// FamilyByName does not know.
+func UnknownConfigError(name string) error {
+	names := make([]string, 0, len(Families()))
+	for _, c := range Families() {
+		names = append(names, c.Name)
+	}
+	return fmt.Errorf("unknown configuration %q (known: %s)", name, strings.Join(names, ", "))
+}
+
 // Seconds converts a cycle count to seconds of machine time.
 func Seconds(cycles int64) float64 { return float64(cycles) / CyclesPerSecond }
 

@@ -152,6 +152,10 @@ func TestFamilyByName(t *testing.T) {
 	if _, ok := FamilyByName("9999proc"); ok {
 		t.Error("FamilyByName accepted an unknown name")
 	}
+	msg := UnknownConfigError("9999proc").Error()
+	if !strings.HasPrefix(msg, `unknown configuration "9999proc" (known: 1proc, `) || !strings.Contains(msg, "32flat") {
+		t.Errorf("UnknownConfigError = %q, want the name and the known family", msg)
+	}
 }
 
 func TestGroupStructure(t *testing.T) {

@@ -64,7 +64,7 @@ func promType(t Type) string {
 // sample. Scalar metrics render as one sample; distribution metrics
 // render one sample per cell, the axis labels first, then the constant
 // labels. Metrics appear in registration order — the format the serve
-// smoke test greps and obs.PromSet has always emitted.
+// smoke test greps on cedarserved's /metrics.
 func WriteProm(w io.Writer, s Snapshot, labels map[string]string) error {
 	constant := renderLabels(labels)
 	for _, m := range s {

@@ -394,7 +394,7 @@ func (sc *Scenario) validate() error {
 	sc.app = app
 	cfg, ok := arch.FamilyByName(sc.Config)
 	if !ok {
-		return fmt.Errorf("scenario %s: unknown configuration %q", sc.Name, sc.Config)
+		return fmt.Errorf("scenario %s: %w", sc.Name, arch.UnknownConfigError(sc.Config))
 	}
 	sc.cfg = cfg
 	if err := sc.Plan.Validate(cfg); err != nil {

@@ -39,14 +39,17 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
-	mux.Handle("GET /metrics", s.Metrics.Handler())
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		metricreg.WriteProm(w, s.Metrics.Snapshot(), promLabels)
+	})
 	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		metricreg.WriteJSON(w, s.Metrics.Registry().Snapshot())
+		metricreg.WriteJSON(w, s.Metrics.Snapshot())
 	})
 	mux.HandleFunc("GET /metrics.csv", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		metricreg.WriteCSV(w, s.Metrics.Registry().Snapshot())
+		metricreg.WriteCSV(w, s.Metrics.Snapshot())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.Draining() {
@@ -57,6 +60,9 @@ func (s *Server) Handler() http.Handler {
 	})
 	return mux
 }
+
+// promLabels are the constant labels on every /metrics sample.
+var promLabels = map[string]string{"service": "cedarserved"}
 
 // writeJSON writes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -122,7 +128,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.jobs[job.ID] = job
 			s.met.submitted.Inc()
 			s.met.done.Inc()
-			job.Metrics = s.Metrics.Registry().Snapshot().Scalars()
+			job.Metrics = s.Metrics.Snapshot().Scalars()
 			s.cond.Broadcast()
 			s.mu.Unlock()
 			writeJSON(w, http.StatusOK, submitResponse{ID: job.ID, State: StateDone, CacheHit: true})

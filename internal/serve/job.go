@@ -132,9 +132,9 @@ func (sp *JobSpec) Validate() (resolved, error) {
 			sp.Configs = names // canonicalized: the cache key names them
 		}
 		for _, n := range names {
-			cfg, ok := arch.FamilyByName(n)
-			if !ok {
-				return r, fmt.Errorf("unknown configuration %q", n)
+			cfg, err := lookupConfig(n)
+			if err != nil {
+				return r, err
 			}
 			r.cfgs = append(r.cfgs, cfg)
 		}
@@ -233,7 +233,7 @@ func lookup(appName, cfgName string) (perfect.App, arch.Config, error) {
 func lookupConfig(cfgName string) (arch.Config, error) {
 	cfg, ok := arch.FamilyByName(cfgName)
 	if !ok {
-		return cfg, fmt.Errorf("unknown configuration %q", cfgName)
+		return cfg, arch.UnknownConfigError(cfgName)
 	}
 	return cfg, nil
 }

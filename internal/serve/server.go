@@ -41,7 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/metricreg"
 	"repro/internal/resultcache"
 )
 
@@ -127,7 +127,9 @@ type Server struct {
 	draining atomic.Bool
 	wg       sync.WaitGroup
 
-	Metrics *obs.PromSet
+	// Metrics holds the service's operational instruments; /metrics
+	// renders it with the promLabels constant labels.
+	Metrics *metricreg.Registry
 	met     metrics
 
 	// failHook, when set, runs before every attempt and can force a
@@ -141,17 +143,17 @@ type Server struct {
 
 // metrics are the service's operational instruments.
 type metrics struct {
-	submitted     obs.Counter
-	rejectedFull  obs.Counter
-	rejectedDrain obs.Counter
-	done          obs.Counter
-	failed        obs.Counter
-	canceled      obs.Counter
-	panics        obs.Counter
-	retries       obs.Counter
-	deadlines     obs.Counter
-	cacheWriteErr obs.Counter
-	drainSeconds  obs.Gauge
+	submitted     metricreg.Counter
+	rejectedFull  metricreg.Counter
+	rejectedDrain metricreg.Counter
+	done          metricreg.Counter
+	failed        metricreg.Counter
+	canceled      metricreg.Counter
+	panics        metricreg.Counter
+	retries       metricreg.Counter
+	deadlines     metricreg.Counter
+	cacheWriteErr metricreg.Counter
+	drainSeconds  metricreg.Gauge
 }
 
 // New builds a server: opens the cache, registers metrics, and resumes
@@ -164,7 +166,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		q:       newQueue(cfg.QueueDepth),
 		jobs:    map[string]*Job{},
-		Metrics: obs.NewPromSet(map[string]string{"service": "cedarserved"}),
+		Metrics: metricreg.New(),
 		sleep: func(ctx context.Context, d time.Duration) {
 			t := time.NewTimer(d)
 			defer t.Stop()
@@ -192,34 +194,34 @@ func New(cfg Config) (*Server, error) {
 
 func (s *Server) registerMetrics() {
 	m := s.Metrics
-	m.GaugeFunc("serve_queue_depth", "jobs waiting for a worker", func() float64 {
+	m.GaugeFunc("serve_queue_depth", "jobs waiting for a worker", "", func() float64 {
 		return float64(s.q.depth())
 	})
-	m.GaugeFunc("serve_running_jobs", "jobs currently executing", func() float64 {
+	m.GaugeFunc("serve_running_jobs", "jobs currently executing", "", func() float64 {
 		return float64(s.running.Load())
 	})
-	s.met.submitted = m.Counter("serve_jobs_submitted_total", "jobs accepted into the queue or served from cache")
-	s.met.rejectedFull = m.Counter("serve_jobs_rejected_full_total", "submissions rejected 429 because the queue was full")
-	s.met.rejectedDrain = m.Counter("serve_jobs_rejected_draining_total", "submissions rejected 503 while draining")
-	s.met.done = m.Counter("serve_jobs_done_total", "jobs completed successfully")
-	s.met.failed = m.Counter("serve_jobs_failed_total", "jobs that ended in failure")
-	s.met.canceled = m.Counter("serve_jobs_canceled_total", "jobs canceled by a client or by drain")
-	s.met.panics = m.Counter("serve_job_panics_total", "jobs that panicked (isolated to the job)")
-	s.met.retries = m.Counter("serve_retries_total", "transient-failure retries")
-	s.met.deadlines = m.Counter("serve_deadline_exceeded_total", "attempts stopped by the per-job deadline")
-	s.met.cacheWriteErr = m.Counter("serve_cache_write_errors_total", "result-cache write failures")
-	s.met.drainSeconds = m.Gauge("serve_drain_seconds", "duration of the last graceful drain")
+	s.met.submitted = m.Counter("serve_jobs_submitted_total", "jobs accepted into the queue or served from cache", "")
+	s.met.rejectedFull = m.Counter("serve_jobs_rejected_full_total", "submissions rejected 429 because the queue was full", "")
+	s.met.rejectedDrain = m.Counter("serve_jobs_rejected_draining_total", "submissions rejected 503 while draining", "")
+	s.met.done = m.Counter("serve_jobs_done_total", "jobs completed successfully", "")
+	s.met.failed = m.Counter("serve_jobs_failed_total", "jobs that ended in failure", "")
+	s.met.canceled = m.Counter("serve_jobs_canceled_total", "jobs canceled by a client or by drain", "")
+	s.met.panics = m.Counter("serve_job_panics_total", "jobs that panicked (isolated to the job)", "")
+	s.met.retries = m.Counter("serve_retries_total", "transient-failure retries", "")
+	s.met.deadlines = m.Counter("serve_deadline_exceeded_total", "attempts stopped by the per-job deadline", "")
+	s.met.cacheWriteErr = m.Counter("serve_cache_write_errors_total", "result-cache write failures", "")
+	s.met.drainSeconds = m.Gauge("serve_drain_seconds", "duration of the last graceful drain", "")
 	if s.cache != nil {
-		m.CounterFunc("serve_cache_hits_total", "result-cache hits", func() float64 {
+		m.CounterFunc("serve_cache_hits_total", "result-cache hits", "", func() float64 {
 			return float64(s.cache.Stats().Hits)
 		})
-		m.CounterFunc("serve_cache_misses_total", "result-cache misses", func() float64 {
+		m.CounterFunc("serve_cache_misses_total", "result-cache misses", "", func() float64 {
 			return float64(s.cache.Stats().Misses)
 		})
-		m.CounterFunc("serve_cache_corrupt_total", "corrupt result-cache entries detected and discarded", func() float64 {
+		m.CounterFunc("serve_cache_corrupt_total", "corrupt result-cache entries detected and discarded", "", func() float64 {
 			return float64(s.cache.Stats().Corrupt)
 		})
-		m.GaugeFunc("serve_cache_entries", "complete entries in the result cache", func() float64 {
+		m.GaugeFunc("serve_cache_entries", "complete entries in the result cache", "", func() float64 {
 			return float64(s.cache.Len())
 		})
 	}
@@ -518,7 +520,7 @@ func (s *Server) finishLocked(job *Job, state, errMsg string) {
 	case StateCanceled:
 		s.met.canceled.Inc()
 	}
-	job.Metrics = s.Metrics.Registry().Snapshot().Scalars()
+	job.Metrics = s.Metrics.Snapshot().Scalars()
 	s.cond.Broadcast()
 }
 

@@ -142,7 +142,7 @@ func metricsText(t *testing.T, ts *httptest.Server) string {
 	return string(raw)
 }
 
-// metricLine is how the PromSet renders one sample for this service.
+// metricLine is how /metrics renders one sample for this service.
 func metricLine(name string, value string) string {
 	return name + `{service="cedarserved"} ` + value
 }
@@ -157,8 +157,17 @@ const okScenario = "app=FLO52 config=8proc steps=1 seed=3327910339796038169 plan
 // through the plain facade (what cedarsim -statfx prints).
 func smallSimWant(t *testing.T) string {
 	t.Helper()
-	app, _ := perfect.ByName("FLO52")
-	return cedar.SimulateRun(app, arch.Cedar8, cedar.Options{Steps: 2}).StatfxText()
+	return localStatfx(t, perfect.FLO52())
+}
+
+// localStatfx runs app on 8 CEs for 2 steps through the plain facade.
+func localStatfx(t *testing.T, app perfect.App) string {
+	t.Helper()
+	run, err := cedar.SimulateRunErr(app, arch.Cedar8, cedar.Options{Steps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run.StatfxText()
 }
 
 // The determinism acceptance gate: a job run via the service — cold

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	cedar "repro"
-	"repro/internal/arch"
 	"repro/internal/perfect"
 	"repro/internal/scenario"
 )
@@ -36,7 +34,7 @@ func TestSimulateJobInlineWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cedar.SimulateRun(app, arch.Cedar8, cedar.Options{Steps: 2}).StatfxText()
+	want := localStatfx(t, app)
 
 	cfg := fastCfg()
 	cfg.CacheDir = t.TempDir()
@@ -82,7 +80,7 @@ func TestSimulateJobGenWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cedar.SimulateRun(app, arch.Cedar8, cedar.Options{Steps: 2}).StatfxText()
+	want := localStatfx(t, app)
 
 	cfg := fastCfg()
 	cfg.CacheDir = t.TempDir()

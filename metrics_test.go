@@ -47,7 +47,7 @@ func TestStatfxTextMatchesGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := SimulateRun(app, tc.cfg, opts).StatfxText()
+		got := mustRun(t, app, tc.cfg, opts).StatfxText()
 		if got != string(want) {
 			t.Fatalf("%s: StatfxText differs from golden:\n%s", tc.golden, got)
 		}
@@ -59,7 +59,7 @@ func TestStatfxTextMatchesGolden(t *testing.T) {
 // from.
 func TestRunMetricsRegistry(t *testing.T) {
 	app, _ := perfect.ByName("FLO52")
-	run := SimulateRun(app, arch.Cedar8, Options{Steps: 2, TraceCapacity: 1 << 14})
+	run := mustRun(t, app, arch.Cedar8, Options{Steps: 2, TraceCapacity: 1 << 14})
 	snap := run.Metrics().Snapshot()
 
 	if got := snap.Value("ct_cycles"); got != float64(run.Result.CT) {
@@ -108,7 +108,7 @@ func TestRunMetricsRegistry(t *testing.T) {
 // both the live probes and the result metrics.
 func TestObservedRunSharesRegistryWithSeries(t *testing.T) {
 	app, _ := perfect.ByName("FLO52")
-	run := SimulateRun(app, arch.Cedar8, Options{Steps: 2,
+	run := mustRun(t, app, arch.Cedar8, Options{Steps: 2,
 		Observe: &obs.Options{SeriesInterval: 500}})
 	names := run.Series.Names()
 	if len(names) == 0 || names[0] != "concurrency" {
@@ -132,7 +132,7 @@ func TestObservedRunSharesRegistryWithSeries(t *testing.T) {
 // reports its overflow through DroppedEvents and the registry.
 func TestDroppedEventsAccounting(t *testing.T) {
 	app, _ := perfect.ByName("FLO52")
-	run := SimulateRun(app, arch.Cedar8, Options{Steps: 2, TraceCapacity: 8})
+	run := mustRun(t, app, arch.Cedar8, Options{Steps: 2, TraceCapacity: 8})
 	if run.DroppedEvents() == 0 {
 		t.Fatal("tiny trace buffer dropped nothing")
 	}

@@ -34,14 +34,12 @@ func renderSweeps(sweeps []*core.Sweep) string {
 
 func TestSweepParallelByteIdentical(t *testing.T) {
 	app := perfect.FLO52()
-	seq := Sweep(app, Options{Steps: 1, Parallel: 1})
+	seq := renderSweeps(Sweeps([]perfect.App{app}, Options{Steps: 1, Parallel: 1}))
 	for _, workers := range []int{2, 4, 16} {
-		par := Sweep(app, Options{Steps: 1, Parallel: workers})
-		a := renderSweeps([]*core.Sweep{seq})
-		b := renderSweeps([]*core.Sweep{par})
-		if a != b {
+		par := renderSweeps(Sweeps([]perfect.App{app}, Options{Steps: 1, Parallel: workers}))
+		if seq != par {
 			t.Fatalf("Sweep output differs between -parallel 1 and -parallel %d:\n%s\nvs\n%s",
-				workers, a, b)
+				workers, seq, par)
 		}
 	}
 }
@@ -52,17 +50,6 @@ func TestSweepsParallelByteIdentical(t *testing.T) {
 	par := renderSweeps(Sweeps(apps, Options{Steps: 1, Parallel: 4}))
 	if seq != par {
 		t.Fatalf("Sweeps output differs between sequential and parallel paths:\n%s\nvs\n%s", seq, par)
-	}
-}
-
-func TestSweepConfigsParallelByteIdentical(t *testing.T) {
-	cfgs := []arch.Config{arch.Cedar1, arch.Cedar8, arch.Cedar32}
-	seq := SweepConfigs(perfect.OCEAN(), cfgs, Options{Steps: 1, Parallel: 1})
-	par := SweepConfigs(perfect.OCEAN(), cfgs, Options{Steps: 1, Parallel: 3})
-	a := renderSweeps([]*core.Sweep{seq})
-	b := renderSweeps([]*core.Sweep{par})
-	if a != b {
-		t.Fatalf("SweepConfigs output differs between sequential and parallel paths")
 	}
 }
 
@@ -142,9 +129,9 @@ func TestParallelSweepSpeedup(t *testing.T) {
 	}
 	timeIt := func(parallel int) time.Duration {
 		start := time.Now()
-		sweeps := AllSweeps(Options{Parallel: parallel})
+		sweeps := Sweeps(perfect.Apps(), Options{Parallel: parallel})
 		if len(sweeps) != len(perfect.Apps()) {
-			t.Fatalf("AllSweeps returned %d sweeps", len(sweeps))
+			t.Fatalf("Sweeps returned %d sweeps", len(sweeps))
 		}
 		return time.Since(start)
 	}

@@ -37,13 +37,13 @@ func RecordScenario(app perfect.App, cfg arch.Config, opts Options) replay.Scena
 // returns the Run alongside the error when the simulation itself ran
 // but ended abnormally.
 func ReplayErr(sc replay.Scenario) (*Run, error) {
-	app, ok := perfect.ByName(sc.App)
-	if !ok {
-		return nil, fmt.Errorf("cedar: replay: unknown application %q", sc.App)
+	app, err := (perfect.Resolver{}).Resolve(sc.App)
+	if err != nil {
+		return nil, fmt.Errorf("cedar: replay: %w", err)
 	}
 	cfg, ok := arch.FamilyByName(sc.Config)
 	if !ok {
-		return nil, fmt.Errorf("cedar: replay: unknown configuration %q", sc.Config)
+		return nil, fmt.Errorf("cedar: replay: %w", arch.UnknownConfigError(sc.Config))
 	}
 	return SimulateRunErr(app, cfg, Options{Steps: sc.Steps, Seed: sc.Seed, Faults: sc.Plan})
 }
@@ -165,7 +165,7 @@ func ShrinkErr(sc replay.Scenario, maxRuns int) (replay.Scenario, int, error) {
 func mustConfig(name string) arch.Config {
 	cfg, ok := arch.FamilyByName(name)
 	if !ok {
-		panic(fmt.Sprintf("cedar: unknown configuration %q", name))
+		panic(arch.UnknownConfigError(name))
 	}
 	return cfg
 }

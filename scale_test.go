@@ -66,20 +66,14 @@ func TestScaled1024Smoke(t *testing.T) {
 	}
 }
 
-// TestSweepConfigsContention runs a mini scaling study (32 -> 64 CEs)
-// and checks the Section-7 contention estimator works against the
+// TestSweepConfigsContention sweeps a mini scaling study (1 -> 64
+// CEs) and checks the Section-7 contention estimator works against the
 // shared 1-processor base on a machine the paper never built.
 func TestSweepConfigsContention(t *testing.T) {
 	app := perfect.OCEAN()
-	s := SweepConfigs(app, []arch.Config{arch.Cedar1, arch.Cedar32, arch.Scaled64}, Options{Steps: 2})
-	base := s.Base()
-	if base == nil {
-		t.Fatal("no 1-processor result")
-	}
-	r64 := s.Results[64]
-	if r64 == nil {
-		t.Fatal("no 64-CE result")
-	}
+	opts := Options{Steps: 2}
+	base := Simulate(app, arch.Cedar1, opts)
+	r64 := Simulate(app, arch.Scaled64, opts)
 	if sp := r64.Speedup(base); sp <= 1 {
 		t.Fatalf("64-CE speedup %v <= 1", sp)
 	}
