@@ -33,15 +33,15 @@ type Memory struct {
 	modules *sim.CalendarStore
 	rec     *obs.Recorder
 
-	// Scratch buffers reused across Access calls to keep the hot path
-	// allocation-free. A Memory belongs to exactly one kernel and the
-	// simulation of one machine is single-threaded, so plain reuse is
-	// safe. scrMod/scrW/scrGroup describe each touched slice of the
-	// current vector; order lists slice indices bucketed by group
-	// (ascending index within each group); grpWords/grpCount/grpOff are
-	// per-group accumulators for the counting sort.
+	// Scratch buffers for the degraded walk (walkSorted), allocated
+	// with the fault state and reused across Access calls. A Memory
+	// belongs to exactly one kernel and the simulation of one machine
+	// is single-threaded, so plain reuse is safe. scrMod/scrGroup
+	// describe each touched slice of the current vector; order lists
+	// slice indices bucketed by group (ascending index within each
+	// group); grpWords/grpCount/grpOff are per-group accumulators for
+	// the counting sort.
 	scrMod   []int
-	scrW     []int
 	scrGroup []int
 	order    []int
 	grpWords []int
@@ -70,22 +70,12 @@ const remapPenaltyCycles = 16
 
 // New creates the global memory for a configuration.
 func New(cfg arch.Config, cost arch.CostModel) *Memory {
-	m := &Memory{
+	return &Memory{
 		cfg:     cfg,
 		cost:    cost,
 		net:     network.NewPair(cfg, cost),
 		modules: sim.NewCalendarStore(cfg.GMModules),
 	}
-	// A vector touches at most GMModules slices and Groups() groups, so
-	// the scratch buffers are sized once here and never grow.
-	m.scrMod = make([]int, cfg.GMModules)
-	m.scrW = make([]int, cfg.GMModules)
-	m.scrGroup = make([]int, cfg.GMModules)
-	m.order = make([]int, cfg.GMModules)
-	m.grpWords = make([]int, cfg.Groups())
-	m.grpCount = make([]int, cfg.Groups())
-	m.grpOff = make([]int, cfg.Groups())
-	return m
 }
 
 // Net exposes the network pair (for hot-spot statistics).
@@ -99,8 +89,17 @@ func (m *Memory) SetRecorder(r *obs.Recorder) { m.rec = r }
 
 func (m *Memory) ensureFaultState() {
 	if m.inflate == nil {
-		m.inflate = make([]float64, m.cfg.GMModules)
-		m.offline = make([]bool, m.cfg.GMModules)
+		n, groups := m.cfg.GMModules, m.cfg.Groups()
+		m.inflate = make([]float64, n)
+		m.offline = make([]bool, n)
+		// A vector touches at most GMModules slices and Groups()
+		// groups, so the degraded walk's buffers never grow.
+		m.scrMod = make([]int, n)
+		m.scrGroup = make([]int, n)
+		m.order = make([]int, n)
+		m.grpWords = make([]int, groups)
+		m.grpCount = make([]int, groups)
+		m.grpOff = make([]int, groups)
 	}
 }
 
@@ -178,6 +177,16 @@ func (m *Memory) Module(addr int64) int {
 // and the portion of the elapsed time attributable to queueing
 // (network port and memory module contention).
 //
+// The vector is spread round-robin across the modules starting at the
+// address's module, and the touched modules are grouped by the
+// top-level network group (the subtree behind one stage-0 output port)
+// that owns them: each group's slice of the vector is an independent
+// burst through its own ports. Reservations are made groups ascending,
+// slices ascending within each group. A healthy memory walks each
+// group's slices in closed form (walkRanges); a memory with modules
+// offline regroups the slices by their fallback modules first
+// (walkSorted).
+//
 // The CE process is expected to Hold until the returned completion
 // time and charge the stall to its account; Memory itself never
 // blocks.
@@ -188,55 +197,125 @@ func (m *Memory) Access(at sim.Time, ce arch.CEID, addr int64, words int) (done 
 	m.accesses++
 	m.words += uint64(words)
 
-	// Distribute the stride-1 vector round-robin across the modules
-	// starting at the address's module, then group the touched modules
-	// by the top-level network group (the subtree behind one stage-0
-	// output port) that owns them: each group's slice of the vector is
-	// an independent burst through its own ports.
-	firstModule := m.Module(addr)
-	touched := words
-	if touched > m.cfg.GMModules {
-		touched = m.cfg.GMModules
-	}
-	perModule := words / touched
-	extra := words % touched
-	groupSpan := m.cfg.GroupSpan()
-	nGroups := m.cfg.Groups()
-
+	first := m.Module(addr)
+	touched := min(words, m.cfg.GMModules)
+	sl := spread{first: first, n: touched, per: words / touched, extra: words % touched}
 	inject := at + sim.Duration(m.cost.GIFLatency)
-	var qNet, qMod sim.Duration
 	var lastReady sim.Time
+	if m.nOffline == 0 {
+		lastReady = m.walkRanges(ce, sl, inject)
+	} else {
+		lastReady = m.walkSorted(ce, sl, inject)
+	}
 
-	// One pass over the touched slices classifies each by its serving
-	// module and top-level group (slices whose home module is offline
-	// travel to, and group with, the fallback module instead), then a
-	// counting sort buckets slice indices by group. The per-group walk
-	// below then visits exactly the members of each group — replacing
-	// the former groups x slices rescan, which dominated big-machine
-	// profiles — while preserving the identical reservation order:
-	// groups ascending, slices ascending within each group.
+	// Final return stage: every reply word funnels through the CE's own
+	// data link.
+	back, _ := m.net.Return.Port(m.cfg.NetStages-1, m.net.RetCEPort(ce), lastReady, words)
+	done = back + sim.Duration(m.cost.GIFLatency)
+
+	// Per-component queue delays overlap in time across the fanned-out
+	// slices, so their sum would overstate the damage; the access's
+	// contention is its critical-path excess over the uncontended
+	// latency.
+	queued = done - at - m.IdealLatency(words)
+	if queued < 0 {
+		queued = 0
+	}
+	if m.rec != nil && queued >= m.rec.SlowStall() {
+		m.rec.Instant(obs.TrackMachine, "gm-hot", obs.CatMem, at, int64(first))
+	}
+	m.stallTotal += done - at
+	m.idealTotal += done - at - queued
+	return done, queued
+}
+
+// spread describes how one access spreads over the modules: slice i
+// (0 <= i < n) belongs to home module first+i, wrapping past the last
+// module, and carries per+1 words when i < extra, per words otherwise.
+type spread struct {
+	first, n, per, extra int
+}
+
+// words returns the word count of slice i.
+func (s spread) words(i int) int {
+	if i < s.extra {
+		return s.per + 1
+	}
+	return s.per
+}
+
+// runWords returns the total words of the n slices starting at slice i.
+func (s spread) runWords(i, n int) int {
+	return n*s.per + min(max(s.extra-i, 0), n)
+}
+
+// walkRanges books the ports and modules of a healthy memory, where
+// every slice is served by its home module, and returns when the last
+// group's reply has left the return stages below the CE's link. The
+// slices of group g — modules [lo, hi) — are then at most two
+// contiguous module ranges: the unwrapped run [max(lo, first),
+// min(hi, first+n)) and the wrapped run [lo, min(hi, first+n-M)). The
+// unwrapped run holds the lower slice indices, so walking it before
+// the wrapped run keeps slices ascending within the group.
+func (m *Memory) walkRanges(ce arch.CEID, sl spread, inject sim.Time) sim.Time {
+	nMod := m.cfg.GMModules
+	span := m.cfg.GroupSpan()
+	end := sl.first + sl.n // one past the last unwrapped home; may pass nMod
+	var lastReady sim.Time
+	for g, lo := 0, 0; lo < nMod; g, lo = g+1, lo+span {
+		hi := min(lo+span, nMod)
+		a1, a2 := max(lo, sl.first), lo
+		n1 := max(min(hi, end)-a1, 0)
+		n2 := max(min(hi, end-nMod)-a2, 0)
+		if n1+n2 == 0 {
+			continue
+		}
+		i1, i2 := a1-sl.first, a2+nMod-sl.first // slice index of each run's first module
+		groupWords := sl.runWords(i1, n1) + sl.runWords(i2, n2)
+		// Forward stage 0: the cluster's port toward group g's subtree.
+		a0, _ := m.net.Forward.Port(0, m.net.FwdStage0Port(ce, g), inject, groupWords)
+		ready := max(m.reserveRun(sl, a1, i1, n1, a0), m.reserveRun(sl, a2, i2, n2, a0))
+		// Return stages 0..k-2: the group's switch back toward the
+		// cluster, then the cluster's subtree, as one batched walk.
+		rIn, _ := m.net.ReserveRetGroup(g, ce, ready, groupWords)
+		lastReady = max(lastReady, rIn)
+	}
+	return lastReady
+}
+
+// reserveRun books forward stages 1..k-1 and the modules for n slices
+// from slice i, served by the consecutive home modules from mod, all
+// leaving stage 0 at a0. It returns when the last module finishes.
+func (m *Memory) reserveRun(sl spread, mod, i, n int, a0 sim.Time) sim.Time {
+	var ready sim.Time
+	for j := 0; j < n; j++ {
+		w := sl.words(i + j)
+		aIn, _ := m.net.ReserveFwdSubtree(mod+j, a0, w)
+		_, end := m.modules.Reserve(mod+j, aIn, m.moduleBusy(mod+j, w, false))
+		ready = max(ready, end)
+	}
+	return ready
+}
+
+// walkSorted is walkRanges for a memory with modules offline, where a
+// slice whose home module is offline travels to, and groups with, its
+// fallback module. One pass classifies each slice by its serving
+// module and group, a counting sort buckets slice indices by group,
+// and the walk then visits each group's members in the same order as
+// walkRanges: groups ascending, slices ascending within each group.
+func (m *Memory) walkSorted(ce arch.CEID, sl spread, inject sim.Time) sim.Time {
+	nGroups := m.cfg.Groups()
+	groupSpan := m.cfg.GroupSpan()
 	for g := 0; g < nGroups; g++ {
 		m.grpWords[g] = 0
 		m.grpCount[g] = 0
 	}
-	for i := 0; i < touched; i++ {
-		home := firstModule + i
-		if home >= m.cfg.GMModules {
-			home -= m.cfg.GMModules
-		}
-		mod := home
-		if m.nOffline > 0 {
-			mod = m.effModule(home)
-		}
-		w := perModule
-		if i < extra {
-			w++
-		}
+	for i := 0; i < sl.n; i++ {
+		mod := m.effModule(m.home(sl, i))
 		g := mod / groupSpan
 		m.scrMod[i] = mod
-		m.scrW[i] = w
 		m.scrGroup[i] = g
-		m.grpWords[g] += w
+		m.grpWords[g] += sl.words(i)
 		m.grpCount[g]++
 	}
 	pos := 0
@@ -244,12 +323,13 @@ func (m *Memory) Access(at sim.Time, ce arch.CEID, addr int64, words int) (done 
 		m.grpOff[g] = pos
 		pos += m.grpCount[g]
 	}
-	for i := 0; i < touched; i++ {
+	for i := 0; i < sl.n; i++ {
 		g := m.scrGroup[i]
 		m.order[m.grpOff[g]] = i
 		m.grpOff[g]++
 	}
 
+	var lastReady sim.Time
 	idx := 0
 	for g := 0; g < nGroups; g++ {
 		cnt := m.grpCount[g]
@@ -257,63 +337,33 @@ func (m *Memory) Access(at sim.Time, ce arch.CEID, addr int64, words int) (done 
 			continue
 		}
 		groupWords := m.grpWords[g]
-		// Forward stage 0: the cluster's port toward group g's subtree.
-		a0, q0 := m.net.Forward.Port(0, m.net.FwdStage0Port(ce, g), inject, groupWords)
-		qNet += q0
-		// Forward stages 1..k-1 and the modules themselves, per module,
-		// each subtree traversed as one batched walk.
+		a0, _ := m.net.Forward.Port(0, m.net.FwdStage0Port(ce, g), inject, groupWords)
 		var groupReady sim.Time
 		for j := 0; j < cnt; j++ {
 			i := m.order[idx]
 			idx++
-			mod := m.scrMod[i]
-			w := m.scrW[i]
-			home := firstModule + i
-			if home >= m.cfg.GMModules {
-				home -= m.cfg.GMModules
-			}
-			if mod != home {
+			mod, w := m.scrMod[i], sl.words(i)
+			remapped := mod != m.home(sl, i)
+			if remapped {
 				m.remapped++
 			}
-			aIn, q := m.net.ReserveFwdSubtree(mod, a0, w)
-			qNet += q
-			busy := m.moduleBusy(mod, w, mod != home)
-			start, end := m.modules.Reserve(mod, aIn, busy)
-			qMod += start - aIn
-			if end > groupReady {
-				groupReady = end
-			}
+			aIn, _ := m.net.ReserveFwdSubtree(mod, a0, w)
+			_, end := m.modules.Reserve(mod, aIn, m.moduleBusy(mod, w, remapped))
+			groupReady = max(groupReady, end)
 		}
-		// Return stages 0..k-2: the group's switch back toward the
-		// cluster, then the cluster's subtree, as one batched walk.
-		rIn, qr := m.net.ReserveRetGroup(g, ce, groupReady, groupWords)
-		qNet += qr
-		if rIn > lastReady {
-			lastReady = rIn
-		}
+		rIn, _ := m.net.ReserveRetGroup(g, ce, groupReady, groupWords)
+		lastReady = max(lastReady, rIn)
 	}
+	return lastReady
+}
 
-	// Final return stage: every reply word funnels through the CE's own
-	// data link.
-	back, qr1 := m.net.Return.Port(m.cfg.NetStages-1, m.net.RetCEPort(ce), lastReady, words)
-	qNet += qr1
-	done = back + sim.Duration(m.cost.GIFLatency)
-
-	// Per-component queue delays (qNet, qMod) overlap in time across
-	// the fanned-out slices, so their sum overstates the damage; the
-	// access's contention is its critical-path excess over the
-	// uncontended latency.
-	_ = qMod
-	queued = done - at - m.IdealLatency(words)
-	if queued < 0 {
-		queued = 0
+// home returns the home module of slice i.
+func (m *Memory) home(sl spread, i int) int {
+	h := sl.first + i
+	if h >= m.cfg.GMModules {
+		h -= m.cfg.GMModules
 	}
-	if m.rec != nil && queued >= m.rec.SlowStall() {
-		m.rec.Instant(obs.TrackMachine, "gm-hot", obs.CatMem, at, int64(firstModule))
-	}
-	m.stallTotal += done - at
-	m.idealTotal += done - at - queued
-	return done, queued
+	return h
 }
 
 // ModuleBacklog returns the deepest module queue at time now: the

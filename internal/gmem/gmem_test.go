@@ -1,6 +1,8 @@
 package gmem
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -153,5 +155,184 @@ func TestQuickAccessNeverFasterThanIdeal(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refAccess is the former Access, kept as the reference for the
+// closed-form walk: it classifies every slice by serving module and
+// group, counting-sorts the slice indices by group, and reserves
+// groups ascending, slices ascending within each group, for healthy
+// and degraded memories alike.
+func refAccess(m *Memory, at sim.Time, ce arch.CEID, addr int64, words int) (done sim.Time, queued sim.Duration) {
+	if words < 1 {
+		words = 1
+	}
+	m.accesses++
+	m.words += uint64(words)
+	nMod := m.cfg.GMModules
+	firstModule := m.Module(addr)
+	touched := min(words, nMod)
+	perModule := words / touched
+	extra := words % touched
+	groupSpan := m.cfg.GroupSpan()
+	nGroups := m.cfg.Groups()
+	inject := at + sim.Duration(m.cost.GIFLatency)
+	var lastReady sim.Time
+
+	scrMod := make([]int, touched)
+	scrW := make([]int, touched)
+	scrGroup := make([]int, touched)
+	order := make([]int, touched)
+	grpWords := make([]int, nGroups)
+	grpCount := make([]int, nGroups)
+	grpOff := make([]int, nGroups)
+	for i := 0; i < touched; i++ {
+		home := (firstModule + i) % nMod
+		mod := home
+		if m.nOffline > 0 {
+			mod = m.effModule(home)
+		}
+		w := perModule
+		if i < extra {
+			w++
+		}
+		g := mod / groupSpan
+		scrMod[i], scrW[i], scrGroup[i] = mod, w, g
+		grpWords[g] += w
+		grpCount[g]++
+	}
+	pos := 0
+	for g := 0; g < nGroups; g++ {
+		grpOff[g] = pos
+		pos += grpCount[g]
+	}
+	for i := 0; i < touched; i++ {
+		g := scrGroup[i]
+		order[grpOff[g]] = i
+		grpOff[g]++
+	}
+	idx := 0
+	for g := 0; g < nGroups; g++ {
+		cnt := grpCount[g]
+		if cnt == 0 {
+			continue
+		}
+		a0, _ := m.net.Forward.Port(0, m.net.FwdStage0Port(ce, g), inject, grpWords[g])
+		var groupReady sim.Time
+		for j := 0; j < cnt; j++ {
+			i := order[idx]
+			idx++
+			mod, w := scrMod[i], scrW[i]
+			home := (firstModule + i) % nMod
+			if mod != home {
+				m.remapped++
+			}
+			aIn, _ := m.net.ReserveFwdSubtree(mod, a0, w)
+			_, end := m.modules.Reserve(mod, aIn, m.moduleBusy(mod, w, mod != home))
+			if end > groupReady {
+				groupReady = end
+			}
+		}
+		rIn, _ := m.net.ReserveRetGroup(g, ce, groupReady, grpWords[g])
+		if rIn > lastReady {
+			lastReady = rIn
+		}
+	}
+	back, _ := m.net.Return.Port(m.cfg.NetStages-1, m.net.RetCEPort(ce), lastReady, words)
+	done = back + sim.Duration(m.cost.GIFLatency)
+	queued = done - at - m.IdealLatency(words)
+	if queued < 0 {
+		queued = 0
+	}
+	m.stallTotal += done - at
+	m.idealTotal += done - at - queued
+	return done, queued
+}
+
+// sameState reports the first difference between two memories' traffic
+// state: statistics, every module conveyor, and every network port
+// conveyor in both directions.
+func sameState(a, b *Memory) string {
+	if a.Stats() != b.Stats() {
+		return fmt.Sprintf("stats %+v vs %+v", a.Stats(), b.Stats())
+	}
+	for i := 0; i < a.modules.Len(); i++ {
+		x, y := a.modules, b.modules
+		if x.FreeAt(i) != y.FreeAt(i) || x.Reservations(i) != y.Reservations(i) ||
+			x.BusyTotal(i) != y.BusyTotal(i) || x.DelayTotal(i) != y.DelayTotal(i) ||
+			x.Delayed(i) != y.Delayed(i) {
+			return fmt.Sprintf("module %d conveyor differs", i)
+		}
+	}
+	if !reflect.DeepEqual(a.net.Forward, b.net.Forward) {
+		return "forward port conveyors differ"
+	}
+	if !reflect.DeepEqual(a.net.Return, b.net.Return) {
+		return "return port conveyors differ"
+	}
+	return ""
+}
+
+// firstModules returns the first modules the differential test starts
+// vectors at: every module on machines of up to 256 modules, and on
+// larger ones, where a full sweep costs O(M^2) reservations per word
+// count, the module at each end, next to each end and at the middle of
+// every group — every case the closed form tells apart (where the run
+// starts in its group, which group, whether it wraps).
+func firstModules(nMod, span int) []int {
+	var out []int
+	for first := 0; first < nMod; first++ {
+		in := first % span
+		if nMod <= 256 || in <= 1 || in >= span-2 || in == span/2 {
+			out = append(out, first)
+		}
+	}
+	return out
+}
+
+// TestAccessMatchesCountingSortWalk drives Access and refAccess over
+// the same access streams and requires identical results for every
+// access and identical statistics and module and port state after every
+// 64 first modules (after each one on big machines). It covers every
+// named configuration, the first modules of firstModules, word counts
+// around the group span and the module count, and a degraded memory
+// with modules offline.
+func TestAccessMatchesCountingSortWalk(t *testing.T) {
+	for _, cfg := range arch.Families() {
+		cfg := cfg
+		t.Run(cfg.Name, func(t *testing.T) {
+			nMod, span := cfg.GMModules, cfg.GroupSpan()
+			sizes := []int{1, span - 1, span, span + 1, nMod - 1, nMod, nMod + 1, 3*nMod + 5}
+			for _, degraded := range []bool{false, true} {
+				got, want := New(cfg, arch.DefaultCosts()), New(cfg, arch.DefaultCosts())
+				if degraded {
+					for _, mem := range []*Memory{got, want} {
+						mem.OfflineModule(0)
+						mem.OfflineModule(nMod / 2)
+						mem.InflateModule(nMod-1, 2.5)
+					}
+				}
+				at := sim.Time(0)
+				for _, first := range firstModules(nMod, span) {
+					for k, words := range sizes {
+						if words < 1 {
+							continue
+						}
+						ce := cfg.CEByGlobal((first + k) % cfg.CEs())
+						addr := int64(first + nMod*k)
+						d1, q1 := got.Access(at, ce, addr, words)
+						d2, q2 := refAccess(want, at, ce, addr, words)
+						if d1 != d2 || q1 != q2 {
+							t.Fatalf("degraded=%v first=%d words=%d: Access (%d, %d), reference (%d, %d)",
+								degraded, first, words, d1, q1, d2, q2)
+						}
+						if diff := sameState(got, want); diff != "" {
+							t.Fatalf("degraded=%v first=%d words=%d: %s", degraded, first, words, diff)
+						}
+						at += sim.Time(1 + (first+k)%5)
+					}
+				}
+			}
+		})
 	}
 }

@@ -129,6 +129,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.met.submitted.Inc()
 			s.met.done.Inc()
 			job.Metrics = s.Metrics.Snapshot().Scalars()
+			s.retireLocked(job)
 			s.cond.Broadcast()
 			s.mu.Unlock()
 			writeJSON(w, http.StatusOK, submitResponse{ID: job.ID, State: StateDone, CacheHit: true})

@@ -121,7 +121,10 @@ type Server struct {
 	mu   sync.Mutex
 	cond sync.Cond // broadcast on any job change (progress streaming)
 	jobs map[string]*Job
-	seq  int
+	// finished lists the IDs of the terminal jobs still in jobs, oldest
+	// first; retireLocked evicts from its front.
+	finished []string
+	seq      int
 
 	running  atomic.Int64
 	draining atomic.Bool
@@ -250,6 +253,9 @@ func (s *Server) resume() error {
 			}
 		}
 		s.jobs[job.ID] = job
+		if terminal(job.State) {
+			s.retireLocked(job)
+		}
 	}
 	if len(pending) > 0 {
 		os.Remove(queueFile(s.cfg.StateDir))
@@ -501,6 +507,24 @@ func (s *Server) runJob(job *Job) {
 	}
 }
 
+// maxFinishedJobs bounds the terminal job records the server keeps.
+// Each holds its result payload, progress log and metric snapshot, so
+// without a bound a long-lived server's memory grows with the number
+// of jobs it has ever run. Queued and running jobs are always kept.
+const maxFinishedJobs = 256
+
+// retireLocked records that job reached a terminal state and evicts
+// the oldest terminal jobs beyond maxFinishedJobs: their IDs answer
+// 404 from then on, while a resubmitted spec is still served from the
+// result cache. Caller holds s.mu.
+func (s *Server) retireLocked(job *Job) {
+	s.finished = append(s.finished, job.ID)
+	for len(s.finished) > maxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+}
+
 // finishLocked moves a job to a terminal state and stamps it with the
 // service's scalar metric snapshot. Caller holds s.mu; the snapshot's
 // pull functions read the queue, the running counter, and the cache —
@@ -521,6 +545,7 @@ func (s *Server) finishLocked(job *Job, state, errMsg string) {
 		s.met.canceled.Inc()
 	}
 	job.Metrics = s.Metrics.Snapshot().Scalars()
+	s.retireLocked(job)
 	s.cond.Broadcast()
 }
 

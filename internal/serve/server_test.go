@@ -972,3 +972,47 @@ func TestBenchJobRejectsBadDocument(t *testing.T) {
 		}
 	}
 }
+
+// The retention bound: a server that has run more jobs than
+// maxFinishedJobs keeps only the newest terminal records. The oldest
+// IDs answer 404, the newest stay readable, and resubmitting an
+// evicted job's spec is still a warm cache hit.
+func TestFinishedJobsBounded(t *testing.T) {
+	cfg := fastCfg()
+	cfg.CacheDir = t.TempDir()
+	s, ts := newTestServer(t, cfg, nil)
+	want := smallSimWant(t)
+
+	_, cold, _ := submit(t, ts, smallSim)
+	if v := waitTerminal(t, ts, cold.ID); v.State != StateDone {
+		t.Fatalf("cold job: %s (%s)", v.State, v.Error)
+	}
+	var newest string
+	for i := 0; i < maxFinishedJobs+10; i++ {
+		status, sr, raw := submit(t, ts, smallSim)
+		if status != http.StatusOK || !sr.CacheHit {
+			t.Fatalf("warm submit %d: status %d body %s", i, status, raw)
+		}
+		newest = sr.ID
+	}
+	s.mu.Lock()
+	kept, finished := len(s.jobs), len(s.finished)
+	s.mu.Unlock()
+	if kept != maxFinishedJobs || finished != maxFinishedJobs {
+		t.Fatalf("server keeps %d jobs (%d finished), want %d", kept, finished, maxFinishedJobs)
+	}
+	resp, err := http.Get(ts.URL + "/jobs/" + cold.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("evicted job: status %d, want 404", resp.StatusCode)
+	}
+	if code, got := result(t, ts, newest); code != http.StatusOK || got != want {
+		t.Fatalf("newest job result: status %d\n%s", code, got)
+	}
+	if status, sr, raw := submit(t, ts, smallSim); status != http.StatusOK || !sr.CacheHit {
+		t.Fatalf("resubmit after eviction: status %d body %s", status, raw)
+	}
+}

@@ -6,6 +6,14 @@
 // its own goroutine: exactly one goroutine is ever runnable, and event
 // ordering is total (time, then insertion sequence).
 //
+// The dispatch loop runs on whichever goroutine holds control. Run
+// dispatches on the caller's goroutine, but a process that yields
+// dispatches the next event itself when it is a process wake Run would
+// dispatch now: it resumes that process directly, one goroutine switch
+// instead of two, or simply continues when the wake is its own. Every
+// other event and every stop condition goes back to Run's goroutine,
+// so callbacks — and their panics — always run on the caller's.
+//
 // Virtual time is counted in integer cycles (Time). The kernel makes
 // no reference to wall-clock time, so measurements taken inside a
 // simulation are immune to Go runtime effects (GC pauses, scheduler
@@ -155,6 +163,11 @@ type Kernel struct {
 
 	dispatched uint64 // events fired, for introspection/tests
 
+	// until is the horizon of the RunErr in progress. Outside RunErr
+	// it is -1, below every event time, so a process resumed by
+	// Shutdown never hands control on (see handoff).
+	until Time
+
 	// Watchdog / budget state (see SetWatchdog, SetMaxCycles).
 	maxCycles     Time
 	watchdogEvery Duration
@@ -173,6 +186,7 @@ func NewKernel(seed int64) *Kernel {
 	return &Kernel{
 		yielded: make(chan struct{}),
 		rng:     rand.New(rand.NewSource(seed)),
+		until:   -1,
 	}
 }
 
@@ -445,7 +459,9 @@ func (k *Kernel) Run(until Time) uint64 {
 // is left at the stopping time; Shutdown can then reclaim any
 // remaining processes.
 func (k *Kernel) RunErr(until Time) (uint64, error) {
-	var fired uint64
+	start := k.dispatched
+	defer func(prev Time) { k.until = prev }(k.until)
+	k.until = until
 	for {
 		next := k.peek()
 		if next == nil {
@@ -453,14 +469,14 @@ func (k *Kernel) RunErr(until Time) (uint64, error) {
 		}
 		if k.interrupt != nil && k.dispatched%k.interruptEvery == 0 {
 			if cause := k.interrupt(); cause != nil {
-				return fired, &CanceledError{At: k.now, Cause: cause}
+				return k.dispatched - start, &CanceledError{At: k.now, Cause: cause}
 			}
 		}
 		if next.at > until {
 			break
 		}
 		if k.maxCycles > 0 && next.at > k.maxCycles {
-			return fired, &CycleBudgetError{Budget: k.maxCycles, Now: k.now, Live: k.live}
+			return k.dispatched - start, &CycleBudgetError{Budget: k.maxCycles, Now: k.now, Live: k.live}
 		}
 		if next.at < k.now {
 			panic("sim: event queue time went backwards")
@@ -474,24 +490,58 @@ func (k *Kernel) RunErr(until Time) (uint64, error) {
 		p, fn := next.proc, next.fn
 		k.recycle(next)
 		if p != nil {
+			// The process may hand control straight on to the
+			// processes of the following events (see handoff); each
+			// such event is counted where it ends, and this one is
+			// counted below when control comes back.
 			k.resume(p)
 		} else {
 			fn()
 		}
-		fired++
 		k.dispatched++
 		if k.fatal != nil {
 			err := k.fatal
 			k.fatal = nil
-			return fired, err
+			return k.dispatched - start, err
 		}
 		if k.err != nil {
 			err := k.err
 			k.err = nil
-			return fired, err
+			return k.dispatched - start, err
 		}
 	}
-	return fired, nil
+	return k.dispatched - start, nil
+}
+
+// handoff is called by a yielding process, whose event ends here. If
+// the next pending event is a process wake that RunErr would dispatch
+// right now — nothing fatal pending, no interrupt check due, inside
+// the horizon and the cycle budget — it counts the ending event, pops
+// the wake and returns its process, made current, so the yielding
+// process can switch to it directly (or simply continue, when the
+// wake is its own). Otherwise it returns nil and the process hands
+// control back to RunErr, which then makes exactly the same decisions
+// it always has: callbacks, stop conditions and the interrupt check
+// all run on RunErr's goroutine.
+func (k *Kernel) handoff() *Proc {
+	if k.fatal != nil || k.err != nil ||
+		(k.interrupt != nil && (k.dispatched+1)%k.interruptEvery == 0) {
+		return nil
+	}
+	next := k.peek()
+	if next == nil || next.proc == nil || next.proc.state == stateDone ||
+		next.at > k.until || (k.maxCycles > 0 && next.at > k.maxCycles) {
+		return nil
+	}
+	k.dispatched++
+	k.pop(next)
+	k.now = next.at
+	p := next.proc
+	k.recycle(next)
+	k.lastProgress = k.now
+	k.running = p
+	p.state = stateRunning
+	return p
 }
 
 // RunAll runs until no events remain.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -466,3 +467,90 @@ func TestInterruptNilCheckIdentical(t *testing.T) {
 }
 
 var errTestCause = errors.New("test cause")
+
+// pingPong spawns two processes that alternate Hold(1) until the run
+// stops, so every process wake is handed straight from one process to
+// the other.
+func pingPong(k *Kernel) {
+	for i := 0; i < 2; i++ {
+		k.Spawn("ping", func(p *Proc) {
+			for {
+				p.Hold(1)
+			}
+		})
+	}
+}
+
+func TestCallbackPanicPropagatesFromRun(t *testing.T) {
+	k := NewKernel(1)
+	pingPong(k)
+	k.Schedule(50, func() { panic("callback boom") })
+	defer func() {
+		if r := recover(); r != "callback boom" {
+			t.Fatalf("recovered %v, want the callback's panic", r)
+		}
+		if k.Now() != 50 {
+			t.Fatalf("panicked at %d, want 50", k.Now())
+		}
+		k.Shutdown()
+	}()
+	// A panic raised on any goroutine but this one would crash the
+	// test binary instead of reaching the deferred recover.
+	k.Run(100)
+	t.Fatal("Run returned after a callback panic")
+}
+
+func TestProcPanicBecomesFatalError(t *testing.T) {
+	k := NewKernel(1)
+	pingPong(k)
+	k.Spawn("bad", func(p *Proc) {
+		p.Hold(50)
+		panic("proc boom")
+	})
+	_, err := k.RunErr(100)
+	if err == nil || !strings.Contains(err.Error(), `process "bad" panicked: proc boom`) {
+		t.Fatalf("RunErr error = %v, want the process panic", err)
+	}
+	if k.Now() != 50 {
+		t.Fatalf("stopped at %d, want 50", k.Now())
+	}
+	if _, err := k.RunErr(60); err != nil {
+		t.Fatalf("run after the fatal error: %v", err)
+	}
+	k.Shutdown()
+}
+
+func TestAbortBlockedProcDuringHandoff(t *testing.T) {
+	k := NewKernel(1)
+	c := NewCond(k, "never")
+	var unwound any
+	var aborted Time = -1
+	victim := k.Spawn("victim", func(p *Proc) {
+		defer func() {
+			unwound = recover()
+			aborted = p.Now()
+			panic(unwound)
+		}()
+		c.Wait(p)
+	})
+	pingPong(k)
+	k.Spawn("killer", func(p *Proc) {
+		p.Hold(20)
+		k.Abort(victim)
+		p.Hold(5)
+	})
+	n, err := k.RunErr(100)
+	if err != nil {
+		t.Fatalf("RunErr: %v", err)
+	}
+	if unwound != ErrAborted || aborted != 20 {
+		t.Fatalf("victim unwound with %v at %d, want ErrAborted at 20", unwound, aborted)
+	}
+	if !victim.Done() || k.Now() != 100 || k.LiveProcs() != 2 {
+		t.Fatalf("done=%v now=%d live=%d after abort", victim.Done(), k.Now(), k.LiveProcs())
+	}
+	if n != k.EventsFired() {
+		t.Fatalf("RunErr fired %d, kernel counted %d", n, k.EventsFired())
+	}
+	k.Shutdown()
+}

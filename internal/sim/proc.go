@@ -166,13 +166,23 @@ func (p *Proc) block() {
 	p.yield()
 }
 
-// yield hands control back to the kernel and waits to be resumed.
-// On resume after an abort, it panics with ErrAborted so that the
-// process unwinds through whatever primitive it was sleeping in.
+// yield gives up control until the process is resumed. When the next
+// event wakes another process, control passes straight to it (one
+// goroutine switch); when it is this process's own wake, the process
+// just continues; otherwise control goes back to RunErr. On resume
+// after an abort, it panics with ErrAborted so that the process
+// unwinds through whatever primitive it was sleeping in.
 func (p *Proc) yield() {
 	k := p.k
-	k.yielded <- struct{}{}
-	<-p.resume
+	switch next := k.handoff(); next {
+	case p:
+	case nil:
+		k.yielded <- struct{}{}
+		<-p.resume
+	default:
+		next.resume <- struct{}{}
+		<-p.resume
+	}
 	if p.aborted {
 		panic(ErrAborted)
 	}
