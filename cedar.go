@@ -47,12 +47,12 @@ type Options struct {
 	// defaults to 10000 (0.5 ms) when zero. Negative disables the
 	// sampler.
 	SamplerInterval sim.Duration
-	// TraceCapacity enables the cedarhpm monitor with the given trace
-	// buffer capacity when > 0.
+	// TraceCapacity arms the cedarhpm monitor with a trace buffer of
+	// the given capacity in records when > 0. The monitor is the run's
+	// one event stream: the runtime library, Xylem, the global-memory
+	// stall trigger points, and the fault injector all post to it, and
+	// Run.TraceBundle folds it into spans.
 	TraceCapacity int
-	// TraceMask restricts recorded event kinds when non-zero (see
-	// hpm.MaskFor).
-	TraceMask uint32
 	// Costs overrides the unit-cost model when non-nil.
 	Costs *arch.CostModel
 	// TreeFanout, when > 1, uses the software combining-tree barrier
@@ -75,11 +75,11 @@ type Options struct {
 	// sim.ErrDeadlock. Zero uses a default of 10M cycles (0.5 s of
 	// virtual time); negative disables the watchdog.
 	WatchdogInterval sim.Duration
-	// Observe enables the observability layer: an obs.Recorder wired
-	// through the machine, OS, runtime, and fault injector, plus a
-	// time-series collector sampling concurrency, memory/network
-	// backlog, and the qmon split. Nil leaves observation off (the
-	// zero-cost path). The zero obs.Options value gives defaults.
+	// Observe arms the time-series collector, sampling concurrency,
+	// the qmon split, and memory/network backlog into Run.Series. Nil
+	// leaves it off (the zero-cost path); the zero obs.Options value
+	// gives defaults. Spans come from the monitor (TraceCapacity), not
+	// from Observe.
 	Observe *obs.Options
 	// Parallel bounds how many independent simulations the batch
 	// helpers (Sweeps, FaultSweep, CheckCorpus) run concurrently. Zero
@@ -120,7 +120,6 @@ type Run struct {
 	RT       *cfrt.Runtime
 	Monitor  *hpm.Monitor     // nil unless Options.TraceCapacity > 0
 	Injector *faults.Injector // nil unless Options.Faults was set
-	Obs      *obs.Recorder    // nil unless Options.Observe was set
 	Series   *obs.Collector   // nil unless Options.Observe was set
 
 	// reg is the run's metric registry: pre-seeded with the live series
@@ -192,14 +191,13 @@ func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error
 	m := cluster.NewMachine(k, cfg, costs)
 	o := xylem.New(m)
 
-	var rec *obs.Recorder
+	if opts.TraceCapacity > 0 {
+		m.Mon = hpm.New(k, opts.TraceCapacity)
+	}
+
 	var series *obs.Collector
 	var liveReg *metricreg.Registry
 	if opts.Observe != nil {
-		rec = obs.NewRecorder(*opts.Observe)
-		m.Obs = rec
-		m.GM.SetRecorder(rec)
-		o.Obs = rec
 		series = obs.NewCollector(k, *opts.Observe)
 		liveReg = metricreg.New()
 		registerProbes(liveReg, m)
@@ -212,21 +210,13 @@ func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error
 		series.Start()
 	}
 
-	var mon *hpm.Monitor
-	if opts.TraceCapacity > 0 {
-		mon = hpm.New(k, opts.TraceCapacity)
-		if opts.TraceMask != 0 {
-			mon.SetMask(opts.TraceMask)
-		}
-	}
-	rt := cfrt.New(m, o, mon)
+	rt := cfrt.New(m, o)
 	rt.TreeFanout = opts.TreeFanout
 	rt.XdoallChunk = opts.XdoallChunk
-	rt.Obs = rec
 
 	var inj *faults.Injector
 	if len(opts.Faults) > 0 {
-		inj = &faults.Injector{M: m, OS: o, Mon: mon, Obs: rec, OnCEFail: rt.NotifyCEFailure}
+		inj = &faults.Injector{M: m, OS: o, OnCEFail: rt.NotifyCEFailure}
 		inj.Arm(opts.Faults)
 	}
 
@@ -255,8 +245,8 @@ func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error
 	series.Stop()
 
 	res := core.Collect(app.Name, 1, rt, sampler)
-	run := &Run{Result: res, Machine: m, OS: o, RT: rt, Monitor: mon, Injector: inj,
-		Obs: rec, Series: series, reg: liveReg}
+	run := &Run{Result: res, Machine: m, OS: o, RT: rt, Monitor: m.Mon, Injector: inj,
+		Series: series, reg: liveReg}
 	return run, err
 }
 
@@ -344,11 +334,12 @@ func registerProbes(reg *metricreg.Registry, m *cluster.Machine) {
 	})
 }
 
-// TraceBundle folds the run's hpm event trace and recorder spans into
-// one exportable bundle for obs.WriteTrace. The hpm trace contributes
-// runtime structure (serial sections, loops, iterations, barriers); the
-// recorder contributes OS, memory, and fault spans. Works with either
-// source missing.
+// TraceBundle folds the run's hpm event trace into one exportable
+// bundle for obs.WriteTrace: runtime structure (serial sections,
+// loops, iterations, barriers), OS service, page-fault and memory
+// stall spans, plus the fault activations from the injector's log. A
+// run without the monitor (Options.TraceCapacity) yields fault marks
+// only.
 func (r *Run) TraceBundle() *obs.Bundle {
 	b := &obs.Bundle{
 		App:           r.Result.App,
@@ -357,13 +348,12 @@ func (r *Run) TraceBundle() *obs.Bundle {
 		CEsPerCluster: r.Machine.Cfg.CEsPerCluster,
 		CT:            r.Result.CT,
 	}
-	var spans []obs.Span
-	var insts []obs.Instant
-	if r.Monitor != nil {
-		spans, insts = obs.FoldTrace(r.Monitor.Trace(), r.Obs)
+	spans, insts := obs.FoldTrace(r.Monitor.Trace(), r.RT)
+	if r.Injector != nil {
+		fs, fi := obs.FoldFaults(r.Injector.Applied())
+		spans = append(spans, fs...)
+		insts = append(insts, fi...)
 	}
-	spans = append(spans, r.Obs.Spans()...)
-	insts = append(insts, r.Obs.Instants()...)
 	obs.SortSpans(spans)
 	b.Spans = obs.ClampSpans(spans, r.Result.CT)
 	b.Instants = insts

@@ -48,6 +48,14 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection timeouts. No write timeout: GET /jobs/{id}/events streams
+// until the job ends, however long that takes.
+const (
+	readHeaderTimeout = 10 * time.Second  // slow-header clients
+	readTimeout       = 30 * time.Second  // whole request, body included
+	idleTimeout       = 120 * time.Second // keep-alive between requests
+)
+
 func main() {
 	addr := flag.String("addr", ":8344", "listen address")
 	cacheDir := flag.String("cache-dir", "", "result-cache directory (empty = caching off)")
@@ -83,7 +91,13 @@ func main() {
 	}
 	s.Start()
 
-	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.ListenAndServe() }()
 

@@ -61,18 +61,19 @@
 // registry name travels to the server inline as the canonical document
 // text, so one workload caches under one key however it was spelled.
 //
-// The observability flags arm the obs layer: -trace writes a
-// Chrome/Perfetto trace-event file (load it at ui.perfetto.dev),
-// -profile writes folded stacks weighted by virtual cycles (feed to
-// flamegraph.pl or inferno), and -series writes the sampled time
-// series as CSV, or as Prometheus text exposition when the path ends
-// in .prom. With -fault they export the degraded run. -metrics writes
-// the run's full metric registry snapshot — the same source of truth
-// StatfxText and cedarserved's /metrics render — in the format the
-// extension selects (.prom, .json, or CSV); unlike the other three it
-// works without arming the obs layer. Whenever a bounded
-// instrumentation buffer overflowed, a one-line warning on stderr
-// reports the total dropped-event count.
+// Each observability flag arms only what its artifact reads: -trace
+// arms the cedarhpm monitor and writes the Chrome/Perfetto
+// trace-event file folded from it (load it at ui.perfetto.dev),
+// -series arms the time-series collector and writes the samples as
+// CSV, or as Prometheus text exposition when the path ends in .prom,
+// and -profile writes folded stacks weighted by virtual cycles (feed
+// to flamegraph.pl or inferno) from the CE accounts, arming nothing.
+// With -fault they export the degraded run. -metrics writes the run's
+// full metric registry snapshot — the same source of truth StatfxText
+// and cedarserved's /metrics render — in the format the extension
+// selects (.prom, .json, or CSV); it arms nothing either. Whenever a
+// bounded instrumentation buffer overflowed, a one-line warning on
+// stderr reports the total dropped-event count.
 package main
 
 import (
@@ -231,14 +232,7 @@ func main() {
 	}
 
 	exp := exporter{trace: *tracePath, profile: *profilePath, series: *seriesPath, metrics: *metricsPath}
-	if exp.enabled() {
-		// Arm the obs layer; the trace export also needs the hpm
-		// monitor for runtime-structure spans.
-		opts.Observe = &obs.Options{}
-		if exp.trace != "" && opts.TraceCapacity == 0 {
-			opts.TraceCapacity = 1 << 22
-		}
-	}
+	exp.arm(&opts)
 
 	if *faultSpec != "" {
 		runFaulted(app, cfg, opts, *faultSpec, *recordPath, exp)
@@ -341,9 +335,18 @@ type exporter struct {
 	trace, profile, series, metrics string
 }
 
-// enabled reports whether a flag needs the obs layer armed. -metrics
-// alone does not: the registry also covers unobserved runs.
-func (e exporter) enabled() bool { return e.trace != "" || e.profile != "" || e.series != "" }
+// arm arms exactly what the selected artifacts read: the trace folds
+// the hpm monitor's stream, the series CSV reads the collector. The
+// folded profile and -metrics read only the accounts and the metric
+// registry, which every run keeps.
+func (e exporter) arm(opts *cedar.Options) {
+	if e.trace != "" {
+		opts.TraceCapacity = 1 << 22
+	}
+	if e.series != "" {
+		opts.Observe = &obs.Options{}
+	}
+}
 
 // write exports the run's trace, profile, series, and metric registry
 // files, then checks the run's drop counters. Export failures are

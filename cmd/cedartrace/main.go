@@ -16,9 +16,10 @@
 //
 // -summary prints per-event counts and pair durations; with -json the
 // same summary is emitted as a JSON object for scripting. -hw prints
-// hardware counters. -obs arms the observability recorder and prints a
-// span/series digest: spans per category, the slowest spans, and the
-// sampled time series with mean and final values.
+// hardware counters. -obs also arms the series collector and prints a
+// span/series digest: spans per category folded from the trace, the
+// slowest spans, and the sampled time series with mean and final
+// values.
 package main
 
 import (
@@ -42,7 +43,7 @@ func main() {
 	summary := flag.Bool("summary", false, "print per-event counts and pair durations only")
 	jsonOut := flag.Bool("json", false, "with -summary: emit the summary as JSON")
 	hw := flag.Bool("hw", false, "print hardware counters (module utilization, hot ports, cache)")
-	obsMode := flag.Bool("obs", false, "arm the obs recorder and print a span/series digest")
+	obsMode := flag.Bool("obs", false, "fold the trace into spans, arm the series collector, and print a span/series digest")
 	flag.Parse()
 
 	if machine.List {
@@ -194,8 +195,8 @@ func printJSONSummary(run *cedar.Run) {
 	}
 }
 
-// printObsDigest summarizes the obs recorder's spans and the sampled
-// time series for a quick look without exporting files.
+// printObsDigest summarizes the spans folded from the trace and the
+// sampled time series for a quick look without exporting files.
 func printObsDigest(run *cedar.Run) {
 	bundle := run.TraceBundle()
 	byCat := map[string]int{}
@@ -204,8 +205,8 @@ func printObsDigest(run *cedar.Run) {
 		byCat[s.Cat]++
 		catTotal[s.Cat] += int64(s.End - s.Start)
 	}
-	fmt.Printf("observability digest: %d spans, %d instants (%d dropped at capacity)\n\n",
-		len(bundle.Spans), len(bundle.Instants), run.Obs.Dropped())
+	fmt.Printf("observability digest: %d spans, %d instants\n\n",
+		len(bundle.Spans), len(bundle.Instants))
 
 	fmt.Println("spans per category:")
 	cats := make([]string, 0, len(byCat))

@@ -1,6 +1,6 @@
 // Example observability: run FLO52 on the 2-cluster Cedar with the
-// obs layer armed, export all three artifact formats, and print a
-// short digest of what they contain.
+// cedarhpm monitor and the series collector armed, export all three
+// artifact formats, and print a short digest of what they contain.
 //
 // The same artifacts come from the CLI:
 //

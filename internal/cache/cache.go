@@ -21,7 +21,7 @@ import (
 // Cache is one cluster's shared data cache.
 type Cache struct {
 	cost arch.CostModel
-	bus  *sim.Calendar // the interleaved bank array
+	bus  *sim.CalendarStore // the interleaved bank array, one entry
 
 	hits      uint64
 	misses    uint64
@@ -35,7 +35,7 @@ const Ways = 4
 
 // New creates a cache using the given cost model.
 func New(cost arch.CostModel) *Cache {
-	return &Cache{cost: cost, bus: sim.NewCalendar("cache")}
+	return &Cache{cost: cost, bus: sim.NewCalendarStore(1)}
 }
 
 // Occupancy returns how long the bank array is busy serving a request
@@ -75,7 +75,7 @@ func (c *Cache) occupancy(words int, hitRatio float64) (sim.Duration, uint64) {
 // suffered behind other CEs' requests.
 func (c *Cache) Access(now sim.Time, words int, hitRatio float64) (done sim.Time, queued sim.Duration) {
 	occ, _ := c.occupancy(words, hitRatio)
-	start, end := c.bus.Reserve(now, occ)
+	start, end := c.bus.Reserve(0, now, occ)
 	queued = start - now
 	done = end + sim.Duration(c.cost.CacheHitCycles) // pipeline drain
 	c.stall += done - now
@@ -97,7 +97,7 @@ func (c *Cache) StallTotal() sim.Duration { return c.stall }
 func (c *Cache) QueuedTotal() sim.Duration { return c.queued }
 
 // Utilization returns the bank array's busy fraction at time now.
-func (c *Cache) Utilization(now sim.Time) float64 { return c.bus.Utilization(now) }
+func (c *Cache) Utilization(now sim.Time) float64 { return c.bus.Utilization(0, now) }
 
 // MissRatio returns misses-per-word observed so far.
 func (c *Cache) MissRatio() float64 {

@@ -1,6 +1,7 @@
 package cfrt
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -16,7 +17,7 @@ func rig(cfg arch.Config) (*sim.Kernel, *cluster.Machine, *xylem.OS, *Runtime) {
 	k := sim.NewKernel(7)
 	m := cluster.NewMachine(k, cfg, arch.DefaultCosts())
 	o := xylem.New(m)
-	rt := New(m, o, nil)
+	rt := New(m, o)
 	return k, m, o, rt
 }
 
@@ -281,7 +282,8 @@ func TestHPMEventsRecorded(t *testing.T) {
 	m := cluster.NewMachine(k, arch.Cedar16, arch.DefaultCosts())
 	o := xylem.New(m)
 	mon := hpm.New(k, 1<<16)
-	rt := New(m, o, mon)
+	m.Mon = mon
+	rt := New(m, o)
 	rt.Run(func(mt *Main) {
 		mt.Sdoall(&Loop{Name: "l", Outer: 4, Inner: 8,
 			Body: func(ec *ExecCtx, i int) { ec.Compute(100) }})
@@ -301,6 +303,13 @@ func TestHPMEventsRecorded(t *testing.T) {
 		if trace[i].At < trace[i-1].At {
 			t.Fatal("trace out of order")
 		}
+	}
+	// The armed monitor keeps the posted loop's name for trace folding.
+	if got := rt.LoopName(1); !strings.HasPrefix(got, "l [") {
+		t.Fatalf("LoopName(1) = %q, want the loop's source name", got)
+	}
+	if got := rt.LoopName(99); got != "loop#99" {
+		t.Fatalf("LoopName(99) = %q, want loop#99", got)
 	}
 }
 
@@ -399,7 +408,7 @@ func TestMidRunAbortLeavesNoProcesses(t *testing.T) {
 	k := sim.NewKernel(7)
 	m := cluster.NewMachine(k, arch.Cedar32, arch.DefaultCosts())
 	o := xylem.New(m)
-	rt := New(m, o, nil)
+	rt := New(m, o)
 
 	done := make(chan sim.Time, 1)
 	go func() {
@@ -429,7 +438,7 @@ func TestPartialRunThenShutdown(t *testing.T) {
 	k := sim.NewKernel(7)
 	m := cluster.NewMachine(k, arch.Cedar32, arch.DefaultCosts())
 	o := xylem.New(m)
-	rt := New(m, o, nil)
+	rt := New(m, o)
 	region := o.NewRegion("d", 32*1024)
 
 	// Spawn the program manually (mirroring Runtime.Run's layout)

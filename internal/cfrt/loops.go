@@ -25,10 +25,10 @@ func (mt *Main) Serial(f func(ec *ExecCtx)) {
 	rt := mt.rt
 	lead := mt.ec.CE
 	rt.stats.SerialSecs++
-	rt.Mon.Post(hpm.EvSerialStart, lead.Global(), 0)
+	rt.M.Mon.Post(hpm.EvSerialStart, lead.Global(), 0)
 	f(mt.ec)
 	rt.OS.Poll(lead)
-	rt.Mon.Post(hpm.EvSerialEnd, lead.Global(), 0)
+	rt.M.Mon.Post(hpm.EvSerialEnd, lead.Global(), 0)
 }
 
 // Sdoall executes a hierarchical SDOALL/CDOALL nest across all
@@ -54,7 +54,7 @@ func (mt *Main) MCLoop(l *Loop) {
 	rc := rt.rcs[0]
 	lead := rc.cl.Lead()
 	rt.stats.MCLoops++
-	rt.Mon.Post(hpm.EvMCLoopStart, lead.Global(), 0)
+	rt.M.Mon.Post(hpm.EvMCLoopStart, lead.Global(), 0)
 	lead.Spend(sim.Duration(rt.Cost.LoopSetup), metrics.CatMCLoop)
 
 	t0 := lead.Now()
@@ -70,7 +70,7 @@ func (mt *Main) MCLoop(l *Loop) {
 	rt.runJob(rc, job)
 	rc.MCWall += lead.Now() - t0
 	rt.OS.Poll(lead)
-	rt.Mon.Post(hpm.EvMCLoopEnd, lead.Global(), 0)
+	rt.M.Mon.Post(hpm.EvMCLoopEnd, lead.Global(), 0)
 }
 
 // serializedBody wraps a CDOACROSS body: after the concurrent part of
@@ -104,11 +104,10 @@ func (rt *Runtime) crossClusterLoop(l *Loop, c Construct) {
 	rt.boardGen++
 	al := &activeLoop{gen: rt.boardGen, loop: l, construct: c}
 	rt.cur = al
-	// Register the loop's source name with the observability layer so
-	// spans folded from the trace read "fine-sweep [sdoall/cdoall]"
-	// instead of a bare generation number.
-	if rt.Obs != nil {
-		rt.Obs.NameLoop(int64(al.gen), fmt.Sprintf("%s [%s]", l.Name, c))
+	// Name the loop for trace folding, so its spans read
+	// "fine-sweep [sdoall/cdoall]" instead of a bare generation number.
+	if rt.loopNames != nil {
+		rt.loopNames[int64(al.gen)] = fmt.Sprintf("%s [%s]", l.Name, c)
 	}
 	switch c {
 	case Sdoall:
@@ -116,7 +115,7 @@ func (rt *Runtime) crossClusterLoop(l *Loop, c Construct) {
 	case Xdoall:
 		rt.stats.XdoallLoops++
 	}
-	rt.Mon.Post(hpm.EvLoopPost, lead.Global(), int32(al.gen))
+	rt.M.Mon.Post(hpm.EvLoopPost, lead.Global(), int64(al.gen))
 	lead.GMAccessAs(rt.boardAddr, 1, metrics.CatLoopSetup)
 	rt.boardCond.Broadcast() // helpers see the activity lock
 
@@ -133,14 +132,14 @@ func (rt *Runtime) crossClusterLoop(l *Loop, c Construct) {
 	// Spin-wait at the finish barrier for every helper that entered
 	// the loop to detach.
 	rt.stats.Barriers++
-	rt.Mon.Post(hpm.EvBarrierEnter, lead.Global(), int32(al.gen))
+	rt.M.Mon.Post(hpm.EvBarrierEnter, lead.Global(), int64(al.gen))
 	for al.detached < al.joined {
 		waited := rt.barrierCond.Wait(lead.Proc)
 		lead.Charge(waited, metrics.CatBarrierWait)
 	}
 	// The final barrier-count read that observes completion.
 	lead.GMAccessAs(rt.barrierAddr, 1, metrics.CatBarrierWait)
-	rt.Mon.Post(hpm.EvBarrierExit, lead.Global(), int32(al.gen))
+	rt.M.Mon.Post(hpm.EvBarrierExit, lead.Global(), int64(al.gen))
 	rt.cur = nil
 	rt.OS.Poll(lead)
 }
@@ -159,7 +158,7 @@ func (rt *Runtime) runSdoallTask(rc *rtCluster, al *activeLoop) {
 	for {
 		// Pick up the next outer iteration (or determine none are
 		// left): one request per cluster — little contention.
-		rt.Mon.Post(hpm.EvPickStart, lead.Global(), int32(al.gen))
+		rt.M.Mon.Post(hpm.EvPickStart, lead.Global(), int64(al.gen))
 		waited := rt.sdoallLock.Acquire(lead.Proc)
 		lead.Charge(waited, metrics.CatPickIter)
 		var o int
@@ -171,7 +170,7 @@ func (rt *Runtime) runSdoallTask(rc *rtCluster, al *activeLoop) {
 			al.outerNext++
 		}()
 		rt.stats.OuterPicks++
-		rt.Mon.Post(hpm.EvPickEnd, lead.Global(), int32(al.gen))
+		rt.M.Mon.Post(hpm.EvPickEnd, lead.Global(), int64(al.gen))
 		if o >= maxInt(l.Outer, 1) {
 			return
 		}
@@ -223,7 +222,7 @@ func (rt *Runtime) xdoallNext(al *activeLoop) func(ce *cluster.CE) (int, bool) {
 			ce.Spend(sim.Duration(rt.Cost.IterDispatchLocal), metrics.CatPickIter)
 			return i, true
 		}
-		rt.Mon.Post(hpm.EvPickStart, g, int32(al.gen))
+		rt.M.Mon.Post(hpm.EvPickStart, g, int64(al.gen))
 		// The critical section around the loop index is held only for
 		// the local bookkeeping: the competing test-and-set requests
 		// themselves pipeline through the network and serialize at the
@@ -247,7 +246,7 @@ func (rt *Runtime) xdoallNext(al *activeLoop) func(ce *cluster.CE) (int, bool) {
 		// traffic on the lock word's module.
 		ce.GMAccessAs(rt.xdoallAddr, 1, metrics.CatPickIter)
 		rt.stats.XdoallPicks++
-		rt.Mon.Post(hpm.EvPickEnd, g, int32(al.gen))
+		rt.M.Mon.Post(hpm.EvPickEnd, g, int64(al.gen))
 		if i >= total {
 			return 0, false
 		}
@@ -304,7 +303,7 @@ func busNext(cl *cluster.Cluster, start, count int) func(ce *cluster.CE) (int, b
 		next++
 		// The bus grant: a tiny serialized window per dispatch.
 		now := ce.Now()
-		_, end := cl.ConcBus.Reserve(now, 2)
+		_, end := cl.Machine.ConcBus.Reserve(cl.ID, now, 2)
 		ce.SpendUntil(end, metrics.CatLoopIter)
 		return start + i, true
 	}
@@ -353,9 +352,9 @@ func (rt *Runtime) execJob(ce *cluster.CE, job *clusterJob) {
 		if !ok {
 			break
 		}
-		rt.Mon.Post(hpm.EvIterStart, ce.Global(), int32(i))
+		rt.M.Mon.Post(hpm.EvIterStart, ce.Global(), int64(i))
 		job.body(ec, i)
-		rt.Mon.Post(hpm.EvIterEnd, ce.Global(), int32(i))
+		rt.M.Mon.Post(hpm.EvIterEnd, ce.Global(), int64(i))
 		rt.OS.Poll(ce)
 	}
 	if rt.M.Cfg.Unclustered && job.al != nil {

@@ -35,7 +35,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/hpm"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/xylem"
 )
@@ -109,8 +108,6 @@ func (l *Loop) Total() int {
 type Runtime struct {
 	M    *cluster.Machine
 	OS   *xylem.OS
-	Mon  *hpm.Monitor  // may be nil
-	Obs  *obs.Recorder // may be nil; receives loop-name metadata
 	Cost arch.CostModel
 
 	// Global-memory control words (addresses).
@@ -132,6 +129,10 @@ type Runtime struct {
 	rcs      []*rtCluster
 	mainDone sim.Time
 	started  bool
+
+	// loopNames maps each posted loop's generation to its source name;
+	// nil unless the machine's monitor was armed at New (see LoopName).
+	loopNames map[int64]string
 
 	// OnFinish, if set, runs (in the main task's context) the moment
 	// the program completes — before helper shutdown. Monitors hook it
@@ -196,13 +197,13 @@ type activeLoop struct {
 	tree    *combTree
 }
 
-// New creates a runtime for the machine and OS.
-func New(m *cluster.Machine, o *xylem.OS, mon *hpm.Monitor) *Runtime {
+// New creates a runtime for the machine and OS. Arm the machine's
+// monitor (Machine.Mon) first: New decides whether to keep loop names.
+func New(m *cluster.Machine, o *xylem.OS) *Runtime {
 	k := m.Kernel
 	rt := &Runtime{
 		M:           m,
 		OS:          o,
-		Mon:         mon,
 		Cost:        m.Cost,
 		sdoallLock:  sim.NewLock(k, "cfrt.sdoall"),
 		xdoallLock:  sim.NewLock(k, "cfrt.xdoall"),
@@ -215,6 +216,9 @@ func New(m *cluster.Machine, o *xylem.OS, mon *hpm.Monitor) *Runtime {
 	rt.sdoallAddr = m.AllocGM(1)
 	rt.xdoallAddr = m.AllocGM(1)
 	rt.barrierAddr = m.AllocGM(1)
+	if m.Mon != nil {
+		rt.loopNames = map[int64]string{}
+	}
 	for _, cl := range m.Clusters {
 		rt.rcs = append(rt.rcs, &rtCluster{
 			cl:       cl,
@@ -222,6 +226,16 @@ func New(m *cluster.Machine, o *xylem.OS, mon *hpm.Monitor) *Runtime {
 		})
 	}
 	return rt
+}
+
+// LoopName returns the source name of the loop posted with generation
+// gen ("fine-sweep [sdoall/cdoall]"), or "loop#<gen>" when the loop
+// was not named — names are kept only while the monitor is armed.
+func (rt *Runtime) LoopName(gen int64) string {
+	if n, ok := rt.loopNames[gen]; ok {
+		return n
+	}
+	return fmt.Sprintf("loop#%d", gen)
 }
 
 // Stats returns the runtime's event counters.
@@ -377,7 +391,7 @@ func (rt *Runtime) helperDriver(rc *rtCluster) {
 			al.joined++
 			inLoop = al
 			rt.stats.HelperJoins++
-			rt.Mon.Post(hpm.EvHelperJoin, lead.Global(), int32(al.gen))
+			rt.M.Mon.Post(hpm.EvHelperJoin, lead.Global(), int64(al.gen))
 			// The successful poll of the activity lock and the read of
 			// the loop descriptor.
 			lead.GMAccessAs(rt.boardAddr, 2, metrics.CatLoopSetup)
@@ -395,7 +409,7 @@ func (rt *Runtime) helperDriver(rc *rtCluster) {
 			// Detach at the finish barrier.
 			lead.Spend(sim.Duration(rt.Cost.BarrierDetach), metrics.CatPickIter)
 			lead.GMAccessAs(rt.barrierAddr, 1, metrics.CatPickIter)
-			rt.Mon.Post(hpm.EvHelperDetach, lead.Global(), int32(al.gen))
+			rt.M.Mon.Post(hpm.EvHelperDetach, lead.Global(), int64(al.gen))
 			al.detached++
 			inLoop = nil
 			rt.barrierCond.Signal()
@@ -403,10 +417,10 @@ func (rt *Runtime) helperDriver(rc *rtCluster) {
 			continue
 		}
 
-		rt.Mon.Post(hpm.EvWaitStart, lead.Global(), 0)
+		rt.M.Mon.Post(hpm.EvWaitStart, lead.Global(), 0)
 		waited := rt.boardCond.Wait(lead.Proc)
 		lead.Charge(waited, metrics.CatHelperWait)
-		rt.Mon.Post(hpm.EvWaitEnd, lead.Global(), 0)
+		rt.M.Mon.Post(hpm.EvWaitEnd, lead.Global(), 0)
 		rt.OS.Poll(lead)
 	}
 }

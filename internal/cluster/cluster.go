@@ -12,13 +12,11 @@
 package cluster
 
 import (
-	"fmt"
-
 	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/gmem"
+	"repro/internal/hpm"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -29,11 +27,15 @@ type Machine struct {
 	Kernel   *sim.Kernel
 	GM       *gmem.Memory
 	Clusters []*Cluster
-	// Obs, when non-nil, receives hardware-level observability spans
-	// (slow global-memory stalls) and instants (CE fail-stops). Set it
-	// before the run starts; nil costs one pointer comparison per
-	// access.
-	Obs *obs.Recorder
+	// Mon is the machine's cedarhpm monitor: the runtime, Xylem, and
+	// the global-memory stall trigger points all post to it. Set it
+	// before the run starts; nil (disarmed) costs one pointer
+	// comparison per trigger point.
+	Mon *hpm.Monitor
+	// ConcBus holds each cluster's concurrency-control bus, entry c
+	// serializing cluster c's transactions (CDOALL dispatch, cluster
+	// barrier sync).
+	ConcBus *sim.CalendarStore
 
 	gmBrk  int64 // bump allocator for global memory, in words
 	failed int   // CEs failed via CE.Fail
@@ -63,10 +65,11 @@ func NewMachine(k *sim.Kernel, cfg arch.Config, cost arch.CostModel) *Machine {
 		panic(err)
 	}
 	m := &Machine{
-		Cfg:    cfg,
-		Cost:   cost,
-		Kernel: k,
-		GM:     gmem.New(cfg, cost),
+		Cfg:     cfg,
+		Cost:    cost,
+		Kernel:  k,
+		GM:      gmem.New(cfg, cost),
+		ConcBus: sim.NewCalendarStore(cfg.Clusters),
 	}
 	n := cfg.CEs()
 	m.busyCat = make([]metrics.Category, n)
@@ -147,9 +150,6 @@ type Cluster struct {
 	ID      int
 	CEs     []*CE
 	Cache   *cache.Cache
-	// ConcBus serializes concurrency-control-bus transactions
-	// (CDOALL dispatch, cluster barrier sync).
-	ConcBus *sim.Calendar
 }
 
 func newCluster(m *Machine, id int) *Cluster {
@@ -157,7 +157,6 @@ func newCluster(m *Machine, id int) *Cluster {
 		Machine: m,
 		ID:      id,
 		Cache:   cache.New(m.Cost),
-		ConcBus: sim.NewCalendar(fmt.Sprintf("cbus.c%d", id)),
 	}
 	for l := 0; l < m.Cfg.CEsPerCluster; l++ {
 		cid := arch.CEID{Cluster: id, Local: l}
@@ -257,7 +256,6 @@ func (ce *CE) Fail() {
 	ce.mach.busyCat[ce.global] = metrics.CatIdle
 	m := ce.mach
 	m.failed++
-	m.Obs.Instant(ce.Global(), "ce-fail", obs.CatFault, m.Kernel.Now(), 0)
 	if ce.Proc != nil {
 		m.Kernel.Abort(ce.Proc)
 	}
@@ -280,20 +278,18 @@ func (ce *CE) Charge(d sim.Duration, cat metrics.Category) {
 	ce.Acct.Add(cat, d)
 }
 
+// SlowStall is the stall, in cycles, at or above which a global-memory
+// access posts its trigger points: hpm.EvGMStallStart/End around a
+// stall of at least SlowStall, and hpm.EvGMHot for an access whose
+// queueing alone reaches it.
+const SlowStall = 2_000
+
 // GMAccess performs a global memory access of the given word count at
 // addr and stalls the CE until the data returns. The stall is charged
 // to metrics.CatGMStall. It returns the total stall and the queueing
 // (contention) portion.
 func (ce *CE) GMAccess(addr int64, words int) (stall, queued sim.Duration) {
-	m := ce.Machine()
-	now := ce.Now()
-	done, q := m.GM.Access(now, ce.ID, addr, words)
-	stall = done - now
-	if m.Obs != nil && stall >= m.Obs.SlowStall() {
-		m.Obs.Span(ce.Global(), "gm-stall", obs.CatMem, now, done, addr)
-	}
-	ce.SpendUntil(done, metrics.CatGMStall)
-	return stall, q
+	return ce.GMAccessAs(addr, words, metrics.CatGMStall)
 }
 
 // GMAccessAs is GMAccess but charges the stall to an explicit
@@ -303,10 +299,16 @@ func (ce *CE) GMAccessAs(addr int64, words int, cat metrics.Category) (stall, qu
 	now := ce.Now()
 	done, q := m.GM.Access(now, ce.ID, addr, words)
 	stall = done - now
-	if m.Obs != nil && stall >= m.Obs.SlowStall() {
-		m.Obs.Span(ce.Global(), "gm-stall", obs.CatMem, now, done, addr)
+	if m.Mon == nil || stall < SlowStall {
+		ce.SpendUntil(done, cat)
+		return stall, q
 	}
+	if q >= SlowStall {
+		m.Mon.Post(hpm.EvGMHot, ce.global, int64(m.GM.Module(addr)))
+	}
+	m.Mon.Post(hpm.EvGMStallStart, ce.global, addr)
 	ce.SpendUntil(done, cat)
+	m.Mon.Post(hpm.EvGMStallEnd, ce.global, addr)
 	return stall, q
 }
 
@@ -327,6 +329,6 @@ func (ce *CE) CacheAccess(words int, hitRatio float64) sim.Duration {
 // and charges the elapsed time to cat.
 func (ce *CE) ConcBusOp(cost int64, cat metrics.Category) {
 	now := ce.Now()
-	_, end := ce.Cluster.ConcBus.Reserve(now, sim.Duration(cost))
+	_, end := ce.mach.ConcBus.Reserve(ce.Cluster.ID, now, sim.Duration(cost))
 	ce.SpendUntil(end, cat)
 }

@@ -32,7 +32,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/hpm"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/xylem"
 )
@@ -291,12 +290,10 @@ type Applied struct {
 // Injector arms a Plan against a machine: each event is scheduled as a
 // kernel event at its virtual time and dispatched to the matching
 // hardware or OS hook when it fires. Activations are posted to the
-// monitor (hpm.EvFaultInject) and recorded for the report.
+// machine's monitor (hpm.EvFaultInject) and recorded for the report.
 type Injector struct {
-	M   *cluster.Machine
-	OS  *xylem.OS
-	Mon *hpm.Monitor  // may be nil
-	Obs *obs.Recorder // may be nil; receives fault activation spans
+	M  *cluster.Machine
+	OS *xylem.OS
 
 	// OnCEFail, when set, is called after a CE fail-stops so the
 	// runtime can re-evaluate barriers and job quorums that counted
@@ -351,16 +348,8 @@ func (inj *Injector) apply(ev Event) {
 		n := inj.OS.InvalidateMappings(ev.Target)
 		note = fmt.Sprintf("paging storm dropped %d mappings", n)
 	}
-	inj.Mon.Post(hpm.EvFaultInject, ev.Target, int32(ev.Kind))
-	now := inj.M.Kernel.Now()
-	if ev.Kind == LockStall {
-		// A lock stall has a known extent; render it as a span so the
-		// trace shows the window every kernel entry spun through.
-		inj.Obs.Span(obs.TrackMachine, ev.Kind.String(), obs.CatFault, now, now+ev.Span, int64(ev.Target))
-	} else {
-		inj.Obs.Instant(obs.TrackMachine, ev.Kind.String(), obs.CatFault, now, int64(ev.Target))
-	}
-	inj.applied = append(inj.applied, Applied{Event: ev, At: now, Note: note})
+	inj.M.Mon.Post(hpm.EvFaultInject, ev.Target, int64(ev.Kind))
+	inj.applied = append(inj.applied, Applied{Event: ev, At: inj.M.Kernel.Now(), Note: note})
 }
 
 // Applied returns the activation log, in firing order.

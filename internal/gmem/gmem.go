@@ -18,7 +18,6 @@ package gmem
 import (
 	"repro/internal/arch"
 	"repro/internal/network"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -31,7 +30,6 @@ type Memory struct {
 	// (entry mod is module mod) — the dense layout the per-access loop
 	// walks instead of one heap object per module.
 	modules *sim.CalendarStore
-	rec     *obs.Recorder
 
 	// Scratch buffers for the degraded walk (walkSorted), allocated
 	// with the fault state and reused across Access calls. A Memory
@@ -80,12 +78,6 @@ func New(cfg arch.Config, cost arch.CostModel) *Memory {
 
 // Net exposes the network pair (for hot-spot statistics).
 func (m *Memory) Net() *network.Pair { return m.net }
-
-// SetRecorder arms the observability recorder: accesses whose
-// queueing delay reaches the recorder's slow-stall threshold post a
-// hot-spot instant naming the access's home module. A nil recorder
-// disarms.
-func (m *Memory) SetRecorder(r *obs.Recorder) { m.rec = r }
 
 func (m *Memory) ensureFaultState() {
 	if m.inflate == nil {
@@ -220,9 +212,6 @@ func (m *Memory) Access(at sim.Time, ce arch.CEID, addr int64, words int) (done 
 	queued = done - at - m.IdealLatency(words)
 	if queued < 0 {
 		queued = 0
-	}
-	if m.rec != nil && queued >= m.rec.SlowStall() {
-		m.rec.Instant(obs.TrackMachine, "gm-hot", obs.CatMem, at, int64(first))
 	}
 	m.stallTotal += done - at
 	m.idealTotal += done - at - queued

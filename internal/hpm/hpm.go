@@ -18,8 +18,9 @@ import (
 )
 
 // EventID identifies an instrumented trigger point. The vocabulary
-// follows Section 4 of the paper: runtime-library events (a)–(f) plus
-// the OS context-switch identifier instrumentation.
+// follows Section 4 of the paper: runtime-library events (a)–(f), the
+// OS context-switch identifier, Xylem's service instrumentation, and
+// hardware stall trigger points.
 type EventID uint8
 
 const (
@@ -59,6 +60,29 @@ const (
 	// EvFaultInject: a fault-plan event fired (degraded-mode runs).
 	// Arg is the faults.Kind; CE is the fault's target index.
 	EvFaultInject
+	// EvOSEnter / EvOSGranted / EvOSExit: a Xylem system call or
+	// critical section entering the kernel, obtaining its kernel
+	// memory lock, and returning. Aux is the metrics.OSCategory.
+	EvOSEnter
+	EvOSGranted
+	EvOSExit
+	// EvIntrStart / EvIntrEnd: delivery of pending interrupt-class
+	// work at a preemption point. Aux is the number of items delivered.
+	EvIntrStart
+	EvIntrEnd
+	// EvPgFltStart: a page-fault service begins; EvPgFltSeqEnd and
+	// EvPgFltConcEnd end it as a sequential or concurrent fault. Aux
+	// is the page.
+	EvPgFltStart
+	EvPgFltSeqEnd
+	EvPgFltConcEnd
+	// EvGMStallStart / EvGMStallEnd: a slow global-memory access
+	// stalls the CE. Aux is the word address.
+	EvGMStallStart
+	EvGMStallEnd
+	// EvGMHot: a global-memory access queued past the slow-stall
+	// threshold. Aux is the access's home module.
+	EvGMHot
 
 	// NumEvents is the number of event kinds.
 	NumEvents
@@ -69,7 +93,9 @@ var eventNames = [NumEvents]string{
 	"iter-start", "iter-end", "barrier-enter", "barrier-exit",
 	"wait-start", "wait-end", "helper-detach", "ctx-switch",
 	"mcloop-start", "mcloop-end", "serial-start", "serial-end",
-	"fault-inject",
+	"fault-inject", "os-enter", "os-granted", "os-exit",
+	"intr-start", "intr-end", "pgflt-start", "pgflt-seq-end",
+	"pgflt-conc-end", "gmstall-start", "gmstall-end", "gm-hot",
 }
 
 // String implements fmt.Stringer.
@@ -85,7 +111,7 @@ type Record struct {
 	Event EventID
 	CE    int // machine-wide processor id
 	At    sim.Time
-	Aux   int32 // loop or iteration identifier, construct-dependent
+	Aux   int64 // event-dependent: loop, iteration, category, page, address
 }
 
 // Monitor is the trace collector. A nil *Monitor is valid and records
@@ -93,45 +119,22 @@ type Record struct {
 type Monitor struct {
 	k        *sim.Kernel
 	capacity int
-	mask     uint32 // bit i enables EventID(i)
 	buf      []Record
 	dropped  uint64
 	counts   [NumEvents]uint64
 }
 
-// New creates a monitor with the given trace-buffer capacity,
-// recording all event kinds.
+// New creates a monitor with the given trace-buffer capacity.
 func New(k *sim.Kernel, capacity int) *Monitor {
-	return &Monitor{k: k, capacity: capacity, mask: (1 << NumEvents) - 1}
-}
-
-// SetMask restricts recording to event kinds whose bit is set. Counts
-// are still maintained for every kind.
-func (m *Monitor) SetMask(mask uint32) {
-	if m == nil {
-		return
-	}
-	m.mask = mask
-}
-
-// MaskFor builds a mask enabling exactly the given events.
-func MaskFor(events ...EventID) uint32 {
-	var mask uint32
-	for _, e := range events {
-		mask |= 1 << e
-	}
-	return mask
+	return &Monitor{k: k, capacity: capacity}
 }
 
 // Post records an event for the given CE at the current virtual time.
-func (m *Monitor) Post(ev EventID, ce int, aux int32) {
+func (m *Monitor) Post(ev EventID, ce int, aux int64) {
 	if m == nil {
 		return
 	}
 	m.counts[ev]++
-	if m.mask&(1<<ev) == 0 {
-		return
-	}
 	if len(m.buf) >= m.capacity {
 		m.dropped++
 		return

@@ -16,7 +16,7 @@
 // its value was at snapshot time.
 //
 // Zero-cost-when-disabled is a contract, inherited from the hpm
-// monitor and the obs recorder: a nil *Registry is valid, hands out
+// monitor: a nil *Registry is valid, hands out
 // inert zero-value instruments, and every instrument method on a
 // disarmed handle is a single pointer comparison — no allocation, no
 // atomic traffic. The disabled path is asserted at 0 allocs/op by the

@@ -1,28 +1,23 @@
-// Package obs is the simulator's observability layer: it turns the
-// virtual-time event stream the models already produce — cedarhpm
-// event triples, Xylem OS activity, runtime protocol transitions,
-// hardware queueing — into artifacts standard tools can open:
+// Package obs is the simulator's observability layer. It is pure
+// post-processing: the models post every traced event to one stream,
+// the cedarhpm monitor (package hpm), and obs folds that stream and
+// the run's accounts into artifacts standard tools can open:
 //
 //   - hierarchical spans (app → loop → iteration; OS spans for
-//     syscalls, page faults, CPIs, kernel lock spin; fault-injection
-//     spans), exported as Chrome/Perfetto trace-event JSON;
+//     syscalls, page faults, interrupt delivery, kernel lock spin;
+//     slow memory stalls), exported as Chrome/Perfetto trace-event
+//     JSON;
 //   - pprof-style folded stacks weighted by virtual cycles, for
 //     flamegraphs of where the completion time goes;
 //   - ring-buffered time series (concurrency, qmon split, memory and
 //     network pressure), exported as CSV or Prometheus text.
 //
-// The live half is the Recorder: models post spans and instants to it
-// during a run. A nil *Recorder is valid and records nothing, and
-// every hook site guards with a nil check, so a run without
-// observability pays a single pointer comparison per hook — the same
-// zero-cost-when-disarmed contract the hpm monitor keeps.
+// The one piece that runs during a simulation is the series
+// Collector, which samples probes from kernel events; a run without
+// Options.Observe never creates one.
 package obs
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Span is one closed interval of virtual time on a track.
 type Span struct {
@@ -30,7 +25,7 @@ type Span struct {
 	// TrackMachine for machine-scoped (async) spans such as loops and
 	// fault windows.
 	Track int
-	// Name labels the span ("iter", "os-syscall", "gm-stall", ...).
+	// Name labels the span ("iter", "clus syscall", "gm-stall", ...).
 	Name string
 	// Cat is the span's category group ("rt", "os", "mem", "fault",
 	// "loop"), used as the Perfetto cat field and the folded-stack
@@ -39,7 +34,7 @@ type Span struct {
 	// Start and End bound the span in cycles.
 	Start, End sim.Time
 	// Aux carries a construct-dependent identifier (loop generation,
-	// iteration index, module number).
+	// iteration index, page, address, fault target).
 	Aux int64
 }
 
@@ -55,150 +50,17 @@ type Instant struct {
 // TrackMachine is the track for machine-scoped spans (loops, faults).
 const TrackMachine = -1
 
-// Options configure the observability layer for a run.
+// Options configure the time-series collector for a run.
 type Options struct {
-	// SpanCapacity bounds the recorder's span and instant buffers
-	// (each); 0 uses DefaultSpanCapacity.
-	SpanCapacity int
 	// SeriesInterval is the time-series sampling period in cycles; 0
 	// uses DefaultSeriesInterval, negative disables series collection.
 	SeriesInterval sim.Duration
-	// SeriesCapacity bounds each series ring buffer in samples; 0 uses
-	// DefaultSeriesCapacity. When the ring fills, the oldest samples
-	// are dropped.
-	SeriesCapacity int
-	// SlowStallCycles is the threshold at or above which hardware
-	// stalls (global memory, module queueing) are recorded as spans;
-	// 0 uses DefaultSlowStall. Raising it keeps traces small on
-	// memory-bound runs.
-	SlowStallCycles sim.Duration
 }
 
-// Defaults for Options' zero values.
-const (
-	DefaultSpanCapacity   = 1 << 20
-	DefaultSeriesInterval = 10_000 // 0.5 ms of virtual time
-	DefaultSeriesCapacity = 1 << 16
-	DefaultSlowStall      = 2_000
-)
+// DefaultSeriesInterval is the sampling period when
+// Options.SeriesInterval is zero: 0.5 ms of virtual time.
+const DefaultSeriesInterval = 10_000
 
-// Recorder collects spans and instants during a run. A nil *Recorder
-// is valid and records nothing.
-type Recorder struct {
-	capacity  int
-	slowStall sim.Duration
-
-	spans    []Span
-	instants []Instant
-	dropped  uint64
-
-	loopNames map[int64]string
-}
-
-// NewRecorder creates a recorder with the given options (only
-// SpanCapacity and SlowStallCycles apply to the recorder itself).
-func NewRecorder(o Options) *Recorder {
-	cap := o.SpanCapacity
-	if cap <= 0 {
-		cap = DefaultSpanCapacity
-	}
-	slow := o.SlowStallCycles
-	if slow <= 0 {
-		slow = DefaultSlowStall
-	}
-	return &Recorder{
-		capacity:  cap,
-		slowStall: slow,
-		loopNames: map[int64]string{},
-	}
-}
-
-// Enabled reports whether the recorder is armed. Hook sites use it to
-// skip attribute assembly when observability is off.
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// SlowStall returns the stall-span threshold in cycles; sim.Forever
-// when the recorder is nil, so disabled hook sites never match.
-func (r *Recorder) SlowStall() sim.Duration {
-	if r == nil {
-		return sim.Forever
-	}
-	return r.slowStall
-}
-
-// Span records a closed span. Spans are recorded at their end time, in
-// dispatch order; export sorts by start.
-func (r *Recorder) Span(track int, name, cat string, start, end sim.Time, aux int64) {
-	if r == nil {
-		return
-	}
-	if end < start {
-		start, end = end, start
-	}
-	if len(r.spans) >= r.capacity {
-		r.dropped++
-		return
-	}
-	r.spans = append(r.spans, Span{Track: track, Name: name, Cat: cat, Start: start, End: end, Aux: aux})
-}
-
-// Instant records a point event.
-func (r *Recorder) Instant(track int, name, cat string, at sim.Time, aux int64) {
-	if r == nil {
-		return
-	}
-	if len(r.instants) >= r.capacity {
-		r.dropped++
-		return
-	}
-	r.instants = append(r.instants, Instant{Track: track, Name: name, Cat: cat, At: at, Aux: aux})
-}
-
-// NameLoop associates a human-readable name ("fine-sweep sdoall/cdoall")
-// with a loop generation, so spans folded from the hpm trace carry the
-// application's loop names instead of bare generation numbers.
-func (r *Recorder) NameLoop(gen int64, name string) {
-	if r == nil {
-		return
-	}
-	// First posting wins: generations are unique per run.
-	if _, ok := r.loopNames[gen]; !ok {
-		r.loopNames[gen] = name
-	}
-}
-
-// LoopName returns the registered name for a loop generation, or
-// "loop#<gen>" when none was registered.
-func (r *Recorder) LoopName(gen int64) string {
-	if r != nil {
-		if n, ok := r.loopNames[gen]; ok {
-			return n
-		}
-	}
-	return fmt.Sprintf("loop#%d", gen)
-}
-
-// Spans returns the recorded spans in recording (end-time) order.
-func (r *Recorder) Spans() []Span {
-	if r == nil {
-		return nil
-	}
-	return r.spans
-}
-
-// Instants returns the recorded instants in recording order.
-func (r *Recorder) Instants() []Instant {
-	if r == nil {
-		return nil
-	}
-	return r.instants
-}
-
-// Dropped returns how many spans and instants were lost to full
-// buffers.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
-}
+// SeriesCapacity bounds each series ring buffer in samples. When the
+// ring fills, the oldest samples are dropped.
+const SeriesCapacity = 1 << 16

@@ -6,55 +6,18 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/hpm"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
-func TestNilRecorderIsSafe(t *testing.T) {
-	var r *Recorder
-	r.Span(0, "x", CatRT, 0, 10, 0)
-	r.Instant(0, "x", CatRT, 5, 0)
-	r.NameLoop(1, "a")
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
-	if got := r.SlowStall(); got != sim.Forever {
-		t.Fatalf("nil SlowStall = %d, want Forever", got)
-	}
-	if r.Spans() != nil || r.Instants() != nil || r.Dropped() != 0 {
-		t.Fatal("nil recorder returned data")
-	}
-	if got := r.LoopName(7); got != "loop#7" {
-		t.Fatalf("nil LoopName = %q", got)
-	}
-}
+// loopNames is a FoldTrace name source for tests.
+type loopNames map[int64]string
 
-func TestRecorderCapacityDrops(t *testing.T) {
-	r := NewRecorder(Options{SpanCapacity: 2})
-	for i := 0; i < 5; i++ {
-		r.Span(0, "s", CatRT, sim.Time(i), sim.Time(i+1), 0)
-	}
-	if len(r.Spans()) != 2 {
-		t.Fatalf("kept %d spans, want 2", len(r.Spans()))
-	}
-	if r.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", r.Dropped())
-	}
-}
-
-func TestRecorderSwapsInvertedSpan(t *testing.T) {
-	r := NewRecorder(Options{})
-	r.Span(0, "s", CatRT, 10, 5, 0)
-	s := r.Spans()[0]
-	if s.Start != 5 || s.End != 10 {
-		t.Fatalf("inverted span not normalized: %+v", s)
-	}
-}
+func (n loopNames) LoopName(gen int64) string { return n[gen] }
 
 func TestFoldTracePairsAndLoops(t *testing.T) {
-	rec := NewRecorder(Options{})
-	rec.NameLoop(1, "sweep")
 	records := []hpm.Record{
 		{Event: hpm.EvSerialStart, CE: 0, At: 0},
 		{Event: hpm.EvSerialEnd, CE: 0, At: 100},
@@ -67,7 +30,7 @@ func TestFoldTracePairsAndLoops(t *testing.T) {
 		{Event: hpm.EvBarrierExit, CE: 0, At: 170, Aux: 1},
 		{Event: hpm.EvFaultInject, CE: 2, At: 130, Aux: 0},
 	}
-	spans, instants := FoldTrace(records, rec)
+	spans, instants := FoldTrace(records, loopNames{1: "sweep"})
 
 	want := map[string]bool{}
 	for _, s := range spans {
@@ -119,6 +82,87 @@ func TestFoldTracePairsAndLoops(t *testing.T) {
 	}
 }
 
+// TestFoldTraceOSAndMemory folds Xylem and memory trigger points: a
+// lock grant that waited yields kl-spin before the service span named
+// by its OS category, one that did not wait yields only the service;
+// a page fault ends as either class; a slow stall and a hot access
+// fold to a span and a machine-track instant; and a start whose CE
+// fail-stopped before the end is dropped.
+func TestFoldTraceOSAndMemory(t *testing.T) {
+	sys := int64(metrics.OSClusSyscall)
+	records := []hpm.Record{
+		{Event: hpm.EvOSEnter, CE: 0, At: 0, Aux: sys},
+		{Event: hpm.EvOSGranted, CE: 0, At: 0, Aux: sys},
+		{Event: hpm.EvOSEnter, CE: 1, At: 5, Aux: sys},
+		{Event: hpm.EvOSExit, CE: 0, At: 20, Aux: sys},
+		{Event: hpm.EvOSGranted, CE: 1, At: 20, Aux: sys},
+		{Event: hpm.EvOSExit, CE: 1, At: 40, Aux: sys},
+		{Event: hpm.EvPgFltStart, CE: 2, At: 50, Aux: 7},
+		{Event: hpm.EvPgFltStart, CE: 3, At: 52, Aux: 7},
+		{Event: hpm.EvPgFltSeqEnd, CE: 2, At: 90, Aux: 7},
+		{Event: hpm.EvPgFltConcEnd, CE: 3, At: 95, Aux: 7},
+		{Event: hpm.EvIntrStart, CE: 4, At: 100, Aux: 3},
+		{Event: hpm.EvIntrEnd, CE: 4, At: 130},
+		{Event: hpm.EvGMHot, CE: 5, At: 200, Aux: 11},
+		{Event: hpm.EvGMStallStart, CE: 5, At: 200, Aux: 4096},
+		{Event: hpm.EvGMStallEnd, CE: 5, At: 2500, Aux: 4096},
+		{Event: hpm.EvGMStallStart, CE: 6, At: 300, Aux: 64}, // CE 6 fail-stops
+	}
+	spans, instants := FoldTrace(records, nil)
+	want := []Span{
+		{Track: 0, Name: "clus syscall", Cat: CatOS, Start: 0, End: 20},
+		{Track: 1, Name: "kl-spin", Cat: CatOS, Start: 5, End: 20},
+		{Track: 1, Name: "clus syscall", Cat: CatOS, Start: 20, End: 40},
+		{Track: 2, Name: "pgflt(seq)", Cat: CatOS, Start: 50, End: 90, Aux: 7},
+		{Track: 3, Name: "pgflt(conc)", Cat: CatOS, Start: 52, End: 95, Aux: 7},
+		{Track: 4, Name: "interrupt-delivery", Cat: CatOS, Start: 100, End: 130, Aux: 3},
+		{Track: 5, Name: "gm-stall", Cat: CatMem, Start: 200, End: 2500, Aux: 4096},
+	}
+	if len(spans) != len(want) {
+		t.Fatalf("folded %d spans, want %d: %+v", len(spans), len(want), spans)
+	}
+	for i := range want {
+		if spans[i] != want[i] {
+			t.Errorf("span %d = %+v, want %+v", i, spans[i], want[i])
+		}
+	}
+	hot := Instant{Track: TrackMachine, Name: "gm-hot", Cat: CatMem, At: 200, Aux: 11}
+	if len(instants) != 1 || instants[0] != hot {
+		t.Fatalf("instants = %+v, want [%+v]", instants, hot)
+	}
+}
+
+// TestFoldFaults renders the injector's log: a lock stall as a
+// machine-track span, every activation otherwise as an instant named
+// by its kind, and each CE's first fail-stop on the CE's own track.
+func TestFoldFaults(t *testing.T) {
+	applied := []faults.Applied{
+		{Event: faults.Event{Kind: faults.LockStall, Target: 0, Span: 500}, At: 100},
+		{Event: faults.Event{Kind: faults.CEFail, Target: 5}, At: 200},
+		{Event: faults.Event{Kind: faults.CEFail, Target: 5}, At: 300}, // already dead
+		{Event: faults.Event{Kind: faults.ModuleSlow, Target: 3, Factor: 8}, At: 400},
+	}
+	spans, instants := FoldFaults(applied)
+	lock := Span{Track: TrackMachine, Name: "lock-stall", Cat: CatFault, Start: 100, End: 600}
+	if len(spans) != 1 || spans[0] != lock {
+		t.Fatalf("spans = %+v, want [%+v]", spans, lock)
+	}
+	want := []Instant{
+		{Track: 5, Name: "ce-fail", Cat: CatFault, At: 200},
+		{Track: TrackMachine, Name: "ce-fail", Cat: CatFault, At: 200, Aux: 5},
+		{Track: TrackMachine, Name: "ce-fail", Cat: CatFault, At: 300, Aux: 5},
+		{Track: TrackMachine, Name: "module-slow", Cat: CatFault, At: 400, Aux: 3},
+	}
+	if len(instants) != len(want) {
+		t.Fatalf("instants = %+v, want %+v", instants, want)
+	}
+	for i := range want {
+		if instants[i] != want[i] {
+			t.Errorf("instant %d = %+v, want %+v", i, instants[i], want[i])
+		}
+	}
+}
+
 func TestFoldTraceDropsUnmatched(t *testing.T) {
 	records := []hpm.Record{
 		{Event: hpm.EvIterStart, CE: 0, At: 10, Aux: 0},
@@ -147,7 +191,8 @@ func TestClampSpans(t *testing.T) {
 
 func TestCollectorRingAndSeries(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := NewCollector(k, Options{SeriesInterval: 10, SeriesCapacity: 4})
+	c := NewCollector(k, Options{SeriesInterval: 10})
+	c.capacity = 4
 	c.AddProbe("now", func(now sim.Time) float64 { return float64(now) })
 	c.Start()
 	k.Run(100) // samples at 10,20,...,100
@@ -187,7 +232,7 @@ func TestCollectorRingAndSeries(t *testing.T) {
 
 func TestCollectorStopEndsSampling(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := NewCollector(k, Options{SeriesInterval: 10, SeriesCapacity: 16})
+	c := NewCollector(k, Options{SeriesInterval: 10})
 	c.AddProbe("one", func(sim.Time) float64 { return 1 })
 	c.Start()
 	k.Run(30)
@@ -294,7 +339,7 @@ func TestWriteTraceValidJSON(t *testing.T) {
 
 func TestWriteCSVAndProm(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := NewCollector(k, Options{SeriesInterval: 5, SeriesCapacity: 8})
+	c := NewCollector(k, Options{SeriesInterval: 5})
 	c.AddProbe("concurrency", func(sim.Time) float64 { return 3 })
 	c.AddProbe("gm util (mean)", func(sim.Time) float64 { return 0.5 })
 	c.Start()

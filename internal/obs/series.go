@@ -36,19 +36,15 @@ type Collector struct {
 	stopped bool
 }
 
-// NewCollector creates a collector sampling every interval cycles with
-// the given ring capacity (samples per series). It does not start
-// sampling until Start.
+// NewCollector creates a collector sampling every o.SeriesInterval
+// cycles into rings of SeriesCapacity samples per series. It does not
+// start sampling until Start.
 func NewCollector(k *sim.Kernel, o Options) *Collector {
 	interval := o.SeriesInterval
 	if interval == 0 {
 		interval = DefaultSeriesInterval
 	}
-	capacity := o.SeriesCapacity
-	if capacity <= 0 {
-		capacity = DefaultSeriesCapacity
-	}
-	return &Collector{k: k, interval: interval, capacity: capacity}
+	return &Collector{k: k, interval: interval, capacity: SeriesCapacity}
 }
 
 // Interval returns the sampling period in cycles.

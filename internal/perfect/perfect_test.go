@@ -143,7 +143,7 @@ func runApp(t *testing.T, a App, cfg arch.Config) sim.Time {
 	k := sim.NewKernel(11)
 	m := cluster.NewMachine(k, cfg, arch.DefaultCosts())
 	o := xylem.New(m)
-	rt := cfrt.New(m, o, nil)
+	rt := cfrt.New(m, o)
 	region := o.NewRegion(a.Name, a.DataWords)
 	return rt.Run(a.Program(region))
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -13,8 +14,9 @@ import (
 // Handler returns the service's HTTP API:
 //
 //	POST   /jobs              submit a job (202; 200 on a warm-cache
-//	                          fast path; 400 invalid; 429 queue full
-//	                          with Retry-After; 503 draining)
+//	                          fast path; 400 invalid; 413 body over
+//	                          MaxBodyBytes; 429 queue full with
+//	                          Retry-After; 503 draining)
 //	GET    /jobs              list job records, newest first
 //	GET    /jobs/{id}         one job record, with its progress log
 //	GET    /jobs/{id}/result  the result payload (text/plain) once done
@@ -93,6 +95,11 @@ func (s *Server) retryAfterSeconds() string {
 	return strconv.Itoa(secs)
 }
 
+// MaxBodyBytes bounds a job submission's request body. A job spec is a
+// few hundred bytes and the paper apps' workload documents are under a
+// kilobyte each, so a megabyte only stops hostile or broken clients.
+const MaxBodyBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
@@ -101,9 +108,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+				Error: fmt.Sprintf("job spec exceeds the %d-byte body limit", MaxBodyBytes)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job spec: " + err.Error()})
 		return
 	}

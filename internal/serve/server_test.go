@@ -729,6 +729,13 @@ func TestBadRequests(t *testing.T) {
 			t.Fatalf("spec %+v: body %q does not mention %q", c.spec, body, c.want)
 		}
 	}
+	// A body past the limit is refused before it is parsed, with a
+	// status and message that name the limit.
+	huge := JobSpec{Type: "simulate", Workload: strings.Repeat("#", MaxBodyBytes), Config: "8proc"}
+	status, _, body := submit(t, ts, huge)
+	if status != http.StatusRequestEntityTooLarge || !strings.Contains(body, fmt.Sprint(MaxBodyBytes)) {
+		t.Fatalf("oversized body: status %d body %s", status, body)
+	}
 	resp, err := http.Get(ts.URL + "/jobs/j999999-deadbeef")
 	if err != nil {
 		t.Fatal(err)

@@ -65,16 +65,17 @@ func BenchmarkKernelManyProcs(b *testing.B) {
 }
 
 // BenchmarkCalendarReserve measures the conveyor-reservation primitive
-// behind every memory-module and network-port booking: it must stay a
-// handful of arithmetic ops and 0 allocs/op.
+// behind every memory-module, network-port, cache and bus booking — a
+// CalendarStore entry: it must stay a handful of arithmetic ops and 0
+// allocs/op.
 func BenchmarkCalendarReserve(b *testing.B) {
-	c := NewCalendar("module")
+	c := NewCalendarStore(32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var at Time
 	for i := 0; i < b.N; i++ {
 		// Alternate contended and idle arrivals.
-		_, end := c.Reserve(at, 3)
+		_, end := c.Reserve(7, at, 3)
 		if i%2 == 0 {
 			at = end + 2
 		}

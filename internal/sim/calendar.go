@@ -2,87 +2,26 @@ package sim
 
 import "fmt"
 
-// Calendar models a pipelined bandwidth resource — a memory module or
-// a crossbar switch output port — as a conveyor: each reservation
-// occupies the resource for a busy period starting no earlier than the
-// request time and no earlier than the end of the previous
-// reservation. Queueing delay (contention) is the gap between the
-// request time and the granted start.
+// CalendarStore is a bank of conveyor resources — memory modules,
+// network switch output ports, cluster cache bank arrays, concurrency-
+// control buses — flattened into struct-of-arrays. Each entry models a
+// pipelined bandwidth resource: a reservation occupies it for a busy
+// period starting no earlier than the request time and no earlier than
+// the end of the previous reservation, and queueing delay (contention)
+// is the gap between the request time and the granted start.
 //
-// Unlike Resource, Calendar never blocks a process: callers obtain the
+// Unlike Resource, a store never blocks a process: callers obtain the
 // completion time and Hold for it themselves. This keeps the event
 // count per memory access at one, which is what makes simulating
 // billions of cycles of a 32-processor machine tractable.
-type Calendar struct {
-	name   string
-	freeAt Time
-
-	// Statistics.
-	reservations uint64
-	busyTotal    Duration
-	delayTotal   Duration
-	delayed      uint64 // reservations that found the resource busy
-}
-
-// NewCalendar creates a calendar resource.
-func NewCalendar(name string) *Calendar { return &Calendar{name: name} }
-
-// Name returns the calendar's diagnostic name.
-func (c *Calendar) Name() string { return c.name }
-
-// Reserve books the resource for busy cycles at the earliest time not
-// before at. It returns the start and end of the granted slot.
-func (c *Calendar) Reserve(at Time, busy Duration) (start, end Time) {
-	if busy < 0 {
-		panic(fmt.Sprintf("sim: calendar %q negative busy %d", c.name, busy))
-	}
-	start = at
-	if c.freeAt > start {
-		start = c.freeAt
-		c.delayed++
-	}
-	end = start + busy
-	c.freeAt = end
-	c.reservations++
-	c.busyTotal += busy
-	c.delayTotal += start - at
-	return start, end
-}
-
-// FreeAt returns the time at which the resource next becomes free.
-func (c *Calendar) FreeAt() Time { return c.freeAt }
-
-// Reservations returns the number of Reserve calls.
-func (c *Calendar) Reservations() uint64 { return c.reservations }
-
-// BusyTotal returns the total busy time booked.
-func (c *Calendar) BusyTotal() Duration { return c.busyTotal }
-
-// DelayTotal returns the total queueing delay imposed on reservations;
-// this is the resource's cumulative contribution to contention.
-func (c *Calendar) DelayTotal() Duration { return c.delayTotal }
-
-// Delayed returns how many reservations found the resource busy.
-func (c *Calendar) Delayed() uint64 { return c.delayed }
-
-// Utilization returns busyTotal / now as a fraction; now must be > 0.
-func (c *Calendar) Utilization(now Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return float64(c.busyTotal) / float64(now)
-}
-
-// CalendarStore is a bank of Calendar resources flattened into
-// struct-of-arrays: entry i is one conveyor, but its free time and each
-// statistic live in their own dense slices instead of one heap object
-// per resource. The big machine configurations have thousands of
-// network ports and memory modules whose reservations dominate the
-// event loop; scanning and updating parallel arrays keeps that hot
-// path in a handful of cache lines where per-resource objects scatter
-// it across the heap. Entries have no names — owners that need a
-// diagnostic name (e.g. the network's hot-port report) synthesize it
-// from the index.
+//
+// Each entry's free time and statistics live in their own dense slices
+// instead of one heap object per resource. The big machine
+// configurations have thousands of network ports and memory modules
+// whose reservations dominate the event loop; scanning and updating
+// parallel arrays keeps that hot path in a handful of cache lines.
+// Entries have no names — owners that need a diagnostic name (e.g.
+// the network's hot-port report) synthesize it from the index.
 type CalendarStore struct {
 	freeAt       []Time
 	reservations []uint64
@@ -107,7 +46,7 @@ func NewCalendarStore(n int) *CalendarStore {
 func (s *CalendarStore) Len() int { return len(s.freeAt) }
 
 // Reserve books resource i for busy cycles at the earliest time not
-// before at, exactly like Calendar.Reserve.
+// before at. It returns the start and end of the granted slot.
 func (s *CalendarStore) Reserve(i int, at Time, busy Duration) (start, end Time) {
 	if busy < 0 {
 		panic(fmt.Sprintf("sim: calendar store entry %d negative busy %d", i, busy))

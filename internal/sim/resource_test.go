@@ -227,51 +227,54 @@ func TestCondWaitTimeoutSignaledFirst(t *testing.T) {
 }
 
 func TestCalendarBackToBack(t *testing.T) {
-	c := NewCalendar("m")
-	s1, e1 := c.Reserve(0, 10)
-	s2, e2 := c.Reserve(0, 10)
+	c := NewCalendarStore(2)
+	s1, e1 := c.Reserve(1, 0, 10)
+	s2, e2 := c.Reserve(1, 0, 10)
 	if s1 != 0 || e1 != 10 || s2 != 10 || e2 != 20 {
 		t.Fatalf("reservations: [%d,%d] [%d,%d]", s1, e1, s2, e2)
 	}
-	if c.DelayTotal() != 10 || c.Delayed() != 1 {
-		t.Fatalf("delay=%d delayed=%d", c.DelayTotal(), c.Delayed())
+	if c.DelayTotal(1) != 10 || c.Delayed(1) != 1 {
+		t.Fatalf("delay=%d delayed=%d", c.DelayTotal(1), c.Delayed(1))
+	}
+	if c.FreeAt(0) != 0 || c.Reservations(0) != 0 {
+		t.Fatal("reserving entry 1 touched entry 0")
 	}
 }
 
 func TestCalendarIdleGap(t *testing.T) {
-	c := NewCalendar("m")
-	c.Reserve(0, 10)
-	s, e := c.Reserve(100, 5)
+	c := NewCalendarStore(1)
+	c.Reserve(0, 0, 10)
+	s, e := c.Reserve(0, 100, 5)
 	if s != 100 || e != 105 {
 		t.Fatalf("gap reservation at [%d,%d], want [100,105]", s, e)
 	}
-	if c.DelayTotal() != 0 {
-		t.Fatalf("idle-gap reservation recorded delay %d", c.DelayTotal())
+	if c.DelayTotal(0) != 0 {
+		t.Fatalf("idle-gap reservation recorded delay %d", c.DelayTotal(0))
 	}
 }
 
 func TestCalendarUtilization(t *testing.T) {
-	c := NewCalendar("m")
-	c.Reserve(0, 25)
-	c.Reserve(50, 25)
-	if got := c.Utilization(100); got != 0.5 {
+	c := NewCalendarStore(1)
+	c.Reserve(0, 0, 25)
+	c.Reserve(0, 50, 25)
+	if got := c.Utilization(0, 100); got != 0.5 {
 		t.Fatalf("utilization = %v, want 0.5", got)
 	}
 }
 
-// Property: calendar reservations never overlap and never start before
+// Property: a store entry's reservations never overlap and never start before
 // the request time.
 func TestQuickCalendarNoOverlap(t *testing.T) {
 	f := func(raw []struct {
 		At   uint16
 		Busy uint8
 	}) bool {
-		c := NewCalendar("m")
+		c := NewCalendarStore(1)
 		var at Time
 		prevEnd := Time(0)
 		for _, r := range raw {
 			at += Time(r.At % 64) // non-decreasing request times
-			s, e := c.Reserve(at, Duration(r.Busy))
+			s, e := c.Reserve(0, at, Duration(r.Busy))
 			if s < at || s < prevEnd || e != s+Duration(r.Busy) {
 				return false
 			}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/hpm"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -139,6 +139,7 @@ func (r *Region) fault(ce *cluster.CE, cl, p int) sim.Duration {
 		// servicing this page. We trap, synchronize via a CPI, wait
 		// for the service to complete, and pay our own (dearer) share
 		// of the handling.
+		o.M.Mon.Post(hpm.EvPgFltStart, ce.Global(), int64(p))
 		fs := r.inflight[key]
 		fs.joiners++
 		o.concFaults++
@@ -175,11 +176,12 @@ func (r *Region) fault(ce *cluster.CE, cl, p int) sim.Duration {
 		cpi := sim.Duration(o.Cost.CPIService / 4)
 		ce.Spend(cpi, metrics.CatOSInterrupt)
 		o.Brk.Add(metrics.OSCpi, cpi)
-		o.Obs.Span(ce.Global(), "pgflt(conc)", obs.CatOS, start, ce.Now(), int64(p))
+		o.M.Mon.Post(hpm.EvPgFltConcEnd, ce.Global(), int64(p))
 		finished = true
 		return ce.Now() - start
 
 	default: // pageUnmapped
+		o.M.Mon.Post(hpm.EvPgFltStart, ce.Global(), int64(p))
 		r.state[cl][p] = pageFaulting
 		// The cond's name carries the region, page, and owner so a
 		// watchdog report is diagnosable from the error alone: a
@@ -238,11 +240,11 @@ func (r *Region) fault(ce *cluster.CE, cl, p int) sim.Duration {
 			cpi := sim.Duration(o.Cost.CPIService / 4)
 			ce.Spend(cpi, metrics.CatOSInterrupt)
 			o.Brk.Add(metrics.OSCpi, cpi)
-			o.Obs.Span(ce.Global(), "pgflt(conc)", obs.CatOS, start, ce.Now(), int64(p))
+			o.M.Mon.Post(hpm.EvPgFltConcEnd, ce.Global(), int64(p))
 		} else {
 			o.seqFaults++
 			o.Brk.Add(metrics.OSPgFltSeq, service)
-			o.Obs.Span(ce.Global(), "pgflt(seq)", obs.CatOS, start, ce.Now(), int64(p))
+			o.M.Mon.Post(hpm.EvPgFltSeqEnd, ce.Global(), int64(p))
 		}
 		// The deferred rollback path broadcasts to the joiners.
 		return ce.Now() - start

@@ -34,8 +34,8 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cluster"
+	"repro/internal/hpm"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -44,10 +44,6 @@ type OS struct {
 	M    *cluster.Machine
 	Cost arch.CostModel
 	Brk  *metrics.OSBreakdown
-	// Obs, when non-nil, receives OS-activity spans: system call and
-	// critical-section service windows, kernel-lock spin, interrupt
-	// delivery, and page fault handling.
-	Obs *obs.Recorder
 	// FaultHook, when non-nil, is called with the owning CE at each
 	// FaultPhase of every page-fault service. Fault-injection tests and
 	// the schedule fuzzer use it to land fail-stops in exact windows: a
@@ -206,8 +202,8 @@ func (o *OS) Poll(ce *cluster.CE) sim.Duration {
 	if len(o.pending[g]) == 0 {
 		return 0
 	}
-	start := ce.Now()
-	delivered := int64(len(o.pending[g]))
+	mon := o.M.Mon
+	mon.Post(hpm.EvIntrStart, g, int64(len(o.pending[g])))
 	var total sim.Duration
 	for _, pc := range o.pending[g] {
 		ce.Spend(pc.cost, pc.cat)
@@ -215,7 +211,7 @@ func (o *OS) Poll(ce *cluster.CE) sim.Duration {
 		total += pc.cost
 	}
 	o.pending[g] = o.pending[g][:0]
-	o.Obs.Span(g, "interrupt-delivery", obs.CatOS, start, ce.Now(), delivered)
+	mon.Post(hpm.EvIntrEnd, g, 0)
 	return total
 }
 
@@ -262,18 +258,18 @@ func (o *OS) GlobalCritSect(ce *cluster.CE) {
 }
 
 func (o *OS) lockedService(ce *cluster.CE, lock *sim.Resource, cost sim.Duration, cat metrics.OSCategory) {
-	waited := lock.Acquire(ce.Proc)
-	if waited > 0 {
+	mon, g := o.M.Mon, ce.Global()
+	mon.Post(hpm.EvOSEnter, g, int64(cat))
+	if waited := lock.Acquire(ce.Proc); waited > 0 {
 		ce.Charge(waited, metrics.CatOSSpin) // kernel lock spin (Figure 3)
-		o.Obs.Span(ce.Global(), "kl-spin", obs.CatOS, ce.Now()-waited, ce.Now(), 0)
 	}
+	mon.Post(hpm.EvOSGranted, g, int64(cat))
 	// Release via defer: a CE that fail-stops inside the kernel must
 	// not take the lock down with it.
 	defer lock.Release()
-	start := ce.Now()
 	ce.Spend(cost, metrics.CatOSSystem)
 	o.Brk.Add(cat, cost)
-	o.Obs.Span(ce.Global(), cat.String(), obs.CatOS, start, ce.Now(), 0)
+	mon.Post(hpm.EvOSExit, g, int64(cat))
 }
 
 // LockStall models a kernel-lock holder stall: a rogue kernel thread

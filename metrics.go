@@ -92,11 +92,6 @@ func (r *Run) populateMetrics() {
 			"hpm events dropped because the trace buffer was full", "events").
 			Add(r.Monitor.Dropped())
 	}
-	if r.Obs != nil {
-		reg.Counter("obs_spans_dropped_total",
-			"recorder spans and instants dropped at the capacity cap", "events").
-			Add(r.Obs.Dropped())
-	}
 	if r.Series != nil {
 		reg.Counter("obs_series_samples_total", "time-series samples taken", "samples").
 			Add(r.Series.Taken())
@@ -107,17 +102,13 @@ func (r *Run) populateMetrics() {
 }
 
 // DroppedEvents sums every drop/overflow counter the run's bounded
-// buffers kept: hpm trace drops, recorder span drops, and series ring
-// evictions. Non-zero means some instrumentation was lost and folds
+// buffers kept: hpm trace drops and series ring evictions. Non-zero means some instrumentation was lost and folds
 // over the trace (Figure 4) may be skewed; the CLIs warn on stderr
 // when they see it.
 func (r *Run) DroppedEvents() uint64 {
 	var n uint64
 	if r.Monitor != nil {
 		n += r.Monitor.Dropped()
-	}
-	if r.Obs != nil {
-		n += r.Obs.Dropped()
 	}
 	if r.Series != nil {
 		n += r.Series.Taken() - uint64(r.Series.Len())

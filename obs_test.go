@@ -191,26 +191,24 @@ func TestSeriesMatchesStatfx(t *testing.T) {
 	}
 }
 
-// TestObserveDisabledHasNoRecorder: the zero-cost path — no Observe
-// option, no recorder, and the nil recorder tolerates every call the
-// wired subsystems might make.
-func TestObserveDisabledHasNoRecorder(t *testing.T) {
+// TestUnobservedRunArmsNothing: the zero-cost path — without
+// TraceCapacity and Observe a run has no monitor and no collector,
+// and TraceBundle still works, with nothing to fold.
+func TestUnobservedRunArmsNothing(t *testing.T) {
 	run := mustRun(t, perfect.FLO52(), arch.Cedar4, Options{Steps: 1})
-	if run.Obs != nil || run.Series != nil {
-		t.Fatal("recorder present without Options.Observe")
+	if run.Monitor != nil || run.Series != nil {
+		t.Fatal("monitor or collector armed without TraceCapacity/Observe")
 	}
-	if run.Obs.Enabled() {
-		t.Fatal("nil recorder claims to be enabled")
-	}
-	b := run.TraceBundle() // must still work from the hpm-free, obs-free run
-	if len(b.Spans) != 0 {
-		t.Fatalf("spans from a run with no monitor and no recorder: %d", len(b.Spans))
+	b := run.TraceBundle()
+	if len(b.Spans) != 0 || len(b.Instants) != 0 {
+		t.Fatalf("unobserved run folded %d spans, %d instants", len(b.Spans), len(b.Instants))
 	}
 }
 
 // TestObservedFaultRunRecordsFaultSpans: fault activations surface in
 // the trace bundle (the lock stall as a machine-track span, the
-// fail-stop as instants).
+// fail-stop as instants), folded from the injector's log — even with
+// the monitor disarmed.
 func TestObservedFaultRunRecordsFaultSpans(t *testing.T) {
 	run, err := SimulateRunErr(perfect.FLO52(), arch.Cedar16, Options{
 		Steps:   1,

@@ -116,27 +116,35 @@ func CheckCorpus(entries []replay.CorpusEntry, parallel int) []CorpusResult {
 }
 
 // FaultWindows runs the app healthy on the configuration with the
-// observability layer armed and returns the merged virtual-time
-// windows in which page faults were serviced. The schedule fuzzer
+// cedarhpm monitor armed and returns the merged virtual-time windows
+// in which page faults were serviced. The schedule fuzzer
 // (replay.SweepTimes) aims fail-stops at these windows — the hand-off
 // races live inside them.
 func FaultWindows(app perfect.App, cfg arch.Config, opts Options) ([]replay.Window, error) {
 	opts.Faults = nil
-	if opts.Observe == nil {
-		opts.Observe = &obs.Options{SeriesInterval: -1}
+	if opts.TraceCapacity <= 0 {
+		opts.TraceCapacity = faultWindowTrace
 	}
 	run, err := SimulateRunErr(app, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
+	if n := run.Monitor.Dropped(); n > 0 {
+		return nil, fmt.Errorf("cedar: fault windows: %d trace records dropped; raise Options.TraceCapacity", n)
+	}
+	spans, _ := obs.FoldTrace(run.Monitor.Trace(), nil)
 	var ws []replay.Window
-	for _, sp := range run.Obs.Spans() {
+	for _, sp := range spans {
 		if strings.HasPrefix(sp.Name, "pgflt") {
 			ws = append(ws, replay.Window{Start: sp.Start, End: sp.End})
 		}
 	}
 	return replay.MergeWindows(ws), nil
 }
+
+// faultWindowTrace is FaultWindows' trace capacity when the options
+// leave it unset.
+const faultWindowTrace = 1 << 22
 
 // ShrinkErr minimizes a failing scenario with the delta-debugging
 // shrinker: the result reproduces the same outcome class (deadlock, or
