@@ -53,8 +53,6 @@ type Options struct {
 	// stall trigger points, and the fault injector all post to it, and
 	// Run.TraceBundle folds it into spans.
 	TraceCapacity int
-	// Costs overrides the unit-cost model when non-nil.
-	Costs *arch.CostModel
 	// TreeFanout, when > 1, uses the software combining-tree barrier
 	// (paper reference [16]) instead of the flat busy-wait barrier on
 	// unclustered configurations.
@@ -70,11 +68,6 @@ type Options struct {
 	// virtual time would pass it (0: unlimited). A guard rail for
 	// fault plans that slow the machine pathologically.
 	MaxCycles sim.Time
-	// WatchdogInterval sets how often the kernel checks for a wedged
-	// simulation (every live process blocked, no progress), reporting
-	// sim.ErrDeadlock. Zero uses a default of 10M cycles (0.5 s of
-	// virtual time); negative disables the watchdog.
-	WatchdogInterval sim.Duration
 	// Observe arms the time-series collector, sampling concurrency,
 	// the qmon split, and memory/network backlog into Run.Series. Nil
 	// leaves it off (the zero-cost path); the zero obs.Options value
@@ -82,7 +75,7 @@ type Options struct {
 	// from Observe.
 	Observe *obs.Options
 	// Parallel bounds how many independent simulations the batch
-	// helpers (Sweeps, FaultSweep, CheckCorpus) run concurrently. Zero
+	// helpers (Sweeps, FaultSweep) run concurrently. Zero
 	// uses GOMAXPROCS; 1 forces the sequential path. Parallelism is
 	// wall-clock only: every simulation owns its kernel and
 	// deterministic seed, and results are assembled in input order, so
@@ -96,11 +89,16 @@ type Options struct {
 	cancelFrom context.Context
 }
 
-// defaultWatchdog is the deadlock-check period when
-// Options.WatchdogInterval is zero.
+// defaultWatchdog is how often, in cycles (0.5 s of virtual time), the
+// kernel checks for a wedged simulation — every live process blocked,
+// no progress — and stops it with sim.ErrDeadlock.
 const defaultWatchdog = 10_000_000
 
-func (o Options) seed(app perfect.App, cfg arch.Config) int64 {
+// KernelSeed is the simulation kernel's RNG seed for app on cfg: Seed
+// when set, otherwise a hash of the app and configuration names. A
+// recorded scenario carries the resolved value, so it keeps
+// reproducing the run even if this derivation changes.
+func (o Options) KernelSeed(app perfect.App, cfg arch.Config) int64 {
 	if o.Seed != 0 {
 		return o.Seed
 	}
@@ -160,12 +158,7 @@ func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error
 	if opts.Steps > 0 {
 		app = app.WithSteps(opts.Steps)
 	}
-	costs := arch.DefaultCosts()
-	if opts.Costs != nil {
-		costs = *opts.Costs
-	}
-
-	k := sim.NewKernel(opts.seed(app, cfg))
+	k := sim.NewKernel(opts.KernelSeed(app, cfg))
 	if opts.MaxCycles > 0 {
 		k.SetMaxCycles(opts.MaxCycles)
 	}
@@ -181,14 +174,8 @@ func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error
 			})
 		}
 	}
-	if opts.WatchdogInterval >= 0 {
-		interval := opts.WatchdogInterval
-		if interval == 0 {
-			interval = defaultWatchdog
-		}
-		k.SetWatchdog(interval)
-	}
-	m := cluster.NewMachine(k, cfg, costs)
+	k.SetWatchdog(defaultWatchdog)
+	m := cluster.NewMachine(k, cfg, arch.DefaultCosts())
 	o := xylem.New(m)
 
 	if opts.TraceCapacity > 0 {

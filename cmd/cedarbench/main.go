@@ -18,7 +18,7 @@
 // capture (the CI scenarios job uploads that file as an artifact), so
 // updating the committed baseline after an intentional model change is
 // just committing the rewritten file. -out redirects the fresh capture
-// elsewhere; -out '' skips writing.
+// elsewhere; -out ” skips writing.
 //
 // -run restricts the suite to matching scenario names. A subset run
 // gates against the baseline's matching records only, and writes no

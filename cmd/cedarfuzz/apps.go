@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/perfect"
 	"repro/internal/perfect/gen"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // appsCorpus is the app-space regression gate: every scenario in the
@@ -65,13 +65,7 @@ func appsCorpus(dir string, parallel int) (failures int) {
 // detectScenario runs one pathology scenario and returns the detected
 // classes.
 func detectScenario(sc *scenario.Scenario) ([]string, error) {
-	app, cfg, err := sc.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	run, err := cedar.SimulateRunErr(app, cfg, cedar.Options{
-		Steps: sc.Steps, Seed: sc.Seed, Faults: sc.Plan, MaxCycles: sim.Time(sc.MaxCycles),
-	})
+	run, err := sc.Simulate(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -189,12 +183,9 @@ func promotedScenario(o appsOutcome, cfgName string, masterSeed int64) []byte {
 	fmt.Fprintf(&b, "# Found by cedarfuzz -apps -quick -seed %d (sample %s),\n", masterSeed, o.spec)
 	fmt.Fprintf(&b, "# shrunk to this minimal reproduction. The pathology: line makes\n")
 	fmt.Fprintf(&b, "# cedarfuzz -apps re-verify the workload still exhibits it.\n")
-	fmt.Fprintf(&b, "name: %s\n", promotedName(o))
-	fmt.Fprintf(&b, "config: %s\n", cfgName)
-	fmt.Fprintf(&b, "scale: 1\n")
-	fmt.Fprintf(&b, "pathology: %s\n", o.paths[0])
-	fmt.Fprintf(&b, "workload:\n")
-	b.Write(indent(perfect.PrintWorkload(o.shrunk), "  "))
+	sc := scenario.Scenario{Name: promotedName(o), Config: cfgName, Scale: 1,
+		Pathology: o.paths[0], Workload: string(perfect.PrintWorkload(o.shrunk))}
+	b.Write(sc.Format())
 	return b.Bytes()
 }
 

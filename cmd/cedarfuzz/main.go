@@ -1,11 +1,12 @@
 // Command cedarfuzz is the fault-scenario regression and fuzzing
-// driver: it replays the checked-in corpus (every entry must meet its
-// declared expectation, twice, with byte-identical statfx output) and
-// then sweeps randomized fail-stop schedules across the page-fault
-// windows of a healthy run — the schedule family that exposed the
-// fail-stop page-fault deadlock. Any scenario that errors is
-// delta-debugged down to a minimal reproduction and printed as a
-// ready-to-paste corpus line.
+// driver: it replays the checked-in corpus of .scenario documents
+// (every entry must meet its declared expect:, twice, with
+// byte-identical statfx output — scenario.Reproduce) and then sweeps
+// randomized fail-stop schedules across the page-fault windows of a
+// healthy run — the schedule family that exposed the fail-stop
+// page-fault deadlock. Any scenario that errors is delta-debugged down
+// to a minimal reproduction and printed as a ready-to-commit corpus
+// document.
 //
 // Usage:
 //
@@ -42,6 +43,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -50,7 +52,8 @@ import (
 	cedar "repro"
 	"repro/internal/cli"
 	"repro/internal/engine"
-	"repro/internal/faults/replay"
+	"repro/internal/faults"
+	"repro/internal/scenario"
 )
 
 func fatalf(code int, format string, args ...any) {
@@ -95,33 +98,32 @@ func main() {
 
 // replayCorpus replays every checked-in scenario twice: the outcome
 // must match the entry's expectation and the two runs must produce
-// byte-identical statfx output (the record/replay contract). Entries
-// run concurrently through the engine pool; results print in corpus
-// order.
+// byte-identical statfx output (scenario.Reproduce). Entries run
+// concurrently through the engine pool; results print in corpus order.
 func replayCorpus(dir string, parallel int) (failures int) {
-	entries, err := replay.LoadCorpus(dir)
+	scs, err := scenario.LoadDir(dir)
 	if err != nil {
 		fatalf(2, "%v", err)
 	}
-	if len(entries) == 0 {
-		fmt.Printf("corpus %s: empty\n", dir)
-		return 0
-	}
-	for _, cr := range cedar.CheckCorpus(entries, parallel) {
-		if cr.Err != nil {
+	errs := engine.Map(parallel, scs, func(_ int, sc *scenario.Scenario) error {
+		_, err := scenario.Reproduce(context.Background(), sc)
+		return err
+	})
+	for i, err := range errs {
+		if err != nil {
 			failures++
-			fmt.Fprintf(os.Stderr, "cedarfuzz: %s:%d: %v\n", cr.Entry.File, cr.Entry.Line, cr.Err)
+			fmt.Fprintf(os.Stderr, "cedarfuzz: %s: %v\n", scs[i].File, err)
 			continue
 		}
-		fmt.Printf("corpus %s:%d: %s ok\n", cr.Entry.File, cr.Entry.Line, cr.Entry.Scenario.Expectation())
+		fmt.Printf("corpus %s: %s ok\n", scs[i].File, scs[i].Expectation())
 	}
-	fmt.Printf("corpus %s: %d scenario(s), %d failure(s)\n", dir, len(entries), failures)
+	fmt.Printf("corpus %s: %d scenario(s), %d failure(s)\n", dir, len(scs), failures)
 	return failures
 }
 
 // sweep fuzzes fail-stop schedules across the page-fault windows of a
 // healthy run. Failing scenarios are shrunk and printed as corpus
-// lines. Scenarios (including any shrinking, which is per-scenario
+// documents. Scenarios (including any shrinking, which is per-scenario
 // deterministic) run concurrently; results print in schedule order.
 func sweep(appName, configName string, steps int, seed int64, n, shrinkRuns, parallel int) (failures int) {
 	app, err := cli.App(appName)
@@ -139,6 +141,10 @@ func sweep(appName, configName string, steps int, seed int64, n, shrinkRuns, par
 		appName, cfg.Name, n, seed, seed)
 
 	opts := cedar.Options{Steps: steps}
+	base, err := scenario.ForRun("sweep", app, cfg, opts)
+	if err != nil {
+		fatalf(2, "%v", err)
+	}
 	windows, err := cedar.FaultWindows(app, cfg, opts)
 	if err != nil {
 		fatalf(1, "healthy window-discovery run failed: %v", err)
@@ -156,24 +162,25 @@ func sweep(appName, configName string, steps int, seed int64, n, shrinkRuns, par
 	for ce := 1; ce < cfg.CEs(); ce++ {
 		ces = append(ces, ce)
 	}
-	base := cedar.RecordScenario(app, cfg, opts)
-	scenarios := replay.SweepTimes(base, windows, ces, cfg.GMModules, seed, n)
-	for _, sc := range scenarios {
-		if err := sc.Plan.Validate(cfg); err != nil {
+	plans := faults.SweepTimes(nil, windows, ces, cfg.GMModules, seed, n)
+	for _, plan := range plans {
+		if err := plan.Validate(cfg); err != nil {
 			fatalf(1, "sweep generated an invalid plan: %v", err)
 		}
 	}
 	type outcome struct {
-		sc     replay.Scenario
+		sc     *scenario.Scenario
 		err    error
-		shrunk replay.Scenario
+		shrunk *scenario.Scenario
 		runs   int
 		serr   error
 	}
-	results := engine.Map(parallel, scenarios, func(_ int, sc replay.Scenario) outcome {
-		o := outcome{sc: sc}
-		if _, o.err = cedar.ReplayErr(sc); o.err != nil {
-			o.shrunk, o.runs, o.serr = cedar.ShrinkErr(sc, shrinkRuns)
+	results := engine.Map(parallel, plans, func(i int, plan faults.Plan) outcome {
+		sc := *base
+		sc.Name, sc.Plan = fmt.Sprintf("sweep-%d-%d", seed, i+1), plan
+		o := outcome{sc: &sc}
+		if _, o.err = sc.Simulate(context.Background()); o.err != nil {
+			o.shrunk, o.runs, o.serr = scenario.Shrink(context.Background(), &sc, shrinkRuns)
 		}
 		return o
 	})
@@ -183,14 +190,14 @@ func sweep(appName, configName string, steps int, seed int64, n, shrinkRuns, par
 			continue
 		}
 		failures++
-		fmt.Fprintf(os.Stderr, "cedarfuzz: sweep %d/%d FAILED (%v)\n  scenario: %s\n",
-			i+1, n, o.err, o.sc)
+		fmt.Fprintf(os.Stderr, "cedarfuzz: sweep %d/%d FAILED (%v)\n  plan: %s\n",
+			i+1, n, o.err, o.sc.Plan)
 		if o.serr != nil {
 			fmt.Fprintf(os.Stderr, "  shrink failed: %v\n", o.serr)
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "  shrunk (%d replays): %s\n  add it to the corpus with a comment naming the bug\n",
-			o.runs, o.shrunk)
+		fmt.Fprintf(os.Stderr, "  shrunk (%d runs); add it to the corpus with a comment naming the bug:\n%s",
+			o.runs, indent(o.shrunk.Format(), "    "))
 	}
 	return failures
 }

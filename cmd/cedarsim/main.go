@@ -13,19 +13,17 @@
 //	         [-config 64proc|32flat] [-clusters N -ces-per-cluster N
 //	          -gm-modules N -stages N -degree N] [-list-configs]
 //	         [-fault ce:2@1e6,module:17@5e5]
-//	         [-record-scenario corpus.scenario]
-//	         [-replay 'app=FLO52 config=8proc ... plan=ce:1@76414']
+//	         [-record-scenario new.scenario]
 //	         [-trace out.json] [-profile out.folded] [-series out.csv|out.prom]
 //	         [-metrics out.prom|out.json|out.csv]
 //	         [-parallel N] [-statfx] [-server http://host:8344]
 //
 // Independent simulations within one invocation — the measured run and
-// its 1-processor baseline, the healthy/degraded pair of a -fault
-// comparison, and every scenario of a -replay corpus file — execute
-// through the deterministic parallel engine; -parallel bounds the
-// worker count (default GOMAXPROCS, 1 forces sequential). Each
-// simulation owns its kernel and seed, so the printed report is
-// identical at any setting.
+// its 1-processor baseline, and the healthy/degraded pair of a -fault
+// comparison — execute through the deterministic parallel engine;
+// -parallel bounds the worker count (default GOMAXPROCS, 1 forces
+// sequential). Each simulation owns its kernel and seed, so the
+// printed report is identical at any setting.
 //
 // The machine defaults to the paper configuration selected by -ces
 // (1, 4, 8, 16, or 32 — the closed list the paper measures). -config
@@ -37,21 +35,21 @@
 //
 // With -fault, the run is repeated healthy and degraded and a
 // baseline-vs-degraded overhead-decomposition delta table is printed.
-// -record-scenario appends the fault run as a canonical replay
-// scenario line (app, config, steps, resolved seed, plan, observed
-// outcome) to a corpus file; -replay takes such a line — or a path to
-// a .scenario corpus file — and re-runs it bit-identically, verifying
-// any expect= declaration. The simulation is deterministic in virtual
-// time, so a recorded line is a complete, stable reproduction of the
-// run it came from.
+// -record-scenario writes the fault run as a new .scenario document
+// (scenario.ForRun: the app — inline when it is not a registry app —
+// config, steps, resolved seed, plan, and the observed outcome as
+// expect:). It refuses a custom machine and an existing file before
+// anything runs. The simulation is deterministic in virtual time, so a
+// recorded document is a complete, stable reproduction of the run it
+// came from: -scenario replays it.
 //
 // The application is a workload source: -app takes a registry name
 // (see -list-apps), a gen: spec sampling the parametric generator
 // (internal/perfect/gen), a .workload document file, or an inline
 // document — the same sources every command's -app accepts. -scenario
-// runs one .scenario file and prints its canonical record capture —
-// byte-diffable against cedarbench and a cedarserved bench job of the
-// same document.
+// runs any .scenario document, checks its expect: outcome, and prints
+// its canonical record capture — byte-diffable against cedarbench and
+// a cedarserved bench job of the same document.
 //
 // -statfx prints only the run's canonical statfx accounting block
 // (Run.StatfxText). -server submits the same invocation to a running
@@ -82,6 +80,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 
@@ -91,7 +90,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/faults/replay"
 	"repro/internal/metricreg"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -112,16 +110,18 @@ func printApps() {
 	}
 }
 
-// runScenario executes one .scenario file and prints its canonical
-// record capture — byte-diffable against the same scenario's records
-// in a cedarbench capture or a cedarserved bench job result.
-func runScenario(path string, parallel int) {
+// runScenario executes one .scenario file, checks its declared
+// outcome, and prints its canonical record capture — byte-diffable
+// against the same scenario's records in a cedarbench capture or a
+// cedarserved bench job result. Exit status 1 when the outcome misses
+// the document's expect:.
+func runScenario(path string) {
 	sc, err := scenario.LoadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
 		os.Exit(2)
 	}
-	recs, err := scenario.RunAll(context.Background(), []*scenario.Scenario{sc}, parallel, false)
+	recs, err := scenario.RunCtx(context.Background(), sc, false)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
 		os.Exit(1)
@@ -145,15 +145,14 @@ func usageErr(format string, args ...any) {
 func main() {
 	appName := flag.String("app", "FLO52", "application: a registry name (see -list-apps), a gen: spec, a .workload file, or an inline document")
 	listApps := flag.Bool("list-apps", false, "print the built-in application registry and exit")
-	scenarioPath := flag.String("scenario", "", "run one .scenario file and print its canonical record capture")
+	scenarioPath := flag.String("scenario", "", "run one .scenario file, check its expect: outcome, and print its canonical record capture")
 	machine := cli.MachineFlags(flag.CommandLine, 32, true)
 	steps := flag.Int("steps", 0, "override timestep count (0 = app default)")
 	noBase := flag.Bool("no-baseline", false, "skip the 1-processor baseline (no contention estimate)")
 	chunk := flag.Int("chunk", 0, "XDOALL pickup chunk size (>1 amortizes the iteration lock)")
 	tree := flag.Int("tree", 0, "combining-tree fanout for the unclustered machine's barriers (-config 32flat; >1 enables)")
 	faultSpec := flag.String("fault", "", "fault plan, e.g. ce:2@1e6,module:17@5e5 (see internal/faults)")
-	replayArg := flag.String("replay", "", "replay a recorded fault scenario: a scenario line, or a path to a .scenario corpus file")
-	recordPath := flag.String("record-scenario", "", "with -fault: append the run's replay scenario line to this corpus file")
+	recordPath := flag.String("record-scenario", "", "with -fault: write the run as a new .scenario document at this path")
 	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file")
 	profilePath := flag.String("profile", "", "write a folded-stack profile weighted by virtual cycles")
 	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the simulator process (wall-clock, not virtual cycles)")
@@ -174,7 +173,7 @@ func main() {
 		return
 	}
 	if *scenarioPath != "" {
-		runScenario(*scenarioPath, *parallel)
+		runScenario(*scenarioPath)
 		return
 	}
 	stopProf, err := profio.Start(*cpuProfile, *memProfile)
@@ -187,12 +186,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cedarsim: profile: %v\n", err)
 		}
 	}()
-	if *replayArg != "" {
-		// A scenario carries its own app, config, steps, and seed; the
-		// selection flags do not apply to a replay.
-		runReplay(*replayArg, *parallel)
-		return
-	}
 	if *recordPath != "" && *faultSpec == "" {
 		usageErr("-record-scenario needs a -fault plan to record")
 	}
@@ -428,69 +421,27 @@ func (e exporter) toFile(path string, fn func(*os.File) error) {
 	fmt.Fprintf(os.Stderr, "cedarsim: wrote %s\n", path)
 }
 
-// runReplay re-runs one recorded scenario — or every scenario in a
-// corpus file — and verifies each declared expectation (each replayed
-// twice for bit-identity, concurrently per -parallel, reported in
-// corpus order). Exit status 1 when any scenario misses its
-// expectation.
-func runReplay(arg string, parallel int) {
-	var entries []replay.CorpusEntry
-	if strings.Contains(arg, "plan=") {
-		sc, err := replay.Parse(arg)
-		if err != nil {
-			usageErr("%v", err)
-		}
-		entries = append(entries, replay.CorpusEntry{Scenario: sc, File: "command line"})
-	} else {
-		data, err := os.ReadFile(arg)
-		if err != nil {
-			usageErr("-replay %s: %v", arg, err)
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			sc, err := replay.Parse(line)
-			if err != nil {
-				usageErr("%s:%d: %v", arg, i+1, err)
-			}
-			entries = append(entries, replay.CorpusEntry{Scenario: sc, File: arg, Line: i + 1})
-		}
-		if len(entries) == 0 {
-			usageErr("-replay %s: no scenarios in file", arg)
-		}
+// recordable builds the document -record-scenario will write, before
+// anything runs: a run that cannot be recorded (a custom machine, an
+// option a scenario does not carry) or a path that already exists is a
+// bad invocation, not a wasted simulation.
+func recordable(path string, app perfect.App, cfg arch.Config, opts cedar.Options, plan faults.Plan) *scenario.Scenario {
+	if _, err := os.Stat(path); err == nil {
+		usageErr("-record-scenario %s: file exists (a recording never overwrites)", path)
 	}
-	failed := 0
-	for _, cr := range cedar.CheckCorpus(entries, parallel) {
-		where := cr.Entry.File
-		if cr.Entry.Line > 0 {
-			where = fmt.Sprintf("%s:%d", cr.Entry.File, cr.Entry.Line)
-		}
-		fmt.Printf("replay %s\n  %s\n", where, cr.Entry.Scenario)
-		if cr.Err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "cedarsim: %v\n", cr.Err)
-			continue
-		}
-		if cr.Run != nil && cr.Entry.Scenario.Expectation() == replay.ExpectOK {
-			fmt.Printf("  outcome: ok (ct=%d, seq faults=%d, conc faults=%d)\n",
-				int64(cr.Run.Result.CT), cr.Run.OS.SeqFaults(), cr.Run.OS.ConcFaults())
-		} else {
-			fmt.Printf("  outcome: %s, as expected\n", cr.Entry.Scenario.Expectation())
-		}
+	opts.Faults = plan
+	name := strings.TrimSuffix(filepath.Base(path), scenario.Ext)
+	sc, err := scenario.ForRun(name, app, cfg, opts)
+	if err != nil {
+		usageErr("-record-scenario: %v", err)
 	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "cedarsim: %d of %d scenario(s) missed their expectation\n",
-			failed, len(entries))
-		os.Exit(1)
-	}
+	return sc
 }
 
 // runFaulted runs the degraded-vs-baseline comparison for one fault
 // plan and prints the decomposition delta table. With recordPath, the
-// run is appended to that corpus file as a replay scenario line
-// carrying its observed outcome.
+// run is written there as a new scenario document declaring its
+// observed outcome.
 func runFaulted(app perfect.App, cfg arch.Config, opts cedar.Options, spec, recordPath string, exp exporter) {
 	plan, err := faults.Parse(spec)
 	if err != nil {
@@ -498,6 +449,10 @@ func runFaulted(app perfect.App, cfg arch.Config, opts cedar.Options, spec, reco
 	}
 	if err := plan.Validate(cfg); err != nil {
 		usageErr("%v", err)
+	}
+	var rec *scenario.Scenario
+	if recordPath != "" {
+		rec = recordable(recordPath, app, cfg, opts, plan)
 	}
 
 	fmt.Printf("%s on %s (%d CEs), fault plan %s\n\n", app.Name, cfg.Name, cfg.CEs(), plan)
@@ -518,19 +473,23 @@ func runFaulted(app perfect.App, cfg arch.Config, opts cedar.Options, spec, reco
 		}
 		fmt.Println()
 	}
-	if recordPath != "" {
+	if rec != nil {
 		// Record the degraded run — deadlocks very much included: a
 		// schedule that wedges the machine is exactly what the corpus
 		// exists to pin.
-		po := opts
-		po.Faults = plan
-		sc := cedar.RecordScenario(app, cfg, po)
-		sc.Expect = cedar.Outcome(fr.Err)
-		if err := replay.AppendCorpus(recordPath, sc, ""); err != nil {
-			fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
+		rec.Expect = scenario.Outcome(fr.Err)
+		f, err := os.OpenFile(recordPath, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if err == nil {
+			_, err = f.Write(rec.Format())
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cedarsim: -record-scenario: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "cedarsim: recorded to %s: %s\n", recordPath, sc)
+		fmt.Fprintf(os.Stderr, "cedarsim: recorded %s (expect: %s)\n", recordPath, rec.Expectation())
 	}
 	if fr.Err != nil {
 		switch {

@@ -152,8 +152,8 @@ func faultQuickSeed(t *testing.T) int64 {
 // under any valid fault plan, every surviving CE's accounting
 // categories still sum exactly to the completion time, a failed CE's
 // sum never exceeds it, and the degraded report's (clamped) contention
-// share is non-negative and finite. Each failing plan is reported as a
-// ready-to-paste replay scenario line for cedarsim -replay.
+// share is non-negative and finite. Each failing plan is reported with
+// the cedarsim invocation that records it as a scenario document.
 func TestQuickFaultConservation(t *testing.T) {
 	app := perfect.FLO52()
 	cfg := arch.Cedar8
@@ -172,12 +172,12 @@ func TestQuickFaultConservation(t *testing.T) {
 		po.Faults = plan
 		run, err := SimulateRunErr(app, cfg, po)
 		if err != nil {
-			// A deadlock here is a hand-off bug. Print the scenario in
-			// its canonical form so the schedule goes straight into
-			// cedarsim -replay / testdata/faultcorpus — no reconstruction
-			// from the quick-check log needed.
-			t.Errorf("plan %s: run failed: %v\nreplay with: %s",
-				plan, err, RecordScenario(app, cfg, po))
+			// A deadlock here is a hand-off bug. Print the invocation
+			// that records the schedule as a scenario document, ready
+			// for testdata/faultcorpus — no reconstruction from the
+			// quick-check log needed.
+			t.Errorf("plan %s: run failed: %v\nrecord with: cedarsim -app %s -config %s -steps %d -no-baseline -fault %s -record-scenario new.scenario",
+				plan, err, app.Name, cfg.Name, opts.Steps, plan)
 			return false
 		}
 		res := run.Result

@@ -26,6 +26,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -142,6 +143,11 @@ func Parse(spec string) (Plan, error) {
 	return plan, nil
 }
 
+// maxCycles bounds parsed times and spans: sim.Time is an int64 cycle
+// count, and a float at or past 2^63 (or NaN) has no value there, so it
+// would print back as a different plan.
+const maxCycles = 1 << 63
+
 func parseOne(item string) (Event, error) {
 	var ev Event
 	kindPart, rest, ok := strings.Cut(item, ":")
@@ -159,14 +165,14 @@ func parseOne(item string) (Event, error) {
 	var span sim.Duration
 	if t2, spanPart, found := cutLast(timePart, '+'); found {
 		s, err := strconv.ParseFloat(spanPart, 64)
-		if err != nil || s <= 0 {
+		if err != nil || !(s > 0 && s < maxCycles) {
 			return ev, fmt.Errorf("bad span %q", spanPart)
 		}
 		span = sim.Duration(s)
 		timePart = t2
 	}
 	at, err := strconv.ParseFloat(timePart, 64)
-	if err != nil || at < 0 {
+	if err != nil || !(at >= 0 && at < maxCycles) {
 		return ev, fmt.Errorf("bad time %q", timePart)
 	}
 	ev.At = sim.Time(at)
@@ -175,8 +181,8 @@ func parseOne(item string) (Event, error) {
 	var factor float64
 	if body2, facPart, found := cutLast(body, 'x'); found {
 		f, err := strconv.ParseFloat(facPart, 64)
-		if err != nil || f < 1 {
-			return ev, fmt.Errorf("bad factor %q (want >= 1)", facPart)
+		if err != nil || !(f >= 1 && f <= math.MaxFloat64) {
+			return ev, fmt.Errorf("bad factor %q (want finite >= 1)", facPart)
 		}
 		factor = f
 		body = body2

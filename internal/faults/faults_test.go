@@ -62,6 +62,11 @@ func TestParseErrors(t *testing.T) {
 		"warp:1@0",        // unknown kind
 		"lock:0@0+-3",     // bad span
 		"module:banana@0", // bad target
+		"ce:2@1e19",       // time past the int64 cycle range
+		"ce:2@NaN",        // NaN time
+		"ce:2xNaN@0",      // NaN factor
+		"ce:2xInf@0",      // infinite factor
+		"lock:0@0+NaN",    // NaN span
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q): expected error", spec)

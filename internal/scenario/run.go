@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,6 +15,8 @@ import (
 	"repro/internal/arch"
 	"repro/internal/benchcmp"
 	"repro/internal/engine"
+	"repro/internal/faults"
+	"repro/internal/perfect"
 	"repro/internal/sim"
 )
 
@@ -40,30 +43,151 @@ type Record struct {
 // Key identifies the record in a diff: scenario/metric.
 func (r Record) Key() string { return r.Scenario + "/" + r.Metric }
 
-// RunCtx executes one scenario through the cedar facade and extracts
-// its metric records. wallclock additionally measures
-// MetricWallEventsPerSec (nondeterministic; see the metric's doc). A
-// run that ends abnormally (deadlock, cycle budget, cancellation) is
-// an error: a capture only ever holds completed experiments.
-func RunCtx(ctx context.Context, sc *Scenario, wallclock bool) ([]Record, error) {
+// Simulate runs the scenario once through the cedar facade and returns
+// the run with its raw error. As with cedar.SimulateRunErr, the run is
+// non-nil whenever the simulation started, carrying the accounting up
+// to an abnormal stop.
+func (sc *Scenario) Simulate(ctx context.Context) (*cedar.Run, error) {
 	app, cfg, err := sc.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	opts := cedar.Options{
+	return cedar.SimulateRunCtx(ctx, app, cfg, cedar.Options{
 		Steps:     sc.Steps,
 		Seed:      sc.Seed,
 		Faults:    sc.Plan,
 		MaxCycles: sim.Time(sc.MaxCycles),
 		Parallel:  sc.Parallel,
+	})
+}
+
+// Outcome classifies a run's error into the expect: vocabulary.
+func Outcome(err error) string {
+	switch {
+	case err == nil:
+		return ExpectOK
+	case errors.Is(err, sim.ErrDeadlock):
+		return ExpectDeadlock
+	default:
+		return ExpectError
 	}
+}
+
+// isInterrupted reports an error caused by stopping a run from outside
+// the model — context cancellation or an expired deadline, usually
+// surfaced as the kernel's *sim.CanceledError — as opposed to an
+// outcome of the simulation itself.
+func isInterrupted(err error) bool {
+	return errors.Is(err, sim.ErrCanceled) ||
+		errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded)
+}
+
+// check holds a run's raw error to the declared expectation. An
+// interrupted run is never an outcome: its error comes back as is,
+// whatever expect: says, so a truncated run cannot pass for an
+// expected failure (and a service cannot cache it as one).
+func (sc *Scenario) check(err error) error {
+	if isInterrupted(err) {
+		return err
+	}
+	got, want := Outcome(err), sc.Expectation()
+	switch {
+	case got == want:
+		return nil
+	case err != nil:
+		return fmt.Errorf("scenario %s: outcome %s, want %s: %w", sc.Name, got, want, err)
+	default:
+		return fmt.Errorf("scenario %s: outcome %s, want %s", sc.Name, got, want)
+	}
+}
+
+// RunCtx executes one scenario through the cedar facade and extracts
+// its metric records. wallclock additionally measures
+// MetricWallEventsPerSec (nondeterministic; see the metric's doc). The
+// run fails only when its outcome differs from the declared expect:
+// (or it was interrupted); a run that stops as expected — a pinned
+// deadlock, say — yields the records of the accounting it produced.
+func RunCtx(ctx context.Context, sc *Scenario, wallclock bool) ([]Record, error) {
 	start := time.Now()
-	run, err := cedar.SimulateRunCtx(ctx, app, cfg, opts)
+	run, err := sc.Simulate(ctx)
 	wall := time.Since(start)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+	if err := sc.check(err); err != nil {
+		return nil, err
+	}
+	if run == nil {
+		return nil, nil
 	}
 	return sc.extract(run, wall, wallclock)
+}
+
+// Reproduce runs the scenario twice, holds both runs to the declared
+// expectation, and requires their statfx accounting to be
+// byte-identical: the record/replay contract a checked-in scenario
+// makes. It returns the first run.
+func Reproduce(ctx context.Context, sc *Scenario) (*cedar.Run, error) {
+	var runs [2]*cedar.Run
+	for i := range runs {
+		run, err := sc.Simulate(ctx)
+		if err := sc.check(err); err != nil {
+			return run, err
+		}
+		runs[i] = run
+	}
+	if a, b := runs[0], runs[1]; (a == nil) != (b == nil) || a != nil && a.StatfxText() != b.StatfxText() {
+		return a, fmt.Errorf("scenario %s: two runs are not bit-identical", sc.Name)
+	}
+	return runs[0], nil
+}
+
+// Shrink minimizes a failing scenario's fault plan (faults.Shrink)
+// while its outcome class — deadlock, or any other error — keeps
+// reproducing, and declares that class as the result's expectation, so
+// the shrunk scenario checks into a regression corpus as is. It returns
+// the shrunk scenario and the number of runs spent. A scenario that
+// completes cleanly is an error: there is nothing to reproduce.
+func Shrink(ctx context.Context, sc *Scenario, maxRuns int) (*Scenario, int, error) {
+	_, err := sc.Simulate(ctx)
+	class := Outcome(err)
+	switch {
+	case isInterrupted(err):
+		return nil, 1, err
+	case class == ExpectOK:
+		return nil, 1, fmt.Errorf("scenario %s completes cleanly; nothing to shrink", sc.Name)
+	}
+	trial := *sc
+	plan, runs := faults.Shrink(sc.Plan, func(cand faults.Plan) bool {
+		trial.Plan = cand
+		_, err := trial.Simulate(ctx)
+		return !isInterrupted(err) && Outcome(err) == class
+	}, maxRuns)
+	shrunk := *sc
+	shrunk.Plan, shrunk.Expect = plan, class
+	return &shrunk, runs + 1, nil
+}
+
+// ForRun builds the scenario that reproduces a run of app on cfg with
+// opts: the app by name when it is the registry's own, otherwise inline
+// as a workload: block; the resolved kernel seed; scale pinned to 1,
+// since the run was not weak-scaled. The document is parsed back before
+// it is returned, so a recorded scenario always replays. A custom
+// machine, or options a scenario does not carry, cannot be recorded.
+func ForRun(name string, app perfect.App, cfg arch.Config, opts cedar.Options) (*Scenario, error) {
+	if _, ok := arch.FamilyByName(cfg.Name); !ok {
+		return nil, fmt.Errorf("a recorded scenario needs a named configuration (see -list-configs), not the custom machine %s", cfg.Name)
+	}
+	if opts.XdoallChunk > 1 || opts.TreeFanout > 1 {
+		return nil, fmt.Errorf("a scenario does not carry the XDOALL chunk or the barrier tree fanout")
+	}
+	sc := &Scenario{Name: name, Config: cfg.Name, Steps: opts.Steps, Scale: 1,
+		Seed: opts.KernelSeed(app, cfg), Plan: opts.Faults, MaxCycles: int64(opts.MaxCycles)}
+	doc := perfect.PrintWorkload(app)
+	if reg, ok := perfect.ByName(app.Name); ok && bytes.Equal(perfect.PrintWorkload(reg), doc) {
+		sc.App = app.Name
+	} else {
+		sc.Workload = string(doc)
+	}
+	return Parse(name, sc.Format())
 }
 
 // Run is RunCtx without cancellation.
@@ -120,7 +244,11 @@ func (sc *Scenario) extract(run *cedar.Run, wall time.Duration, wallclock bool) 
 			if s := wall.Seconds(); s > 0 {
 				v = float64(events) / s
 			}
-			out = append(out, stamp(MetricWallEventsPerSec, "events/sec", v, sc.WallTol))
+			tol := sc.WallTol
+			if tol == 0 {
+				tol = defaultWallTol
+			}
+			out = append(out, stamp(MetricWallEventsPerSec, "events/sec", v, tol))
 		default:
 			return nil, fmt.Errorf("scenario %s: unknown metric %q", sc.Name, m)
 		}

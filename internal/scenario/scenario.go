@@ -1,10 +1,14 @@
 // Package scenario makes experiments data: a declarative .scenario
 // file names everything one measurement run depends on — application,
 // machine configuration, weak-scale factor, fault plan, kernel seed,
-// cycle budget — plus the metrics to extract from it, and the runner
-// (cmd/cedarbench) turns a directory of them into a canonical
-// BENCH_scenarios.json capture that is committed and diffed against
-// the previous run with per-metric gates (internal/benchcmp).
+// cycle budget — plus its expected outcome and the metrics to extract
+// from it. It is the repo's one experiment format: cmd/cedarbench
+// turns a directory of them into a canonical BENCH_scenarios.json
+// capture that is committed and diffed against the previous run with
+// per-metric gates (internal/benchcmp); cedarserved runs one per bench
+// job; cedarsim -scenario runs one and -record-scenario writes one;
+// and the fault-scenario regression corpus (testdata/faultcorpus/),
+// which cedarfuzz replays, is a directory of them too.
 //
 // The paper's contribution is a measurement methodology, not a single
 // number, so the repo's perf and correctness trajectory should live in
@@ -27,6 +31,7 @@
 //	steps: 1
 //	seed: 3327910339796038169
 //	plan: ce:1@76414
+//	expect: ok
 //	max_cycles: 0
 //	parallel: 1
 //	metrics:
@@ -35,14 +40,18 @@
 //	  - events
 //	  - sim_events_per_sec
 //
-// Every field except app and config is optional. `scale: auto` (the
-// default) weak-scales the app by perfect.ScaleFactorFor of the
-// configuration's CE count — 1 on paper machines, the CE ratio on
-// scaled members — and an integer pins the factor explicitly. Metrics
-// default to DefaultMetrics.
+// Every field except app (or workload) and config is optional. `scale:
+// auto` (the default) weak-scales the app by perfect.ScaleFactorFor of
+// the configuration's CE count — 1 on paper machines, the CE ratio on
+// scaled members — and an integer pins the factor explicitly.
+// `expect:` declares the run's outcome: ok (the default) completes,
+// deadlock stops with sim.ErrDeadlock, error is any other simulation
+// error; a run fails only when its outcome differs. Metrics default to
+// DefaultMetrics. Format prints the canonical form of a document.
 package scenario
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -122,6 +131,18 @@ var knownPathologies = map[string]bool{
 	PathologyHotSpot: true, PathologyBarrierConvoy: true, PathologyPageStorm: true,
 }
 
+// Outcomes a scenario may declare (expect: key); the empty string
+// means ExpectOK. Outcome classifies a run into the same vocabulary.
+const (
+	ExpectOK       = "ok"       // the run completes without error
+	ExpectDeadlock = "deadlock" // the run stops with sim.ErrDeadlock
+	ExpectError    = "error"    // the run fails with any other error
+)
+
+// defaultWallTol is the MetricWallEventsPerSec tolerance when a
+// scenario sets none.
+const defaultWallTol = 0.5
+
 // Scenario is one parsed experiment definition.
 type Scenario struct {
 	// Name identifies the scenario in captures and reports. Defaults to
@@ -149,13 +170,17 @@ type Scenario struct {
 	Seed int64
 	// Plan is the fault plan (empty = healthy run).
 	Plan faults.Plan
+	// Expect is the declared outcome: ExpectOK ("" too), ExpectDeadlock,
+	// or ExpectError.
+	Expect string
 	// Parallel bounds intra-run batch parallelism (cedar.Options.Parallel).
 	Parallel int
 	// MaxCycles aborts the run past this virtual time (0 = unlimited).
 	MaxCycles int64
 	// Metrics is the extraction set (DefaultMetrics when empty).
 	Metrics []string
-	// WallTol is the tolerance for MetricWallEventsPerSec (default 0.5).
+	// WallTol is the tolerance for MetricWallEventsPerSec, in (0,1);
+	// Parse defaults it to defaultWallTol, and 0 means the default too.
 	WallTol float64
 	// File is the source path, for error messages ("" when parsed from
 	// memory, e.g. a bench service job).
@@ -230,7 +255,7 @@ func (sc *Scenario) metricSet(wallclock bool) []string {
 // fault plan against the live registries so a bad scenario is rejected
 // before anything runs.
 func Parse(fallbackName string, data []byte) (*Scenario, error) {
-	sc := &Scenario{Name: fallbackName, Scale: ScaleAuto, WallTol: 0.5}
+	sc := &Scenario{Name: fallbackName, Scale: ScaleAuto, WallTol: defaultWallTol}
 	var listKey string   // non-empty while consuming "- item" lines
 	var wlBlock bool     // consuming the workload: block's indented lines
 	var wlLines []string // the block's lines, dedented
@@ -313,6 +338,14 @@ func Parse(fallbackName string, data []byte) (*Scenario, error) {
 			sc.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "plan":
 			sc.Plan, err = faults.Parse(val)
+		case "expect":
+			switch val {
+			case ExpectOK, ExpectDeadlock, ExpectError:
+				sc.Expect = val
+			default:
+				err = fmt.Errorf("unknown outcome %q (want %s, %s, or %s)",
+					val, ExpectOK, ExpectDeadlock, ExpectError)
+			}
 		case "parallel":
 			sc.Parallel, err = nonNegInt(val)
 		case "max_cycles":
@@ -321,8 +354,8 @@ func Parse(fallbackName string, data []byte) (*Scenario, error) {
 			sc.MaxCycles = int64(v)
 		case "wall_tol":
 			sc.WallTol, err = strconv.ParseFloat(val, 64)
-			if err == nil && (sc.WallTol < 0 || sc.WallTol >= 1) {
-				err = fmt.Errorf("wall_tol %v out of range [0,1)", sc.WallTol)
+			if err == nil && !(sc.WallTol > 0 && sc.WallTol < 1) {
+				err = fmt.Errorf("wall_tol %v out of range (0,1)", sc.WallTol)
 			}
 		case "metrics":
 			if val != "" {
@@ -343,6 +376,57 @@ func Parse(fallbackName string, data []byte) (*Scenario, error) {
 		sc.Workload = strings.Join(wlLines, "\n") + "\n"
 	}
 	return sc, sc.validate()
+}
+
+// Format prints the scenario as a canonical document: one key per line
+// in a fixed order, zero values and defaults omitted, the metrics list
+// and then the workload: block last. Parse reads it back as the same
+// experiment, and formatting that again gives the same bytes.
+func (sc *Scenario) Format() []byte {
+	var b bytes.Buffer
+	kv := func(key string, val any, set bool) {
+		if set {
+			fmt.Fprintf(&b, "%s: %v\n", key, val)
+		}
+	}
+	kv("name", sc.Name, sc.Name != "")
+	kv("app", sc.App, sc.App != "")
+	kv("config", sc.Config, sc.Config != "")
+	kv("steps", sc.Steps, sc.Steps != 0)
+	kv("scale", sc.Scale, sc.Scale != ScaleAuto)
+	kv("seed", sc.Seed, sc.Seed != 0)
+	kv("plan", sc.Plan, len(sc.Plan) > 0)
+	kv("expect", sc.Expect, sc.Expectation() != ExpectOK)
+	kv("parallel", sc.Parallel, sc.Parallel != 0)
+	kv("max_cycles", sc.MaxCycles, sc.MaxCycles != 0)
+	kv("wall_tol", sc.WallTol, sc.WallTol != 0 && sc.WallTol != defaultWallTol)
+	kv("pathology", sc.Pathology, sc.Pathology != "")
+	if len(sc.Metrics) > 0 {
+		b.WriteString("metrics:\n")
+		for _, m := range sc.Metrics {
+			fmt.Fprintf(&b, "  - %s\n", m)
+		}
+	}
+	if !strings.Contains(sc.Workload, "\n") {
+		kv("workload", sc.Workload, sc.Workload != "")
+		return b.Bytes()
+	}
+	b.WriteString("workload:\n")
+	for _, line := range strings.Split(strings.TrimSuffix(sc.Workload, "\n"), "\n") {
+		if line != "" {
+			b.WriteString("  " + line)
+		}
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+// Expectation returns the declared outcome, defaulting to ExpectOK.
+func (sc *Scenario) Expectation() string {
+	if sc.Expect == "" {
+		return ExpectOK
+	}
+	return sc.Expect
 }
 
 func nonNegInt(val string) (int, error) {

@@ -166,6 +166,9 @@ func TestParseErrors(t *testing.T) {
 		{"negative steps", "app: FLO52\nconfig: 8proc\nsteps: -1\n", "negative"},
 		{"zero scale", "app: FLO52\nconfig: 8proc\nscale: 0\n", "scale"},
 		{"bad wall tol", "app: FLO52\nconfig: 8proc\nwall_tol: 1.5\n", "wall_tol"},
+		{"zero wall tol", "app: FLO52\nconfig: 8proc\nwall_tol: 0\n", "wall_tol"},
+		{"NaN wall tol", "app: FLO52\nconfig: 8proc\nwall_tol: NaN\n", "wall_tol"},
+		{"unknown outcome", "app: FLO52\nconfig: 8proc\nexpect: maybe\n", `unknown outcome "maybe"`},
 		{"unknown metric", "app: FLO52\nconfig: 8proc\nmetrics:\n  - bogus\n", `unknown metric "bogus"`},
 		{"inline metrics value", "app: FLO52\nconfig: 8proc\nmetrics: ct_cycles\n", "- item lines"},
 		{"list item without list", "app: FLO52\nconfig: 8proc\n- ct_cycles\n", "outside a list key"},
@@ -275,7 +278,13 @@ func TestRunWallclockRecord(t *testing.T) {
 }
 
 func TestCaptureDeterministicAndParallelInvariant(t *testing.T) {
-	scs := []*Scenario{tiny(t)}
+	// The fault corpus rides along: its entries meet their expect:
+	// (a pinned deadlock included) at any worker count.
+	corpus, err := LoadDir("../../testdata/faultcorpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs := append([]*Scenario{tiny(t)}, corpus...)
 	ctx := context.Background()
 	r1, err := RunAll(ctx, scs, 1, false)
 	if err != nil {
@@ -382,8 +391,8 @@ func TestReadCaptureVersionCheck(t *testing.T) {
 
 func TestRunFailingScenarioErrors(t *testing.T) {
 	// Killing every CE of the main cluster deadlocks by design (see
-	// testdata/faultcorpus/main-cluster-killed.scenario); a capture
-	// only ever holds completed experiments.
+	// testdata/faultcorpus/main-cluster-killed.scenario); without an
+	// expect: deadlock declaration that outcome is a failure.
 	doc := "app: FLO52\nconfig: 16proc\nsteps: 1\nseed: 1645508699426838620\n" +
 		"plan: ce:0@50000,ce:1@50000,ce:2@50000,ce:3@50000,ce:4@50000,ce:5@50000,ce:6@50000,ce:7@50000\n"
 	sc, err := Parse("deadlock", []byte(doc))

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/faults/replay"
 	"repro/internal/perfect"
 	"repro/internal/resultcache"
 	"repro/internal/scenario"
@@ -26,15 +24,15 @@ func simTime(v int64) sim.Time { return sim.Time(v) }
 const (
 	TypeSimulate = "simulate" // one app on one configuration
 	TypeSweep    = "sweep"    // one app across a configuration list
-	TypeReplay   = "replay"   // one recorded fault scenario
-	TypeCorpus   = "corpus"   // a batch of scenario lines, each verified
-	TypeBench    = "bench"    // one declarative benchmark scenario document
+	TypeBench    = "bench"    // one scenario document, held to its expect:
 )
 
 // JobSpec is the submitted description of one job (the POST /jobs
 // body). Fields are per-type; Validate names misuse precisely.
 type JobSpec struct {
-	// Type selects the job shape: simulate, sweep, replay, or corpus.
+	// Type selects the job shape: simulate, sweep, or bench. A bench
+	// job whose document declares expect: deadlock or error is how a
+	// recorded fault scenario replays through the service.
 	Type string `json:"type"`
 	// App is the application name (simulate, sweep). Registry names and
 	// single-line gen: specs both resolve; exactly one of App and
@@ -58,13 +56,10 @@ type JobSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Plan is a fault plan in the faults.Parse grammar (simulate).
 	Plan string `json:"plan,omitempty"`
-	// Scenario is a recorded scenario line (replay).
-	Scenario string `json:"scenario,omitempty"`
-	// Corpus is a list of scenario lines (corpus).
-	Corpus []string `json:"corpus,omitempty"`
-	// Bench is a declarative benchmark scenario document (bench): the
-	// text of one .scenario file in the internal/scenario format. The
-	// result payload is the scenario's canonical record capture —
+	// Bench is a scenario document (bench): the text of one .scenario
+	// file in the internal/scenario format. The job fails when the
+	// run's outcome differs from the document's expect:. The result
+	// payload is the scenario's canonical record capture —
 	// deterministic, so warm resubmits come straight from the cache.
 	Bench string `json:"bench,omitempty"`
 	// DeadlineMS caps each attempt's wall-clock run time in
@@ -74,7 +69,7 @@ type JobSpec struct {
 	// MaxCycles caps virtual time (0 = unlimited): the in-model
 	// counterpart of the wall-clock deadline.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
-	// Parallel bounds intra-job parallelism for sweep and corpus jobs
+	// Parallel bounds intra-job parallelism for sweep jobs
 	// (0 = GOMAXPROCS).
 	Parallel int `json:"parallel,omitempty"`
 	// NoCache skips the result cache for this job (both lookup and
@@ -85,13 +80,11 @@ type JobSpec struct {
 // resolved carries the validated, decoded form of a spec so execution
 // never re-parses.
 type resolved struct {
-	app       perfect.App
-	cfg       arch.Config
-	cfgs      []arch.Config
-	plan      faults.Plan
-	scenario  replay.Scenario
-	scenarios []replay.Scenario
-	bench     *scenario.Scenario
+	app   perfect.App
+	cfg   arch.Config
+	cfgs  []arch.Config
+	plan  faults.Plan
+	bench *scenario.Scenario
 }
 
 // Validate checks the spec against the live application and
@@ -138,27 +131,6 @@ func (sp *JobSpec) Validate() (resolved, error) {
 			}
 			r.cfgs = append(r.cfgs, cfg)
 		}
-	case TypeReplay:
-		if r.scenario, err = replay.Parse(sp.Scenario); err != nil {
-			return r, err
-		}
-		if _, _, err = lookup(r.scenario.App, r.scenario.Config); err != nil {
-			return r, err
-		}
-	case TypeCorpus:
-		if len(sp.Corpus) == 0 {
-			return r, fmt.Errorf("corpus job without scenario lines")
-		}
-		for i, line := range sp.Corpus {
-			sc, perr := replay.Parse(line)
-			if perr != nil {
-				return r, fmt.Errorf("corpus line %d: %w", i+1, perr)
-			}
-			if _, _, err = lookup(sc.App, sc.Config); err != nil {
-				return r, fmt.Errorf("corpus line %d: %w", i+1, err)
-			}
-			r.scenarios = append(r.scenarios, sc)
-		}
 	case TypeBench:
 		if strings.TrimSpace(sp.Bench) == "" {
 			return r, fmt.Errorf("bench job without a scenario document")
@@ -172,11 +144,11 @@ func (sp *JobSpec) Validate() (resolved, error) {
 			r.bench.MaxCycles = sp.MaxCycles
 		}
 	case "":
-		return r, fmt.Errorf("missing job type (want %s, %s, %s, %s, or %s)",
-			TypeSimulate, TypeSweep, TypeReplay, TypeCorpus, TypeBench)
+		return r, fmt.Errorf("missing job type (want %s, %s, or %s)",
+			TypeSimulate, TypeSweep, TypeBench)
 	default:
-		return r, fmt.Errorf("unknown job type %q (want %s, %s, %s, %s, or %s)",
-			sp.Type, TypeSimulate, TypeSweep, TypeReplay, TypeCorpus, TypeBench)
+		return r, fmt.Errorf("unknown job type %q (want %s, %s, or %s)",
+			sp.Type, TypeSimulate, TypeSweep, TypeBench)
 	}
 	if sp.DeadlineMS < 0 {
 		return r, fmt.Errorf("negative deadline_ms %d", sp.DeadlineMS)
@@ -188,19 +160,6 @@ func (sp *JobSpec) Validate() (resolved, error) {
 		return r, fmt.Errorf("negative parallel %d", sp.Parallel)
 	}
 	return r, nil
-}
-
-// isInterrupted reports an error caused by the service stopping a run
-// from outside the model — context cancellation or an expired attempt
-// deadline, usually surfaced as the kernel's *sim.CanceledError — as
-// opposed to an outcome of the simulation itself. Interrupted attempts
-// must bail out with the raw error so the retry/cancel machinery can
-// classify them; mapping them through cedar.Outcome would let a
-// truncated run masquerade as a real (and cacheable) result.
-func isInterrupted(err error) bool {
-	return errors.Is(err, sim.ErrCanceled) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
 }
 
 // resolveApp resolves a spec's workload source: the App name (or
@@ -221,15 +180,6 @@ func (sp *JobSpec) resolveApp() (perfect.App, error) {
 	return (perfect.Resolver{}).Resolve(src)
 }
 
-func lookup(appName, cfgName string) (perfect.App, arch.Config, error) {
-	app, err := (perfect.Resolver{}).Resolve(appName)
-	if err != nil {
-		return app, arch.Config{}, err
-	}
-	cfg, err := lookupConfig(cfgName)
-	return app, cfg, err
-}
-
 func lookupConfig(cfgName string) (arch.Config, error) {
 	cfg, ok := arch.FamilyByName(cfgName)
 	if !ok {
@@ -239,8 +189,8 @@ func lookupConfig(cfgName string) (arch.Config, error) {
 }
 
 // cacheKey derives the content-address of the job's result. The
-// version stamp makes results model-output-versioned; corpus jobs
-// fold their scenario lines into the Plan field so any edit misses.
+// version stamp makes results model-output-versioned; bench jobs fold
+// their document into the Plan field so any edit misses.
 func (sp *JobSpec) cacheKey(version string) resultcache.Key {
 	k := resultcache.Key{Kind: sp.Type, Version: version,
 		Steps: sp.Steps, Seed: sp.Seed, MaxCycles: sp.MaxCycles}
@@ -251,14 +201,6 @@ func (sp *JobSpec) cacheKey(version string) resultcache.Key {
 	case TypeSweep:
 		k.App, k.Config = sp.App, strings.Join(sp.Configs, ",")
 		k.Workload = sp.Workload
-	case TypeReplay:
-		k.App = "replay"
-		k.Plan = sp.Scenario
-		k.Steps, k.Seed = 0, 0
-	case TypeCorpus:
-		k.App = "corpus"
-		k.Plan = strings.Join(sp.Corpus, "\n")
-		k.Steps, k.Seed = 0, 0
 	case TypeBench:
 		// The document text is the whole identity (any edit misses);
 		// spec MaxCycles stays in the key because it folds into the run.
@@ -281,8 +223,8 @@ func (sp *JobSpec) options() cedar.Options {
 
 // execute runs the job body under ctx and returns the canonical result
 // text. Every simulate-shaped result is Run.StatfxText — the byte-
-// stable accounting block the replay machinery already compares — so a
-// service result is directly diffable against a local cedarsim run.
+// stable accounting block scenario.Reproduce compares — so a service
+// result is directly diffable against a local cedarsim run.
 func (sp *JobSpec) execute(ctx context.Context, r resolved, progress func(string)) ([]byte, error) {
 	switch sp.Type {
 	case TypeSimulate:
@@ -318,79 +260,6 @@ func (sp *JobSpec) execute(ctx context.Context, r resolved, progress func(string
 				return nil, fmt.Errorf("config %s: %w", r.cfgs[i].Name, o.err)
 			}
 			fmt.Fprintf(&b, "== %s\n%s", r.cfgs[i].Name, o.text)
-		}
-		return []byte(b.String()), nil
-
-	case TypeReplay:
-		sc := r.scenario
-		app, cfg, err := lookup(sc.App, sc.Config)
-		if err != nil {
-			return nil, err
-		}
-		opts := cedar.Options{Steps: sc.Steps, Seed: sc.Seed, Faults: sc.Plan,
-			MaxCycles: simTime(sp.MaxCycles)}
-		run, err := cedar.SimulateRunCtx(ctx, app, cfg, opts)
-		if err != nil && isInterrupted(err) {
-			// Cancellation or a deadline stopped the attempt; that is
-			// never a simulation outcome, however the scenario's
-			// expectation reads.
-			return nil, err
-		}
-		outcome := cedar.Outcome(err)
-		if want := sc.Expectation(); outcome != want {
-			return nil, fmt.Errorf("scenario %q: outcome %s, want %s", sc, outcome, want)
-		}
-		progress(fmt.Sprintf("replayed %s: outcome %s", sc, outcome))
-		var b strings.Builder
-		fmt.Fprintf(&b, "scenario %s\noutcome %s\n", sc, outcome)
-		if run != nil {
-			b.WriteString(run.StatfxText())
-		}
-		return []byte(b.String()), nil
-
-	case TypeCorpus:
-		type out struct {
-			line string
-			err  error
-		}
-		results, err := engine.MapCtx(ctx, sp.Parallel, r.scenarios,
-			func(ctx context.Context, i int, sc replay.Scenario) out {
-				app, cfg, lerr := lookup(sc.App, sc.Config)
-				if lerr != nil {
-					return out{err: lerr}
-				}
-				run, rerr := cedar.SimulateRunCtx(ctx, app, cfg,
-					cedar.Options{Steps: sc.Steps, Seed: sc.Seed, Faults: sc.Plan,
-						MaxCycles: simTime(sp.MaxCycles)})
-				if rerr != nil && isInterrupted(rerr) {
-					return out{err: rerr}
-				}
-				outcome := cedar.Outcome(rerr)
-				_ = run
-				status := "ok"
-				if outcome != sc.Expectation() {
-					status = fmt.Sprintf("FAIL (outcome %s, want %s)", outcome, sc.Expectation())
-				}
-				progress(fmt.Sprintf("corpus %d/%d: %s", i+1, len(r.scenarios), status))
-				return out{line: fmt.Sprintf("%s %s", status, sc)}
-			})
-		if err != nil {
-			return nil, err
-		}
-		var b strings.Builder
-		failed := 0
-		for _, o := range results {
-			if o.err != nil {
-				return nil, o.err
-			}
-			if strings.HasPrefix(o.line, "FAIL") {
-				failed++
-			}
-			b.WriteString(o.line)
-			b.WriteByte('\n')
-		}
-		if failed > 0 {
-			return []byte(b.String()), fmt.Errorf("%d of %d corpus scenario(s) missed their expectation", failed, len(results))
 		}
 		return []byte(b.String()), nil
 

@@ -20,7 +20,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/perfect"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // fastCfg is a test server configuration with tiny backoffs so retry
@@ -150,8 +149,9 @@ func metricLine(name string, value string) string {
 var smallSim = JobSpec{Type: TypeSimulate, App: "FLO52", Config: "8proc", Steps: 2}
 
 // okScenario is a recorded fault scenario known to complete without
-// error (it seeds testdata/faultcorpus as well).
-const okScenario = "app=FLO52 config=8proc steps=1 seed=3327910339796038169 plan=ce:1@76414"
+// error (testdata/faultcorpus/roadmap-pgflt-deadlock-shrunk.scenario).
+const okScenario = "name: pgflt-kill\napp: FLO52\nconfig: 8proc\nsteps: 1\nscale: 1\n" +
+	"seed: 3327910339796038169\nplan: ce:1@76414\n"
 
 // smallSimWant computes the reference result: the same invocation
 // through the plain facade (what cedarsim -statfx prints).
@@ -680,25 +680,30 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
-// Replay and corpus job types round-trip through the service.
-func TestReplayAndCorpusJobs(t *testing.T) {
+// A bench job is held to its document's expect: a recorded fault
+// scenario replays as the outcome it declares, and a job whose outcome
+// differs fails.
+func TestBenchJobExpect(t *testing.T) {
 	_, ts := newTestServer(t, fastCfg(), nil)
-	_, sub, _ := submit(t, ts, JobSpec{Type: TypeReplay, Scenario: okScenario})
-	v := waitTerminal(t, ts, sub.ID)
-	if v.State != StateDone {
-		t.Fatalf("replay job: %s (%q)", v.State, v.Error)
-	}
-	if _, got := result(t, ts, sub.ID); !strings.Contains(got, "outcome ok") {
-		t.Fatalf("replay result: %s", got)
-	}
-
-	_, csub, _ := submit(t, ts, JobSpec{Type: TypeCorpus, Corpus: []string{okScenario, okScenario}})
-	cv := waitTerminal(t, ts, csub.ID)
-	if cv.State != StateDone {
-		t.Fatalf("corpus job: %s (%q)", cv.State, cv.Error)
-	}
-	if _, got := result(t, ts, csub.ID); strings.Count(got, "ok app=") != 2 {
-		t.Fatalf("corpus result: %s", got)
+	for _, c := range []struct {
+		doc, state, want string
+	}{
+		{okScenario, StateDone, "os_time_cycles"},
+		{okScenario + "expect: ok\n", StateDone, "os_time_cycles"},
+		{okScenario + "expect: deadlock\n", StateFailed, "outcome ok, want deadlock"},
+	} {
+		_, sub, _ := submit(t, ts, JobSpec{Type: TypeBench, Bench: c.doc})
+		v := waitTerminal(t, ts, sub.ID)
+		if v.State != c.state {
+			t.Fatalf("doc %q: state %s (%q), want %s", c.doc, v.State, v.Error, c.state)
+		}
+		got := v.Error
+		if v.State == StateDone {
+			_, got = result(t, ts, sub.ID)
+		}
+		if !strings.Contains(got, c.want) {
+			t.Fatalf("doc %q: %q does not mention %q", c.doc, got, c.want)
+		}
 	}
 }
 
@@ -716,8 +721,9 @@ func TestBadRequests(t *testing.T) {
 		{JobSpec{Type: "sweep", App: "FLO52", Plan: "ce:1@500"}, "fault plan"},
 		{JobSpec{Type: "mystery"}, "unknown job type"},
 		{JobSpec{}, "missing job type"},
-		{JobSpec{Type: "replay", Scenario: "not a scenario"}, "replay"},
-		{JobSpec{Type: "corpus"}, "without scenario lines"},
+		// The body is JSON, so the type's quotes arrive escaped.
+		{JobSpec{Type: "replay"}, `unknown job type \"replay\" (want simulate, sweep, or bench)`},
+		{JobSpec{Type: "corpus"}, `unknown job type \"corpus\" (want simulate, sweep, or bench)`},
 		{JobSpec{Type: "simulate", App: "FLO52", Config: "8proc", DeadlineMS: -1}, "deadline_ms"},
 	}
 	for _, c := range cases {
@@ -746,38 +752,12 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// Attempts stopped from outside the model — cancellation or a
-// deadline, bare or wrapped in the kernel's CanceledError — must never
-// be classified as simulation outcomes; real in-model terminations
-// must.
-func TestIsInterruptedClassification(t *testing.T) {
-	for _, err := range []error{
-		&sim.CanceledError{At: 5, Cause: context.DeadlineExceeded},
-		&sim.CanceledError{At: 5, Cause: context.Canceled},
-		context.Canceled,
-		fmt.Errorf("attempt deadline 40ms exceeded: %w", context.DeadlineExceeded),
-	} {
-		if !isInterrupted(err) {
-			t.Errorf("isInterrupted(%v) = false, want true", err)
-		}
-	}
-	for _, err := range []error{
-		&sim.DeadlockError{At: 1, Live: 2},
-		&sim.CycleBudgetError{Budget: 10, Now: 10, Live: 1},
-		errors.New("model blew up"),
-	} {
-		if isInterrupted(err) {
-			t.Errorf("isInterrupted(%v) = true, want false", err)
-		}
-	}
-}
-
-// A deadline-expired replay attempt surfaces its raw error for the
-// retry machinery instead of being mapped through cedar.Outcome —
-// otherwise an expect=error scenario would accept the truncated run as
-// a success and cache its payload.
-func TestReplayInterruptedIsNotAnOutcome(t *testing.T) {
-	spec := JobSpec{Type: TypeReplay, Scenario: okScenario + " expect=error"}
+// A deadline-expired bench attempt surfaces its raw error for the
+// retry machinery instead of being mapped through scenario.Outcome —
+// otherwise an expect: error document would accept the truncated run
+// as a success and cache its payload.
+func TestBenchInterruptedIsNotAnOutcome(t *testing.T) {
+	spec := JobSpec{Type: TypeBench, Bench: okScenario + "expect: error\n"}
 	r, err := spec.Validate()
 	if err != nil {
 		t.Fatal(err)
@@ -786,7 +766,7 @@ func TestReplayInterruptedIsNotAnOutcome(t *testing.T) {
 	defer cancel()
 	payload, err := spec.execute(ctx, r, func(string) {})
 	if err == nil {
-		t.Fatalf("deadline-expired replay reported success: %q", payload)
+		t.Fatalf("deadline-expired bench job reported success: %q", payload)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded to surface", err)
@@ -802,11 +782,11 @@ func TestCacheKeyIncludesMaxCycles(t *testing.T) {
 	if smallSim.cacheKey("v").ID() == capped.cacheKey("v").ID() {
 		t.Fatal("simulate max_cycles does not change the cache key")
 	}
-	re := JobSpec{Type: TypeReplay, Scenario: okScenario}
-	reCapped := re
-	reCapped.MaxCycles = 1000
-	if re.cacheKey("v").ID() == reCapped.cacheKey("v").ID() {
-		t.Fatal("replay max_cycles does not change the cache key")
+	bench := JobSpec{Type: TypeBench, Bench: okScenario}
+	benchCapped := bench
+	benchCapped.MaxCycles = 1000
+	if bench.cacheKey("v").ID() == benchCapped.cacheKey("v").ID() {
+		t.Fatal("bench max_cycles does not change the cache key")
 	}
 	if c := smallSim.cacheKey("v").Canonical(); strings.Contains(c, "maxcycles") {
 		t.Fatalf("zero max_cycles altered the canonical key: %s", c)

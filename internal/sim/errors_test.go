@@ -26,7 +26,7 @@ func TestRunAllErrScenarios(t *testing.T) {
 	cases := []struct {
 		name     string
 		build    func(k *Kernel)
-		sentinel error  // nil: expect success
+		sentinel error // nil: expect success
 		contains []string
 	}{
 		{

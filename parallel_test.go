@@ -15,7 +15,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/faults/replay"
 	"repro/internal/perfect"
 )
 
@@ -84,32 +83,6 @@ func TestFaultSweepParallelByteIdentical(t *testing.T) {
 			if a, b := core.FormatDegraded(seq[i].Report), core.FormatDegraded(par[i].Report); a != b {
 				t.Fatalf("plan %d: degraded report differs:\n%s\nvs\n%s", i, a, b)
 			}
-		}
-	}
-}
-
-func TestCheckCorpusParallelMatchesSequential(t *testing.T) {
-	entries, err := replay.LoadCorpus("testdata/faultcorpus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Skip("empty corpus")
-	}
-	seq := CheckCorpus(entries, 1)
-	par := CheckCorpus(entries, 4)
-	if len(seq) != len(entries) || len(par) != len(entries) {
-		t.Fatalf("result counts: seq %d, par %d, want %d", len(seq), len(par), len(entries))
-	}
-	for i := range entries {
-		if seq[i].Entry.Scenario.String() != entries[i].Scenario.String() {
-			t.Fatalf("entry %d: results not in corpus order", i)
-		}
-		if seq[i].Err != nil {
-			t.Fatalf("entry %d (%s:%d): %v", i, seq[i].Entry.File, seq[i].Entry.Line, seq[i].Err)
-		}
-		if par[i].Err != nil {
-			t.Fatalf("entry %d (%s:%d) parallel: %v", i, par[i].Entry.File, par[i].Entry.Line, par[i].Err)
 		}
 	}
 }

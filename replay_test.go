@@ -1,40 +1,39 @@
-package cedar
+package cedar_test
 
 import (
+	"context"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	cedar "repro"
 	"repro/internal/arch"
 	"repro/internal/faults"
-	"repro/internal/faults/replay"
 	"repro/internal/perfect"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
 const corpusDir = "testdata/faultcorpus"
 
-// TestCorpusReplay replays every checked-in scenario and verifies its
-// declared outcome. This is the regression suite for the fail-stop
-// page-fault deadlock: the ROADMAP schedule lives here and must keep
-// completing.
+// TestCorpusReplay replays every checked-in scenario twice and verifies
+// its declared outcome and bit-identity. This is the regression suite
+// for the fail-stop page-fault deadlock: the ROADMAP schedule lives
+// here and must keep completing.
 func TestCorpusReplay(t *testing.T) {
-	entries, err := replay.LoadCorpus(corpusDir)
+	scs, err := scenario.LoadDir(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
-		t.Fatalf("corpus %s is empty; the regression scenarios are gone", corpusDir)
-	}
 	sawRoadmap := false
-	for _, e := range entries {
-		e := e
-		t.Run(e.Scenario.Plan.String(), func(t *testing.T) {
-			if _, err := CheckScenario(e.Scenario); err != nil {
-				t.Errorf("%s:%d: %v", e.File, e.Line, err)
+	for _, sc := range scs {
+		t.Run(sc.Plan.String(), func(t *testing.T) {
+			if _, err := scenario.Reproduce(context.Background(), sc); err != nil {
+				t.Errorf("%s: %v", sc.File, err)
 			}
 		})
-		if e.Scenario.Plan.String() == "ce:4x1.25@47085,ce:1@76414,module:3x2@23648" {
+		if sc.Plan.String() == "ce:4x1.25@47085,ce:1@76414,module:3x2@23648" {
 			sawRoadmap = true
 		}
 	}
@@ -43,78 +42,113 @@ func TestCorpusReplay(t *testing.T) {
 	}
 }
 
-// TestReplayBitIdentical: replaying the same scenario twice must
-// produce byte-identical statfx output — the record/replay contract.
+// TestReplayBitIdentical: running the same scenario twice must produce
+// byte-identical statfx output — the record/replay contract.
 func TestReplayBitIdentical(t *testing.T) {
-	sc, err := replay.Parse(
-		"app=FLO52 config=8proc steps=1 seed=3327910339796038169 " +
-			"plan=ce:4x1.25@47085,ce:1@76414,module:3x2@23648")
+	sc, err := scenario.LoadFile(filepath.Join(corpusDir, "roadmap-pgflt-deadlock.scenario"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ReplayErr(sc)
+	a, err := sc.Simulate(context.Background())
 	if err != nil {
-		t.Fatalf("first replay: %v", err)
+		t.Fatalf("first run: %v", err)
 	}
-	b, err := ReplayErr(sc)
+	b, err := sc.Simulate(context.Background())
 	if err != nil {
-		t.Fatalf("second replay: %v", err)
+		t.Fatalf("second run: %v", err)
 	}
 	ta, tb := a.StatfxText(), b.StatfxText()
 	if ta != tb {
-		t.Fatalf("replays diverged:\n--- first ---\n%s--- second ---\n%s", ta, tb)
+		t.Fatalf("runs diverged:\n--- first ---\n%s--- second ---\n%s", ta, tb)
 	}
 	if !strings.Contains(ta, "faults seq=") || !strings.Contains(ta, "os ") {
 		t.Fatalf("statfx text missing sections:\n%s", ta)
 	}
 }
 
+// TestRecordScenarioRoundTrip: a recorded scenario resolves the seed,
+// prints to a fixpoint, and replays to the same run as the original
+// call — for registry apps and for generated ones, which it inlines.
 func TestRecordScenarioRoundTrip(t *testing.T) {
-	plan := mustPlan(t, "ce:1@76414,module:3x2@23648")
-	sc := RecordScenario(perfect.FLO52(), arch.Cedar8, Options{Steps: 1, Faults: plan})
+	plan, err := faults.Parse("ce:1@76414,module:3x2@23648")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := cedar.Options{Steps: 1, Faults: plan}
+	sc, err := scenario.ForRun("rec", perfect.FLO52(), arch.Cedar8, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sc.Seed == 0 {
 		t.Fatal("recorded scenario left the seed unresolved")
 	}
-	parsed, err := replay.Parse(sc.String())
-	if err != nil {
-		t.Fatalf("recorded line does not parse: %v", err)
+	if sc.App != "FLO52" || sc.Workload != "" || sc.ScaleFactor() != 1 {
+		t.Fatalf("registry app recorded as app=%q workload=%q scale=%d", sc.App, sc.Workload, sc.ScaleFactor())
 	}
-	if parsed.String() != sc.String() {
-		t.Fatalf("record/parse round trip unstable:\n%s\n%s", sc, parsed)
+	parsed, err := scenario.Parse("rec", sc.Format())
+	if err != nil {
+		t.Fatalf("recorded document does not parse: %v", err)
+	}
+	if string(parsed.Format()) != string(sc.Format()) {
+		t.Fatalf("record/parse round trip unstable:\n%s\n%s", sc.Format(), parsed.Format())
 	}
 	// An explicit seed is recorded verbatim.
-	sc2 := RecordScenario(perfect.FLO52(), arch.Cedar8, Options{Steps: 1, Seed: 77, Faults: plan})
-	if sc2.Seed != 77 {
-		t.Fatalf("explicit seed not recorded: %d", sc2.Seed)
+	opts77 := opts
+	opts77.Seed = 77
+	if sc77, err := scenario.ForRun("rec", perfect.FLO52(), arch.Cedar8, opts77); err != nil || sc77.Seed != 77 {
+		t.Fatalf("explicit seed not recorded: %v %v", sc77, err)
 	}
-	// The recorded scenario replays to the same run as the original call.
-	orig, err := SimulateRunErr(perfect.FLO52(), arch.Cedar8, Options{Steps: 1, Faults: plan})
+
+	// A generated app is not in the registry: it travels inline.
+	genApp, err := (perfect.Resolver{}).Resolve("gen:seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayErr(sc)
+	genSc, err := scenario.ForRun("gen", genApp, arch.Cedar8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if orig.StatfxText() != rep.StatfxText() {
-		t.Fatal("replaying the recorded scenario diverged from the original run")
+	if genSc.App != "" || genSc.Workload == "" {
+		t.Fatalf("generated app recorded as app=%q, want an inline workload", genSc.App)
+	}
+
+	for _, c := range []struct {
+		app perfect.App
+		sc  *scenario.Scenario
+	}{{perfect.FLO52(), sc}, {genApp, genSc}} {
+		orig, origErr := cedar.SimulateRunErr(c.app, arch.Cedar8, opts)
+		rep, repErr := c.sc.Simulate(context.Background())
+		if scenario.Outcome(origErr) != scenario.Outcome(repErr) || orig == nil || rep == nil {
+			t.Fatalf("%s: outcome %v, replayed %v", c.sc.Name, origErr, repErr)
+		}
+		if orig.StatfxText() != rep.StatfxText() {
+			t.Fatalf("%s: replaying the recorded scenario diverged from the original run", c.sc.Name)
+		}
+	}
+
+	// A custom parametric machine has no name a document can carry.
+	custom := arch.Cedar8
+	custom.Name = "custom-2x4"
+	if _, err := scenario.ForRun("custom", perfect.FLO52(), custom, opts); err == nil ||
+		!strings.Contains(err.Error(), "named configuration") {
+		t.Fatalf("custom machine recorded: %v", err)
 	}
 }
 
 func TestOutcomeClassification(t *testing.T) {
-	if got := Outcome(nil); got != replay.ExpectOK {
+	if got := scenario.Outcome(nil); got != scenario.ExpectOK {
 		t.Fatalf("Outcome(nil) = %q", got)
 	}
-	if got := Outcome(sim.ErrDeadlock); got != replay.ExpectDeadlock {
+	if got := scenario.Outcome(sim.ErrDeadlock); got != scenario.ExpectDeadlock {
 		t.Fatalf("Outcome(ErrDeadlock) = %q", got)
 	}
-	if got := Outcome(errors.New("boom")); got != replay.ExpectError {
+	if got := scenario.Outcome(errors.New("boom")); got != scenario.ExpectError {
 		t.Fatalf("Outcome(err) = %q", got)
 	}
 }
 
 func TestFaultWindowsFound(t *testing.T) {
-	ws, err := FaultWindows(perfect.FLO52(), arch.Cedar8, Options{Steps: 1})
+	ws, err := cedar.FaultWindows(perfect.FLO52(), arch.Cedar8, cedar.Options{Steps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,37 +187,50 @@ func TestShrinkErrDeadlock(t *testing.T) {
 	for ce := 0; ce < arch.Cedar16.CEsPerCluster; ce++ {
 		plan = append(plan, faults.Event{Kind: faults.CEFail, Target: ce, At: 50_000})
 	}
-	sc := RecordScenario(perfect.FLO52(), arch.Cedar16, Options{Steps: 1, Faults: plan})
-	shrunk, runs, err := ShrinkErr(sc, 24)
+	ctx := context.Background()
+	sc, err := scenario.ForRun("killed", perfect.FLO52(), arch.Cedar16, cedar.Options{Steps: 1, Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrunk, runs, err := scenario.Shrink(ctx, sc, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if runs < 2 {
 		t.Fatalf("shrinker spent only %d runs", runs)
 	}
-	if shrunk.Expect != replay.ExpectDeadlock {
+	if shrunk.Expect != scenario.ExpectDeadlock {
 		t.Fatalf("shrunk expectation %q, want deadlock", shrunk.Expect)
 	}
 	if len(shrunk.Plan) > len(sc.Plan) {
 		t.Fatalf("shrinking grew the plan: %d -> %d events", len(sc.Plan), len(shrunk.Plan))
 	}
-	if _, err := CheckScenario(shrunk); err != nil {
+	if _, err := scenario.Reproduce(ctx, shrunk); err != nil {
 		t.Fatalf("shrunk scenario no longer deadlocks: %v", err)
 	}
 	// A clean scenario refuses to shrink.
-	ok := RecordScenario(perfect.FLO52(), arch.Cedar8,
-		Options{Steps: 1, Faults: mustPlan(t, "ce:5@1e5")})
-	if _, _, err := ShrinkErr(ok, 8); err == nil {
+	okPlan, err := faults.Parse("ce:5@1e5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := scenario.ForRun("clean", perfect.FLO52(), arch.Cedar8, cedar.Options{Steps: 1, Faults: okPlan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := scenario.Shrink(ctx, ok, 8); err == nil {
 		t.Fatal("shrinking a clean scenario did not error")
 	}
 }
 
+// TestReplayUnknownNames: a scenario naming an app or configuration
+// the registries do not know is rejected before anything runs.
 func TestReplayUnknownNames(t *testing.T) {
-	plan := mustPlan(t, "ce:1@500")
-	if _, err := ReplayErr(replay.Scenario{App: "NOPE", Config: "8proc", Plan: plan}); err == nil {
-		t.Fatal("unknown app accepted")
-	}
-	if _, err := ReplayErr(replay.Scenario{App: "FLO52", Config: "9000proc", Plan: plan}); err == nil {
-		t.Fatal("unknown config accepted")
+	for _, doc := range []string{
+		"app: NOPE\nconfig: 8proc\nplan: ce:1@500\n",
+		"app: FLO52\nconfig: 9000proc\nplan: ce:1@500\n",
+	} {
+		if _, err := scenario.Parse("unknown", []byte(doc)); err == nil {
+			t.Fatalf("unknown name accepted:\n%s", doc)
+		}
 	}
 }
