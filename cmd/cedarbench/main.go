@@ -44,6 +44,7 @@ import (
 	"os"
 	"regexp"
 
+	"repro/internal/cli"
 	"repro/internal/scenario"
 )
 
@@ -51,7 +52,7 @@ func main() {
 	dir := flag.String("dir", "testdata/scenarios", "scenario directory (*.scenario files)")
 	out := flag.String("out", "BENCH_scenarios.json", "write the fresh capture here ('' = don't write)")
 	oldPath := flag.String("old", "", "baseline capture to gate against ('' = run without gating)")
-	parallel := flag.Int("parallel", 0, "scenario worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	parallel := cli.ParallelFlag(flag.CommandLine, "scenario worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	wallclock := flag.Bool("wallclock", false, "also record wall-clock events/sec (nondeterministic; never commit such a capture)")
 	run := flag.String("run", "", "only run scenarios whose name matches this regexp")
 	list := flag.Bool("list", false, "list the scenarios and their metric sets, run nothing")
@@ -70,10 +71,6 @@ func main() {
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "cedarbench: unexpected argument %q\n", flag.Arg(0))
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "cedarbench: -parallel %d must be >= 0\n", *parallel)
 		os.Exit(2)
 	}
 

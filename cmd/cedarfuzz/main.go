@@ -68,9 +68,9 @@ func main() {
 	seed := flag.Int64("seed", 0, "sweep: RNG seed (0 = wall clock; the used seed is always printed)")
 	appName := flag.String("app", "FLO52", "sweep: application (a registry name, a gen: spec, a .workload file, or an inline document)")
 	configName := flag.String("config", "8proc", "sweep: machine configuration")
-	steps := flag.Int("steps", 1, "sweep: timestep count")
+	steps := cli.StepsFlag(flag.CommandLine, 1, "sweep: timestep count")
 	shrinkRuns := flag.Int("shrink", 60, "max replays spent shrinking a failing scenario (or pathological workload)")
-	parallel := flag.Int("parallel", 0, "concurrent replays (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
+	parallel := cli.ParallelFlag(flag.CommandLine, "concurrent replays (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
 	apps := flag.Bool("apps", false, "app-space mode: gate the pathology scenarios, then (with -quick) sweep the workload generator")
 	scenariosDir := flag.String("scenarios", "testdata/scenarios", "app-space mode: scenario directory with pathology: declarations")
 	promote := flag.String("promote", "", "app-space mode: write each shrunk pathological workload into this directory as a .scenario file")

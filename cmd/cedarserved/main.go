@@ -1,7 +1,7 @@
-// Command cedarserved is the hardened, long-running sweep service: an
-// HTTP/JSON daemon that accepts simulate, sweep, replay, and corpus
-// jobs, runs them on a bounded worker pool through the deterministic
-// engine, memoizes results in a crash-safe content-addressed cache,
+// Command cedarserved is the hardened, long-running simulation service:
+// an HTTP/JSON daemon that accepts simulate and bench (scenario
+// document) jobs, runs them on a bounded worker pool through the
+// deterministic engine, memoizes results in a crash-safe content-addressed cache,
 // and survives the operational failure modes a batch CLI never meets —
 // overload (bounded queue, 429 + Retry-After), wedged jobs (per-job
 // wall-clock deadlines threaded into the simulation kernel), crashing

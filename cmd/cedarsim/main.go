@@ -147,7 +147,7 @@ func main() {
 	listApps := flag.Bool("list-apps", false, "print the built-in application registry and exit")
 	scenarioPath := flag.String("scenario", "", "run one .scenario file, check its expect: outcome, and print its canonical record capture")
 	machine := cli.MachineFlags(flag.CommandLine, 32, true)
-	steps := flag.Int("steps", 0, "override timestep count (0 = app default)")
+	steps := cli.StepsFlag(flag.CommandLine, 0, "override timestep count (0 = app default)")
 	noBase := flag.Bool("no-baseline", false, "skip the 1-processor baseline (no contention estimate)")
 	chunk := flag.Int("chunk", 0, "XDOALL pickup chunk size (>1 amortizes the iteration lock)")
 	tree := flag.Int("tree", 0, "combining-tree fanout for the unclustered machine's barriers (-config 32flat; >1 enables)")
@@ -159,7 +159,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a runtime/pprof heap profile at exit")
 	seriesPath := flag.String("series", "", "write the sampled time series (CSV, or Prometheus text if *.prom)")
 	metricsPath := flag.String("metrics", "", "write the run's metric registry snapshot (Prometheus text if *.prom, JSON if *.json, CSV otherwise)")
-	parallel := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
+	parallel := cli.ParallelFlag(flag.CommandLine, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
 	serverURL := flag.String("server", "", "submit the run to a cedarserved instance at this URL and print its canonical statfx result")
 	statfx := flag.Bool("statfx", false, "run locally and print only the canonical statfx accounting block (byte-diffable against a -server run)")
 	flag.Parse()
@@ -188,9 +188,6 @@ func main() {
 	}()
 	if *recordPath != "" && *faultSpec == "" {
 		usageErr("-record-scenario needs a -fault plan to record")
-	}
-	if *steps < 0 {
-		usageErr("-steps %d is negative", *steps)
 	}
 	if *chunk < 0 {
 		usageErr("-chunk %d is negative", *chunk)

@@ -76,11 +76,11 @@ func writeRegistrySnapshots(dir string, apps []perfect.App, opts cedar.Options) 
 
 func main() {
 	appsFlag := flag.String("app", "", "comma-separated app sources: registry names, gen: specs, .workload files (default: all five paper apps)")
-	steps := flag.Int("steps", 0, "override timestep count (0 = app default)")
+	steps := cli.StepsFlag(flag.CommandLine, 0, "override timestep count (0 = app default)")
 	paper := flag.Bool("paper", false, "print the paper's published values after each table")
 	csv := flag.Bool("csv", false, "emit machine-readable CSV instead of formatted tables")
 	metricsDir := flag.String("metrics", "", "write each app's 32-CE run metric registry snapshot as JSON into this directory")
-	parallel := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
+	parallel := cli.ParallelFlag(flag.CommandLine, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
 	flag.Parse()
 
 	apps := perfect.Apps()

@@ -38,7 +38,7 @@ import (
 func main() {
 	appName := flag.String("app", "FLO52", "application: a registry name, a gen: spec, a .workload file, or an inline document")
 	machine := cli.MachineFlags(flag.CommandLine, 16, false)
-	steps := flag.Int("steps", 1, "timesteps to run (trace volume grows fast)")
+	steps := cli.StepsFlag(flag.CommandLine, 1, "timesteps to run (trace volume grows fast)")
 	max := flag.Int("max", 200, "maximum trace records to print")
 	summary := flag.Bool("summary", false, "print per-event counts and pair durations only")
 	jsonOut := flag.Bool("json", false, "with -summary: emit the summary as JSON")

@@ -1,13 +1,15 @@
 // Package cli is the one selection path every command shares: it turns
 // an -app value into a perfect.App and the machine flags into an
-// arch.Config, so all commands accept the same sources and report the
-// same errors.
+// arch.Config, and registers the -steps and -parallel counts, so all
+// commands accept the same sources and report the same errors.
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/arch"
@@ -141,4 +143,44 @@ func PrintConfigs(w io.Writer) {
 			c.Name, c.CEs(), c.Clusters, c.CEsPerCluster,
 			c.GMModules, c.NetStages, c.SwitchDegree, note)
 	}
+}
+
+// StepsFlag registers -steps on fs, the timestep count, defaulting to
+// def. A negative value fails the parse with a message naming the flag
+// (exit 2 on an ExitOnError set, like any bad flag value).
+func StepsFlag(fs *flag.FlagSet, def int, usage string) *int {
+	n := def
+	fs.Var((*count)(&n), "steps", usage)
+	return &n
+}
+
+// ParallelFlag registers -parallel on fs, the worker count (0 =
+// GOMAXPROCS, 1 = sequential). A negative value fails the parse like
+// a negative -steps.
+func ParallelFlag(fs *flag.FlagSet, usage string) *int {
+	var n int
+	fs.Var((*count)(&n), "parallel", usage)
+	return &n
+}
+
+// count is an int flag value that refuses negatives.
+type count int
+
+func (c *count) Set(s string) error {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return errors.New("not an integer")
+	}
+	if n < 0 {
+		return fmt.Errorf("negative value %d (want >= 0)", n)
+	}
+	*c = count(n)
+	return nil
+}
+
+func (c *count) String() string {
+	if c == nil {
+		return "0"
+	}
+	return strconv.Itoa(int(*c))
 }

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -89,5 +90,33 @@ func TestPrintConfigsListsEveryFamilyMember(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "32flat") || !strings.Contains(b.String(), "(unclustered)") {
 		t.Fatalf("listing misses the unclustered machine:\n%s", b.String())
+	}
+}
+
+func TestCountFlagsRefuseNegatives(t *testing.T) {
+	parse := func(args ...string) (steps, parallel int, err error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		s, p := StepsFlag(fs, 1, "timesteps"), ParallelFlag(fs, "workers")
+		err = fs.Parse(args)
+		return *s, *p, err
+	}
+	if s, p, err := parse(); err != nil || s != 1 || p != 0 {
+		t.Fatalf("defaults: steps %d parallel %d, %v; want 1 0", s, p, err)
+	}
+	if s, p, err := parse("-steps", "0", "-parallel", "4"); err != nil || s != 0 || p != 4 {
+		t.Fatalf("steps %d parallel %d, %v; want 0 4", s, p, err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-steps", "-1"}, `invalid value "-1" for flag -steps: negative value -1`},
+		{[]string{"-parallel", "-3"}, `invalid value "-3" for flag -parallel: negative value -3`},
+		{[]string{"-steps", "two"}, `invalid value "two" for flag -steps: not an integer`},
+	} {
+		if _, _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
 	}
 }

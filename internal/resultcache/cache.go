@@ -42,7 +42,7 @@ import (
 // canonical form only when non-zero, so keys minted before the field
 // existed keep their addresses.
 type Key struct {
-	// Kind is the job shape ("simulate", "sweep", "replay", ...):
+	// Kind is the job shape ("simulate" or "bench"):
 	// distinct shapes produce distinct payloads for otherwise equal
 	// inputs, so they must never collide.
 	Kind string

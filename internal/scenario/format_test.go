@@ -14,9 +14,9 @@ import (
 // FuzzParse: Parse never panics on any input, and every document it
 // accepts prints to a fixpoint — the canonical form parses back and
 // prints to the same bytes. The seed corpus is every committed
-// scenario, measurement suite and fault corpus alike.
+// scenario: measurement suite, fault corpus and scaling study alike.
 func FuzzParse(f *testing.F) {
-	for _, dir := range []string{"../../testdata/scenarios", "../../testdata/faultcorpus"} {
+	for _, dir := range []string{"../../testdata/scenarios", "../../testdata/faultcorpus", "../../testdata/scaling"} {
 		paths, err := filepath.Glob(filepath.Join(dir, "*"+Ext))
 		if err != nil || len(paths) == 0 {
 			f.Fatalf("no seed scenarios in %s (%v)", dir, err)

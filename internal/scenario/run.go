@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
 	cedar "repro"
 	"repro/internal/arch"
 	"repro/internal/benchcmp"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/perfect"
@@ -108,6 +110,8 @@ func (sc *Scenario) check(err error) error {
 // run fails only when its outcome differs from the declared expect:
 // (or it was interrupted); a run that stops as expected — a pinned
 // deadlock, say — yields the records of the accounting it produced.
+// When the metric set has speedup or ov_cont, RunCtx also runs the
+// 1-processor base they compare against (see base).
 func RunCtx(ctx context.Context, sc *Scenario, wallclock bool) ([]Record, error) {
 	start := time.Now()
 	run, err := sc.Simulate(ctx)
@@ -118,7 +122,30 @@ func RunCtx(ctx context.Context, sc *Scenario, wallclock bool) ([]Record, error)
 	if run == nil {
 		return nil, nil
 	}
-	return sc.extract(run, wall, wallclock)
+	var base *core.Result
+	if slices.Contains(sc.Metrics, MetricSpeedup) || slices.Contains(sc.Metrics, MetricOvCont) {
+		if base, err = sc.base(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return sc.extract(run, base, wall, wallclock)
+}
+
+// base runs the scenario's resolved app on the 1-processor machine: the
+// same steps and seed, and the scenario's own scale factor, so a weak
+// study compares each machine against its own problem size. It always
+// runs healthy — plan events may name CEs the 1-processor machine lacks
+// — and without the cycle budget, which guards the fault plan.
+func (sc *Scenario) base(ctx context.Context) (*core.Result, error) {
+	app, _, err := sc.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	run, err := cedar.SimulateRunCtx(ctx, app, arch.Cedar1, cedar.Options{Steps: sc.Steps, Seed: sc.Seed})
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: 1-processor base: %w", sc.Name, err)
+	}
+	return run.Result, nil
 }
 
 // Reproduce runs the scenario twice, holds both runs to the declared
@@ -199,7 +226,7 @@ func Run(sc *Scenario, wallclock bool) ([]Record, error) {
 // Table-2 decomposition comes from the run's metric registry snapshot
 // — the same source StatfxText and every exporter render from — so a
 // scenario capture is structurally consistent with them.
-func (sc *Scenario) extract(run *cedar.Run, wall time.Duration, wallclock bool) ([]Record, error) {
+func (sc *Scenario) extract(run *cedar.Run, base *core.Result, wall time.Duration, wallclock bool) ([]Record, error) {
 	snap := run.Metrics().Snapshot()
 	events := run.Machine.Kernel.EventsFired()
 	ct := int64(run.Result.CT)
@@ -249,6 +276,18 @@ func (sc *Scenario) extract(run *cedar.Run, wall time.Duration, wallclock bool) 
 				tol = defaultWallTol
 			}
 			out = append(out, stamp(MetricWallEventsPerSec, "events/sec", v, tol))
+		case MetricSpeedup:
+			out = append(out, stamp(MetricSpeedup, "ratio", run.Result.Speedup(base), 0))
+		case MetricOvCont:
+			cont, err := core.ContentionOverhead(base, run.Result)
+			if err != nil {
+				return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+			}
+			out = append(out, stamp(MetricOvCont, "%ct", cont.OvCont, 0))
+		case MetricOSShare:
+			out = append(out, stamp(MetricOSShare, "%ct", run.Result.OSShare()*100, 0))
+		case MetricBarrierShare:
+			out = append(out, stamp(MetricBarrierShare, "%ct", run.Result.Task(0).Barrier*100, 0))
 		default:
 			return nil, fmt.Errorf("scenario %s: unknown metric %q", sc.Name, m)
 		}

@@ -7,8 +7,10 @@
 // capture that is committed and diffed against the previous run with
 // per-metric gates (internal/benchcmp); cedarserved runs one per bench
 // job; cedarsim -scenario runs one and -record-scenario writes one;
-// and the fault-scenario regression corpus (testdata/faultcorpus/),
-// which cedarfuzz replays, is a directory of them too.
+// the fault-scenario regression corpus (testdata/faultcorpus/), which
+// cedarfuzz replays, is a directory of them; and so is the machine-
+// family scaling study (testdata/scaling/): one document per machine,
+// scale: 1 for strong scaling and scale: auto for weak.
 //
 // The paper's contribution is a measurement methodology, not a single
 // number, so the repo's perf and correctness trajectory should live in
@@ -46,7 +48,13 @@
 // scaled members — and an integer pins the factor explicitly.
 // `expect:` declares the run's outcome: ok (the default) completes,
 // deadlock stops with sim.ErrDeadlock, error is any other simulation
-// error; a run fails only when its outcome differs. Metrics default to
+// error; a run fails only when its outcome differs.
+//
+// The metrics are ct_cycles, os_breakdown (the Table-2 rows),
+// concurrency, events, sim_events_per_sec and the opt-in
+// wall_events_per_sec, plus the scaling-study set, which needs expect:
+// ok: speedup and ov_cont (each against a healthy 1-processor run of
+// the same scaled app), os_share and barrier_share. They default to
 // DefaultMetrics. Format prints the canonical form of a document.
 package scenario
 
@@ -99,6 +107,24 @@ const (
 	// with a tolerance instead of exactly, and never part of the
 	// committed byte-identical capture.
 	MetricWallEventsPerSec = "wall_events_per_sec"
+
+	// The scaling-study metrics (the paper's Table 1 and Section 7)
+	// are deterministic and exact, and need a completed run: Parse
+	// rejects them unless expect: is ok. speedup and ov_cont compare
+	// the run against one extra healthy 1-processor base run of the
+	// same resolved app (see RunCtx).
+
+	// MetricSpeedup is the Table-1 speedup: base CT over run CT.
+	MetricSpeedup = "speedup"
+	// MetricOvCont is the Section-7 contention overhead Ov_cont:
+	// T_p_actual minus the base's T_p_ideal estimate, percent of CT.
+	MetricOvCont = "ov_cont"
+	// MetricOSShare is the machine-average OS share of CT (system,
+	// interrupt, and spin), in percent.
+	MetricOSShare = "os_share"
+	// MetricBarrierShare is the main task's barrier wait, percent of
+	// CT.
+	MetricBarrierShare = "barrier_share"
 )
 
 // DefaultMetrics is the extraction set when a scenario names none:
@@ -112,6 +138,12 @@ func DefaultMetrics() []string {
 var knownMetrics = map[string]bool{
 	MetricCT: true, MetricOSBreakdown: true, MetricConcurrency: true,
 	MetricEvents: true, MetricSimEventsPerSec: true, MetricWallEventsPerSec: true,
+	MetricSpeedup: true, MetricOvCont: true, MetricOSShare: true, MetricBarrierShare: true,
+}
+
+// completedOnly are the metrics that need a run that completed.
+var completedOnly = map[string]bool{
+	MetricSpeedup: true, MetricOvCont: true, MetricOSShare: true, MetricBarrierShare: true,
 }
 
 // ScaleAuto is the Scale sentinel for perfect.ScaleFactorFor.
@@ -483,6 +515,13 @@ func (sc *Scenario) validate() error {
 	sc.cfg = cfg
 	if err := sc.Plan.Validate(cfg); err != nil {
 		return fmt.Errorf("scenario %s: %w", sc.Name, err)
+	}
+	if sc.Expectation() != ExpectOK {
+		for _, m := range sc.Metrics {
+			if completedOnly[m] {
+				return fmt.Errorf("scenario %s: metric %s needs expect: ok (a run that stops abnormally has no completion time to compare)", sc.Name, m)
+			}
+		}
 	}
 	return nil
 }

@@ -8,7 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	cedar "repro"
+	"repro/internal/arch"
 	"repro/internal/benchcmp"
+	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 )
 
@@ -180,6 +184,8 @@ func TestParseErrors(t *testing.T) {
 		{"empty workload block", "config: 8proc\nworkload:\n", "missing app"},
 		{"bad workload doc", "config: 8proc\nworkload:\n  steps: 2\n  bogus: 1\n", `unknown key "bogus"`},
 		{"unknown pathology", "app: FLO52\nconfig: 8proc\npathology: slowness\n", `unknown pathology "slowness"`},
+		{"speedup on a deadlock", "app: FLO52\nconfig: 8proc\nexpect: deadlock\nmetrics:\n  - speedup\n",
+			"metric speedup needs expect: ok"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -258,6 +264,66 @@ func TestRunExtractsDefaultMetrics(t *testing.T) {
 	if byMetric[MetricCT].Value <= 0 || byMetric[MetricEvents].Value <= 0 ||
 		byMetric[MetricSimEventsPerSec].Value <= 0 {
 		t.Fatalf("non-positive core metrics: %+v", byMetric)
+	}
+}
+
+// The scaling-study records equal the facade's own computation: the
+// run against a 1-processor base with the scenario's steps and seed,
+// its resolved scale factor (a weak study compares each machine against
+// its own problem), and no fault plan (the plan names CE 5, which the
+// 1-processor machine lacks).
+func TestRunScalingMetrics(t *testing.T) {
+	metricsList := "metrics:\n  - speedup\n  - ov_cont\n  - os_share\n  - barrier_share\n"
+	plan, err := faults.Parse("ce:5x2@1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		doc   string
+		cfg   arch.Config
+		scale int
+		opts  cedar.Options
+	}{
+		{"app: OCEAN\nconfig: 64proc\nsteps: 1\nseed: 11\nscale: auto\n", arch.Scaled64, 2,
+			cedar.Options{Steps: 1, Seed: 11}},
+		{"app: FLO52\nconfig: 8proc\nsteps: 1\nplan: ce:5x2@1000\n", arch.Cedar8, 1,
+			cedar.Options{Steps: 1, Faults: plan}},
+	} {
+		sc, err := Parse("scaling", []byte(tc.doc+metricsList))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := Run(sc, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, _, _ := sc.Resolve()
+		if app.Name == "" || sc.ScaleFactor() != tc.scale {
+			t.Fatalf("%s: scale factor %d, want %d", tc.cfg.Name, sc.ScaleFactor(), tc.scale)
+		}
+		res := cedar.Simulate(app, tc.cfg, tc.opts)
+		healthy := tc.opts
+		healthy.Faults = nil
+		base := cedar.Simulate(app, arch.Cedar1, healthy)
+		cont, err := core.ContentionOverhead(base, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]float64{
+			MetricSpeedup:      res.Speedup(base),
+			MetricOvCont:       cont.OvCont,
+			MetricOSShare:      res.OSShare() * 100,
+			MetricBarrierShare: res.Task(0).Barrier * 100,
+		}
+		if len(recs) != len(want) {
+			t.Fatalf("%s: %d records, want %d", tc.cfg.Name, len(recs), len(want))
+		}
+		for _, r := range recs {
+			if r.Value != want[r.Metric] || r.Scale != tc.scale {
+				t.Errorf("%s %s = %v (scale %d), want %v (scale %d)",
+					tc.cfg.Name, r.Metric, r.Value, r.Scale, want[r.Metric], tc.scale)
+			}
+		}
 	}
 }
 

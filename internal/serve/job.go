@@ -9,7 +9,6 @@ import (
 
 	cedar "repro"
 	"repro/internal/arch"
-	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/perfect"
 	"repro/internal/resultcache"
@@ -17,42 +16,37 @@ import (
 	"repro/internal/sim"
 )
 
-// simTime converts a JSON int64 cycle count to the kernel's time type.
-func simTime(v int64) sim.Time { return sim.Time(v) }
-
 // Job types accepted by the service.
 const (
 	TypeSimulate = "simulate" // one app on one configuration
-	TypeSweep    = "sweep"    // one app across a configuration list
 	TypeBench    = "bench"    // one scenario document, held to its expect:
 )
 
 // JobSpec is the submitted description of one job (the POST /jobs
 // body). Fields are per-type; Validate names misuse precisely.
 type JobSpec struct {
-	// Type selects the job shape: simulate, sweep, or bench. A bench
+	// Type selects the job shape: simulate (one app on one
+	// configuration) or bench (one scenario document). A sweep is one
+	// simulate job per configuration, each cached on its own. A bench
 	// job whose document declares expect: deadlock or error is how a
 	// recorded fault scenario replays through the service.
 	Type string `json:"type"`
-	// App is the application name (simulate, sweep). Registry names and
+	// App is the application name (simulate). Registry names and
 	// single-line gen: specs both resolve; exactly one of App and
-	// Workload must be set for these job types.
+	// Workload must be set.
 	App string `json:"app,omitempty"`
-	// Workload is an inline workload document or gen: spec (simulate,
-	// sweep) — the full-document alternative to App. File paths are
+	// Workload is an inline workload document or gen: spec (simulate)
+	// — the full-document alternative to App. File paths are
 	// rejected: a remote caller must not read server-side files. The
 	// source text folds into the result-cache key, so two generated
 	// apps differing in any knob never share a cache slot.
 	Workload string `json:"workload,omitempty"`
 	// Config is the configuration name (simulate).
 	Config string `json:"config,omitempty"`
-	// Configs lists configuration names for a sweep; empty means the
-	// paper's five.
-	Configs []string `json:"configs,omitempty"`
-	// Steps overrides the timestep count when > 0 (simulate, sweep).
+	// Steps overrides the timestep count when > 0 (simulate).
 	Steps int `json:"steps,omitempty"`
 	// Seed overrides the deterministic kernel seed when non-zero
-	// (simulate, sweep).
+	// (simulate).
 	Seed int64 `json:"seed,omitempty"`
 	// Plan is a fault plan in the faults.Parse grammar (simulate).
 	Plan string `json:"plan,omitempty"`
@@ -69,9 +63,6 @@ type JobSpec struct {
 	// MaxCycles caps virtual time (0 = unlimited): the in-model
 	// counterpart of the wall-clock deadline.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
-	// Parallel bounds intra-job parallelism for sweep jobs
-	// (0 = GOMAXPROCS).
-	Parallel int `json:"parallel,omitempty"`
 	// NoCache skips the result cache for this job (both lookup and
 	// fill).
 	NoCache bool `json:"no_cache,omitempty"`
@@ -82,7 +73,6 @@ type JobSpec struct {
 type resolved struct {
 	app   perfect.App
 	cfg   arch.Config
-	cfgs  []arch.Config
 	plan  faults.Plan
 	bench *scenario.Scenario
 }
@@ -110,27 +100,6 @@ func (sp *JobSpec) Validate() (resolved, error) {
 				return r, err
 			}
 		}
-	case TypeSweep:
-		if r.app, err = sp.resolveApp(); err != nil {
-			return r, err
-		}
-		if sp.Plan != "" {
-			return r, fmt.Errorf("sweep jobs do not take a fault plan (submit per-config simulate jobs)")
-		}
-		names := sp.Configs
-		if len(names) == 0 {
-			for _, c := range arch.PaperConfigs() {
-				names = append(names, c.Name)
-			}
-			sp.Configs = names // canonicalized: the cache key names them
-		}
-		for _, n := range names {
-			cfg, err := lookupConfig(n)
-			if err != nil {
-				return r, err
-			}
-			r.cfgs = append(r.cfgs, cfg)
-		}
 	case TypeBench:
 		if strings.TrimSpace(sp.Bench) == "" {
 			return r, fmt.Errorf("bench job without a scenario document")
@@ -144,20 +113,15 @@ func (sp *JobSpec) Validate() (resolved, error) {
 			r.bench.MaxCycles = sp.MaxCycles
 		}
 	case "":
-		return r, fmt.Errorf("missing job type (want %s, %s, or %s)",
-			TypeSimulate, TypeSweep, TypeBench)
+		return r, fmt.Errorf("missing job type (want %s or %s)", TypeSimulate, TypeBench)
 	default:
-		return r, fmt.Errorf("unknown job type %q (want %s, %s, or %s)",
-			sp.Type, TypeSimulate, TypeSweep, TypeBench)
+		return r, fmt.Errorf("unknown job type %q (want %s or %s)", sp.Type, TypeSimulate, TypeBench)
 	}
 	if sp.DeadlineMS < 0 {
 		return r, fmt.Errorf("negative deadline_ms %d", sp.DeadlineMS)
 	}
 	if sp.MaxCycles < 0 {
 		return r, fmt.Errorf("negative max_cycles %d", sp.MaxCycles)
-	}
-	if sp.Parallel < 0 {
-		return r, fmt.Errorf("negative parallel %d", sp.Parallel)
 	}
 	return r, nil
 }
@@ -198,9 +162,6 @@ func (sp *JobSpec) cacheKey(version string) resultcache.Key {
 	case TypeSimulate:
 		k.App, k.Config, k.Plan = sp.App, sp.Config, sp.Plan
 		k.Workload = sp.Workload
-	case TypeSweep:
-		k.App, k.Config = sp.App, strings.Join(sp.Configs, ",")
-		k.Workload = sp.Workload
 	case TypeBench:
 		// The document text is the whole identity (any edit misses);
 		// spec MaxCycles stays in the key because it folds into the run.
@@ -211,57 +172,20 @@ func (sp *JobSpec) cacheKey(version string) resultcache.Key {
 	return k
 }
 
-// options builds the facade options a spec implies.
-func (sp *JobSpec) options() cedar.Options {
-	return cedar.Options{
-		Steps:     sp.Steps,
-		Seed:      sp.Seed,
-		MaxCycles: simTime(sp.MaxCycles),
-		Parallel:  sp.Parallel,
-	}
-}
-
 // execute runs the job body under ctx and returns the canonical result
-// text. Every simulate-shaped result is Run.StatfxText — the byte-
-// stable accounting block scenario.Reproduce compares — so a service
-// result is directly diffable against a local cedarsim run.
+// text. A simulate result is Run.StatfxText — the byte-stable
+// accounting block scenario.Reproduce compares — so a service result
+// is directly diffable against a local cedarsim run.
 func (sp *JobSpec) execute(ctx context.Context, r resolved, progress func(string)) ([]byte, error) {
 	switch sp.Type {
 	case TypeSimulate:
-		opts := sp.options()
-		opts.Faults = r.plan
-		run, err := cedar.SimulateRunCtx(ctx, r.app, r.cfg, opts)
+		run, err := cedar.SimulateRunCtx(ctx, r.app, r.cfg, cedar.Options{
+			Steps: sp.Steps, Seed: sp.Seed, Faults: r.plan, MaxCycles: sim.Time(sp.MaxCycles)})
 		if err != nil {
 			return nil, err
 		}
 		progress(fmt.Sprintf("simulated %s on %s: ct=%d", r.app.Name, sp.Config, int64(run.Result.CT)))
 		return []byte(run.StatfxText()), nil
-
-	case TypeSweep:
-		type out struct {
-			text string
-			err  error
-		}
-		results, err := engine.MapCtx(ctx, sp.Parallel, r.cfgs,
-			func(ctx context.Context, _ int, cfg arch.Config) out {
-				run, rerr := cedar.SimulateRunCtx(ctx, r.app, cfg, sp.options())
-				if rerr != nil {
-					return out{err: rerr}
-				}
-				progress(fmt.Sprintf("swept %s on %s: ct=%d", r.app.Name, cfg.Name, int64(run.Result.CT)))
-				return out{text: run.StatfxText()}
-			})
-		if err != nil {
-			return nil, err
-		}
-		var b strings.Builder
-		for i, o := range results {
-			if o.err != nil {
-				return nil, fmt.Errorf("config %s: %w", r.cfgs[i].Name, o.err)
-			}
-			fmt.Fprintf(&b, "== %s\n%s", r.cfgs[i].Name, o.text)
-		}
-		return []byte(b.String()), nil
 
 	case TypeBench:
 		recs, err := scenario.RunCtx(ctx, r.bench, false)

@@ -1,8 +1,9 @@
-// Package serve is the long-running sweep service: an HTTP/JSON API
-// that accepts simulation, sweep, replay, and corpus jobs, runs them
-// on a bounded worker pool through the deterministic engine, memoizes
-// results in a crash-safe content-addressed cache, and exposes its own
-// operational metrics at /metrics.
+// Package serve is the long-running simulation service: an HTTP/JSON
+// API that accepts simulate jobs (one app on one configuration) and
+// bench jobs (one scenario document), runs them on a bounded worker
+// pool through the deterministic engine, memoizes results in a
+// crash-safe content-addressed cache, and exposes its own operational
+// metrics at /metrics.
 //
 // Robustness is the design center — the operational analogue of the
 // simulated machine's fail-stop machinery:
@@ -111,7 +112,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the sweep service. Create with New, start workers with
+// Server is the simulation service. Create with New, start workers with
 // Start, mount Handler on an http.Server, and call Drain on SIGTERM.
 type Server struct {
 	cfg   Config

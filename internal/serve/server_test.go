@@ -650,7 +650,7 @@ func TestCorruptCacheEntryRecomputed(t *testing.T) {
 // The progress stream yields NDJSON events ending in a state line.
 func TestEventsStream(t *testing.T) {
 	_, ts := newTestServer(t, fastCfg(), nil)
-	spec := JobSpec{Type: TypeSweep, App: "FLO52", Configs: []string{"1proc", "4proc"}, Steps: 2}
+	spec := JobSpec{Type: TypeSimulate, App: "FLO52", Config: "4proc", Steps: 2}
 	_, sub, _ := submit(t, ts, spec)
 	resp, err := http.Get(ts.URL + "/jobs/" + sub.ID + "/events")
 	if err != nil {
@@ -669,14 +669,14 @@ func TestEventsStream(t *testing.T) {
 	if !strings.Contains(last, `"state"`) || !strings.Contains(last, StateDone) {
 		t.Fatalf("stream did not end with a done state line: %v", lines)
 	}
-	var sawSweep bool
+	var sawProgress bool
 	for _, l := range lines {
-		if strings.Contains(l, "swept FLO52") {
-			sawSweep = true
+		if strings.Contains(l, "simulated FLO52 on 4proc: ct=") {
+			sawProgress = true
 		}
 	}
-	if !sawSweep {
-		t.Fatalf("no per-config progress in stream: %v", lines)
+	if !sawProgress {
+		t.Fatalf("no simulation progress in stream: %v", lines)
 	}
 }
 
@@ -718,12 +718,12 @@ func TestBadRequests(t *testing.T) {
 		{JobSpec{Type: "simulate", App: "NOPE", Config: "8proc"}, "unknown app"},
 		{JobSpec{Type: "simulate", App: "FLO52", Config: "9proc"}, "unknown configuration"},
 		{JobSpec{Type: "simulate", App: "FLO52", Config: "8proc", Plan: "ce:99@1"}, "out of range"},
-		{JobSpec{Type: "sweep", App: "FLO52", Plan: "ce:1@500"}, "fault plan"},
 		{JobSpec{Type: "mystery"}, "unknown job type"},
 		{JobSpec{}, "missing job type"},
 		// The body is JSON, so the type's quotes arrive escaped.
-		{JobSpec{Type: "replay"}, `unknown job type \"replay\" (want simulate, sweep, or bench)`},
-		{JobSpec{Type: "corpus"}, `unknown job type \"corpus\" (want simulate, sweep, or bench)`},
+		{JobSpec{Type: "sweep", App: "FLO52"}, `unknown job type \"sweep\" (want simulate or bench)`},
+		{JobSpec{Type: "replay"}, `unknown job type \"replay\" (want simulate or bench)`},
+		{JobSpec{Type: "corpus"}, `unknown job type \"corpus\" (want simulate or bench)`},
 		{JobSpec{Type: "simulate", App: "FLO52", Config: "8proc", DeadlineMS: -1}, "deadline_ms"},
 	}
 	for _, c := range cases {

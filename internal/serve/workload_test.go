@@ -98,7 +98,7 @@ func TestSimulateJobGenWorkload(t *testing.T) {
 }
 
 // Bad workload submissions are rejected at submit time with a clear
-// message: both sources, neither source on a sweep, and file paths
+// message: both sources, neither source, and file paths
 // (the server must never read server-side files for a remote caller).
 func TestWorkloadBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, fastCfg(), nil)
@@ -110,7 +110,7 @@ func TestWorkloadBadRequests(t *testing.T) {
 			"mutually exclusive"},
 		{JobSpec{Type: TypeSimulate, Workload: "apps.workload", Config: "8proc"},
 			"not allowed here"},
-		{JobSpec{Type: TypeSweep},
+		{JobSpec{Type: TypeSimulate, Config: "8proc"},
 			"missing app (or workload)"},
 		{JobSpec{Type: TypeSimulate, Workload: "steps: 2\nbogus: 1\n", Config: "8proc"},
 			"unknown key"},
