@@ -34,6 +34,13 @@ func TestStatfxTextMatchesGolden(t *testing.T) {
 		{golden: "testdata/golden/statfx_ocean_scaled128.txt", app: "OCEAN", cfg: arch.Scaled128},
 		{golden: "testdata/golden/statfx_flo52_scaled256.txt", app: "FLO52", cfg: arch.Scaled256},
 		{golden: "testdata/golden/statfx_mdg_deep64.txt", app: "MDG", cfg: arch.Deep64},
+		// Degraded ports and inflated modules stretch the calendar
+		// bookings of the memory walk; Deep64's three stages share each
+		// inner-stage port among several modules.
+		{golden: "testdata/golden/statfx_flo52_scaled64_degraded.txt", app: "FLO52",
+			plan: "port:5x4@0,port:40x2.5@20000,module:9x2@0", cfg: arch.Scaled64},
+		{golden: "testdata/golden/statfx_mdg_deep64_degraded.txt", app: "MDG",
+			plan: "port:3x4@0,module:100x2@0", cfg: arch.Deep64},
 	}
 	for _, tc := range cases {
 		want, err := os.ReadFile(tc.golden)
