@@ -282,30 +282,18 @@ func registerProbes(reg *metricreg.Registry, m *cluster.Machine) {
 		return countCEs(func(ce *cluster.CE) bool { return ce.Busy() == metrics.CatOSSpin })
 	})
 	reg.GaugeFunc("gm_module_util_mean", "mean global-memory module utilization", "fraction", func() float64 {
-		us := m.GM.ModuleUtilization(now())
-		if len(us) == 0 {
-			return 0
-		}
-		sum := 0.0
-		for _, u := range us {
-			sum += u
-		}
-		return sum / float64(len(us))
+		mean, _ := m.GM.UtilizationSummary(now())
+		return mean
 	})
 	reg.GaugeFunc("gm_module_util_max", "utilization of the hottest global-memory module", "fraction", func() float64 {
-		max := 0.0
-		for _, u := range m.GM.ModuleUtilization(now()) {
-			if u > max {
-				max = u
-			}
-		}
+		_, max := m.GM.UtilizationSummary(now())
 		return max
 	})
 	reg.GaugeFunc("gm_backlog_cycles", "queued work across global-memory modules", "cycles", func() float64 {
 		return float64(m.GM.ModuleBacklog(now()))
 	})
 	reg.CounterFunc("gm_accesses", "global-memory accesses issued", "accesses", func() float64 {
-		return float64(m.GM.Stats().Accesses)
+		return float64(m.GM.Accesses())
 	})
 	reg.GaugeFunc("net_backlog_cycles", "queued work across network ports", "cycles", func() float64 {
 		return float64(m.GM.Net().Backlog(now()))

@@ -30,6 +30,10 @@ type Memory struct {
 	// (entry mod is module mod) — the dense layout the per-access loop
 	// walks instead of one heap object per module.
 	modules *sim.CalendarStore
+	// runAt is reserveRun's per-slice time buffer: each slice's
+	// departure from stage 0, then its arrival at the module, then the
+	// end of its module slot. A run has at most GMModules slices.
+	runAt []sim.Time
 
 	// Scratch buffers for the degraded walk (walkSorted), allocated
 	// with the fault state and reused across Access calls. A Memory
@@ -73,6 +77,7 @@ func New(cfg arch.Config, cost arch.CostModel) *Memory {
 		cost:    cost,
 		net:     network.NewPair(cfg, cost),
 		modules: sim.NewCalendarStore(cfg.GMModules),
+		runAt:   make([]sim.Time, cfg.GMModules),
 	}
 }
 
@@ -275,15 +280,23 @@ func (m *Memory) walkRanges(ce arch.CEID, sl spread, inject sim.Time) sim.Time {
 // reserveRun books forward stages 1..k-1 and the modules for n slices
 // from slice i, served by the consecutive home modules from mod, all
 // leaving stage 0 at a0. It returns when the last module finishes.
+// The run is booked stage-major: every slice through each forward
+// stage, then every slice at its module. Each port and module still
+// receives this access's bookings in slice order, so the result equals
+// a per-slice walk through the stages.
 func (m *Memory) reserveRun(sl spread, mod, i, n int, a0 sim.Time) sim.Time {
-	var ready sim.Time
-	for j := 0; j < n; j++ {
-		w := sl.words(i + j)
-		aIn, _ := m.net.ReserveFwdSubtree(mod+j, a0, w)
-		_, end := m.modules.Reserve(mod+j, aIn, m.moduleBusy(mod+j, w, false))
-		ready = max(ready, end)
+	if n == 0 {
+		return 0
 	}
-	return ready
+	times := m.runAt[:n]
+	for j := range times {
+		times[j] = a0
+	}
+	nLong := min(max(sl.extra-i, 0), n)
+	m.net.ReserveFwdRun(mod, times, sl.per, nLong)
+	short := sim.Duration(m.cost.ModuleLatency + int64(sl.per)*m.cost.ModuleCyclesPerWord)
+	long := short + sim.Duration(m.cost.ModuleCyclesPerWord)
+	return m.modules.ReserveRun(0, mod, 1, times, short, long, nLong, m.inflate)
 }
 
 // walkSorted is walkRanges for a memory with modules offline, where a
@@ -421,8 +434,30 @@ func (m *Memory) Stats() Stats {
 	return st
 }
 
+// Accesses returns how many accesses the memory has served.
+func (m *Memory) Accesses() uint64 { return m.accesses }
+
+// UtilizationSummary returns the mean and the largest of the modules'
+// busy fractions at time now, the same values ModuleUtilization's
+// entries give, without building the per-module slice.
+func (m *Memory) UtilizationSummary(now sim.Time) (mean, max float64) {
+	n := m.modules.Len()
+	if n == 0 {
+		return 0, 0
+	}
+	var sum float64
+	for i := 0; i < n; i++ {
+		u := m.modules.Utilization(i, now)
+		sum += u
+		if u > max {
+			max = u
+		}
+	}
+	return sum / float64(n), max
+}
+
 // ModuleUtilization returns per-module busy fractions at time now —
-// useful for spotting hot modules in tests and the trace tool.
+// the trace tool's per-module table.
 func (m *Memory) ModuleUtilization(now sim.Time) []float64 {
 	out := make([]float64, m.modules.Len())
 	for i := range out {

@@ -256,13 +256,8 @@ func sameState(a, b *Memory) string {
 	if a.Stats() != b.Stats() {
 		return fmt.Sprintf("stats %+v vs %+v", a.Stats(), b.Stats())
 	}
-	for i := 0; i < a.modules.Len(); i++ {
-		x, y := a.modules, b.modules
-		if x.FreeAt(i) != y.FreeAt(i) || x.Reservations(i) != y.Reservations(i) ||
-			x.BusyTotal(i) != y.BusyTotal(i) || x.DelayTotal(i) != y.DelayTotal(i) ||
-			x.Delayed(i) != y.Delayed(i) {
-			return fmt.Sprintf("module %d conveyor differs", i)
-		}
+	if !reflect.DeepEqual(a.modules, b.modules) {
+		return "module conveyors differ"
 	}
 	if !reflect.DeepEqual(a.net.Forward, b.net.Forward) {
 		return "forward port conveyors differ"
@@ -290,28 +285,60 @@ func firstModules(nMod, span int) []int {
 	return out
 }
 
+// degradations are the memory states the differential test runs:
+// healthy; modules offline (walkSorted); inflated modules with all
+// modules online; and degraded forward ports with all modules online —
+// on stage 1 and, on networks of three or more stages, on every stage
+// after it, so the ports that inner stages share among several modules
+// are stretched too. Factors like 1.3 and 2.5 exercise the rounding of
+// stretched busy times.
+var degradations = []struct {
+	name string
+	arm  func(m *Memory)
+}{
+	{"healthy", func(*Memory) {}},
+	{"offline", func(m *Memory) {
+		nMod := m.cfg.GMModules
+		m.OfflineModule(0)
+		m.OfflineModule(nMod / 2)
+		m.InflateModule(nMod-1, 2.5)
+	}},
+	{"inflated", func(m *Memory) {
+		nMod := m.cfg.GMModules
+		m.InflateModule(0, 2)
+		m.InflateModule(nMod/2, 1.3)
+		m.InflateModule(nMod-1, 2.5)
+	}},
+	{"ports", func(m *Memory) {
+		fwd := m.net.Forward
+		for s := 1; s < m.cfg.NetStages; s++ {
+			last := m.cfg.GMModules - 1 // the stage's last port in use
+			for i := s; i < m.cfg.NetStages-1; i++ {
+				last /= m.cfg.SwitchDegree
+			}
+			fwd.DegradePort(s, 0, 4)
+			fwd.DegradePort(s, last/2, 1.3)
+			fwd.DegradePort(s, last, 2.5)
+		}
+	}},
+}
+
 // TestAccessMatchesCountingSortWalk drives Access and refAccess over
 // the same access streams and requires identical results for every
-// access and identical statistics and module and port state after every
-// 64 first modules (after each one on big machines). It covers every
-// named configuration, the first modules of firstModules, word counts
-// around the group span and the module count, and a degraded memory
-// with modules offline.
+// access and identical statistics and module and port state after
+// every access. It covers every named configuration, the first modules
+// of firstModules, word counts around the group span and the module
+// count, and every memory state of degradations.
 func TestAccessMatchesCountingSortWalk(t *testing.T) {
 	for _, cfg := range arch.Families() {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			nMod, span := cfg.GMModules, cfg.GroupSpan()
 			sizes := []int{1, span - 1, span, span + 1, nMod - 1, nMod, nMod + 1, 3*nMod + 5}
-			for _, degraded := range []bool{false, true} {
+			for _, deg := range degradations {
 				got, want := New(cfg, arch.DefaultCosts()), New(cfg, arch.DefaultCosts())
-				if degraded {
-					for _, mem := range []*Memory{got, want} {
-						mem.OfflineModule(0)
-						mem.OfflineModule(nMod / 2)
-						mem.InflateModule(nMod-1, 2.5)
-					}
-				}
+				deg.arm(got)
+				deg.arm(want)
 				at := sim.Time(0)
 				for _, first := range firstModules(nMod, span) {
 					for k, words := range sizes {
@@ -323,16 +350,47 @@ func TestAccessMatchesCountingSortWalk(t *testing.T) {
 						d1, q1 := got.Access(at, ce, addr, words)
 						d2, q2 := refAccess(want, at, ce, addr, words)
 						if d1 != d2 || q1 != q2 {
-							t.Fatalf("degraded=%v first=%d words=%d: Access (%d, %d), reference (%d, %d)",
-								degraded, first, words, d1, q1, d2, q2)
+							t.Fatalf("%s first=%d words=%d: Access (%d, %d), reference (%d, %d)",
+								deg.name, first, words, d1, q1, d2, q2)
 						}
 						if diff := sameState(got, want); diff != "" {
-							t.Fatalf("degraded=%v first=%d words=%d: %s", degraded, first, words, diff)
+							t.Fatalf("%s first=%d words=%d: %s", deg.name, first, words, diff)
 						}
 						at += sim.Time(1 + (first+k)%5)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestUtilizationSummary: the summary equals the mean and the largest
+// entry of ModuleUtilization, computed the same way, and allocates
+// nothing.
+func TestUtilizationSummary(t *testing.T) {
+	cfg := arch.Scaled64
+	m := New(cfg, arch.DefaultCosts())
+	if mean, max := m.UtilizationSummary(0); mean != 0 || max != 0 {
+		t.Fatalf("summary at time 0 = (%g, %g), want zeros", mean, max)
+	}
+	for g := 0; g < 40; g++ {
+		m.Access(sim.Time(g), cfg.CEByGlobal(g%cfg.CEs()), int64(g*13), 1+g%9)
+	}
+	now := sim.Time(5000)
+	var sum, wantMax float64
+	us := m.ModuleUtilization(now)
+	for _, u := range us {
+		sum += u
+		wantMax = max(wantMax, u)
+	}
+	mean, gotMax := m.UtilizationSummary(now)
+	if mean != sum/float64(len(us)) || gotMax != wantMax || gotMax == 0 {
+		t.Fatalf("summary (%g, %g), want (%g, %g)", mean, gotMax, sum/float64(len(us)), wantMax)
+	}
+	if m.Accesses() != 40 {
+		t.Fatalf("Accesses = %d, want 40", m.Accesses())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.UtilizationSummary(now) }); allocs != 0 {
+		t.Fatalf("UtilizationSummary allocates %v, want 0", allocs)
 	}
 }

@@ -235,7 +235,8 @@ func (p *Pair) FwdStage0Port(ce arch.CEID, g int) int {
 // FwdModulePorts returns the forward port indices a message traverses
 // inside the module's subtree — stages 1..k-1, ending at the module's
 // own port. For the two-stage Cedar network this is just [module].
-// The hot path uses the allocation-free ReserveFwdSubtree instead.
+// The hot paths use the allocation-free ReserveFwdRun and
+// ReserveFwdSubtree instead.
 func (p *Pair) FwdModulePorts(module int) []int {
 	k := p.Forward.cfg.NetStages
 	ports := make([]int, 0, k-1)
@@ -268,10 +269,11 @@ func (p *Pair) RetGroupPorts(g int, ce arch.CEID) []int {
 
 // ReserveFwdSubtree carries one module slice through forward stages
 // 1..k-1 in a single walk: the batched form of calling Port along
-// FwdModulePorts, with the per-call route slice and repeated divisor
-// recomputation coalesced into one pass over the store. It returns the
-// time the slice has fully arrived at the module's input and the
-// queueing delay accumulated at the traversed ports.
+// FwdModulePorts. It returns the time the slice has fully arrived at
+// the module's input and the queueing delay accumulated at the
+// traversed ports. It serves slices whose modules are not consecutive,
+// as when offline modules send slices to fallback modules; a run of
+// consecutive modules books through ReserveFwdRun.
 func (p *Pair) ReserveFwdSubtree(module int, at sim.Time, words int) (arrive sim.Time, queued sim.Duration) {
 	n := p.Forward
 	if words < 1 {
@@ -285,6 +287,32 @@ func (p *Pair) ReserveFwdSubtree(module int, at sim.Time, words int) (arrive sim
 		t = end + sim.Duration(n.cost.StageLatency)
 	}
 	return t, queued
+}
+
+// ReserveFwdRun carries a run of module slices through forward stages
+// 1..k-1: slice j is bound for module mod+j, left stage 0 at times[j],
+// and carries words+1 words when j < nLong and words otherwise. On
+// return times[j] is when slice j has fully arrived at its module's
+// input. The run is booked stage by stage, one ReserveRun per stage,
+// which gives every port the same bookings in the same slice order as
+// a ReserveFwdSubtree call per slice: a slice's request time at a stage
+// depends only on its own arrival from the stage before, and different
+// stages share no port.
+func (p *Pair) ReserveFwdRun(mod int, times []sim.Time, words, nLong int) {
+	n := p.Forward
+	short := sim.Duration(int64(max(words, 1)) * n.cost.PortCyclesPerWord)
+	long := sim.Duration(int64(max(words+1, 1)) * n.cost.PortCyclesPerWord)
+	lat := sim.Duration(n.cost.StageLatency)
+	for s := 1; s < n.cfg.NetStages; s++ {
+		var stretch []float64
+		if n.degrade != nil {
+			stretch = n.degrade[s*n.width : (s+1)*n.width]
+		}
+		n.store.ReserveRun(s*n.width, mod, n.stageDivs[s], times, short, long, nLong, stretch)
+		for j := range times {
+			times[j] += lat
+		}
+	}
 }
 
 // ReserveRetGroup carries a group's reply burst through return stages

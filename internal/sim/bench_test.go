@@ -82,6 +82,28 @@ func BenchmarkCalendarReserve(b *testing.B) {
 	}
 }
 
+// BenchmarkCalendarReserveRun measures run booking: one op books a
+// 32-slice run, one entry per slice, as a healthy memory books one
+// group's modules. It must stay 0 allocs/op; compare its ns/op with 32
+// BenchmarkCalendarReserve ops.
+func BenchmarkCalendarReserveRun(b *testing.B) {
+	c := NewCalendarStore(64)
+	times := make([]Time, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var at Time
+	for i := 0; i < b.N; i++ {
+		for j := range times {
+			times[j] = at
+		}
+		c.ReserveRun(0, i%32, 1, times, 3, 4, i%7, nil)
+		// Alternate contended and idle arrivals.
+		if i%2 == 0 {
+			at = times[len(times)-1] + 2
+		}
+	}
+}
+
 // BenchmarkProcPingPong measures the process switch itself: two
 // processes alternate Hold(1), so every event resumes the other
 // process and no callback or self-wake ever runs in between. One op is

@@ -22,23 +22,26 @@ import "fmt"
 // parallel arrays keeps that hot path in a handful of cache lines.
 // Entries have no names — owners that need a diagnostic name (e.g.
 // the network's hot-port report) synthesize it from the index.
+//
+// Per entry the store keeps only what callers read per entry: the free
+// time, the booked busy time (utilization) and the imposed queueing
+// delay (hot-spot reports). Reservation and delayed counts are read
+// only as totals, so they are store-wide counters.
 type CalendarStore struct {
 	freeAt       []Time
-	reservations []uint64
 	busyTotal    []Duration
 	delayTotal   []Duration
-	delayed      []uint64
+	reservations uint64
+	delayed      uint64
 }
 
 // NewCalendarStore creates a store of n conveyor resources, all free
 // at time zero.
 func NewCalendarStore(n int) *CalendarStore {
 	return &CalendarStore{
-		freeAt:       make([]Time, n),
-		reservations: make([]uint64, n),
-		busyTotal:    make([]Duration, n),
-		delayTotal:   make([]Duration, n),
-		delayed:      make([]uint64, n),
+		freeAt:     make([]Time, n),
+		busyTotal:  make([]Duration, n),
+		delayTotal: make([]Duration, n),
 	}
 }
 
@@ -52,23 +55,105 @@ func (s *CalendarStore) Reserve(i int, at Time, busy Duration) (start, end Time)
 		panic(fmt.Sprintf("sim: calendar store entry %d negative busy %d", i, busy))
 	}
 	start = at
-	if s.freeAt[i] > start {
-		start = s.freeAt[i]
-		s.delayed[i]++
+	if f := s.freeAt[i]; f > at {
+		start = f
+		s.delayed++
+		s.delayTotal[i] += f - at
 	}
 	end = start + busy
 	s.freeAt[i] = end
-	s.reservations[i]++
+	s.reservations++
 	s.busyTotal[i] += busy
-	s.delayTotal[i] += start - at
 	return start, end
+}
+
+// ReserveRun books one run of len(times) slices in slice order, with
+// the same result as a Reserve call per slice. Slice j books entry
+// base + (first+j)/div at request time times[j], and times[j] receives
+// the end of its slot. div is 1 when every slice has an entry of its
+// own; a larger div shares each entry among div consecutive slices.
+// Slices j < nLong are busy for long cycles and the rest for short.
+// When stretch is non-nil, an entry whose stretch[(first+j)/div]
+// exceeds 1 holds each slice that many times longer, rounded to the
+// nearest cycle. ReserveRun returns the latest end, or 0 for an empty
+// run.
+func (s *CalendarStore) ReserveRun(base, first, div int, times []Time, short, long Duration, nLong int, stretch []float64) (last Time) {
+	if short < 0 || long < 0 {
+		panic(fmt.Sprintf("sim: calendar store run at entry %d negative busy %d/%d", base, short, long))
+	}
+	s.reservations += uint64(len(times))
+	if div == 1 && stretch == nil {
+		// One entry per slice and no stretch: a healthy module bank or
+		// final forward stage, the common case, in a loop with few
+		// enough live values to stay in registers.
+		e := base + first
+		delayed, last := bookRun(s.freeAt[e:], s.busyTotal[e:], s.delayTotal[e:], times, short, long, nLong)
+		s.delayed += delayed
+		return last
+	}
+	var delayed uint64
+	idx, rem := first/div, first%div
+	for j, at := range times {
+		busy := short
+		if j < nLong {
+			busy = long
+		}
+		if stretch != nil {
+			if f := stretch[idx]; f > 1 {
+				busy = Duration(float64(busy)*f + 0.5)
+			}
+		}
+		e := base + idx
+		start := at
+		if f := s.freeAt[e]; f > at {
+			start = f
+			delayed++
+			s.delayTotal[e] += f - at
+		}
+		end := start + busy
+		s.freeAt[e] = end
+		s.busyTotal[e] += busy
+		times[j] = end
+		last = max(last, end)
+		if rem++; rem == div {
+			idx, rem = idx+1, 0
+		}
+	}
+	s.delayed += delayed
+	return last
+}
+
+// bookRun is ReserveRun for one entry per slice with no stretch: slice
+// j books freeAt[j], busyTotal[j] and delayTotal[j]. It returns how
+// many slices found their entry busy and the latest end.
+func bookRun(freeAt []Time, busyTotal, delayTotal []Duration, times []Time, short, long Duration, nLong int) (delayed uint64, last Time) {
+	n := len(times)
+	if n == 0 {
+		return 0, 0
+	}
+	freeAt, busyTotal, delayTotal = freeAt[:n], busyTotal[:n], delayTotal[:n]
+	for j, at := range times {
+		busy := short
+		if j < nLong {
+			busy = long
+		}
+		start := at
+		if f := freeAt[j]; f > at {
+			start = f
+			delayed++
+			delayTotal[j] += f - at
+		}
+		end := start + busy
+		freeAt[j] = end
+		busyTotal[j] += busy
+		times[j] = end
+		last = max(last, end)
+	}
+	return delayed, last
 }
 
 // FreeAt returns the time resource i next becomes free.
 func (s *CalendarStore) FreeAt(i int) Time { return s.freeAt[i] }
-
-// Reservations returns the number of Reserve calls on resource i.
-func (s *CalendarStore) Reservations(i int) uint64 { return s.reservations[i] }
 
 // BusyTotal returns the total busy time booked on resource i.
 func (s *CalendarStore) BusyTotal(i int) Duration { return s.busyTotal[i] }
@@ -76,9 +161,6 @@ func (s *CalendarStore) BusyTotal(i int) Duration { return s.busyTotal[i] }
 // DelayTotal returns the total queueing delay imposed on resource i's
 // reservations.
 func (s *CalendarStore) DelayTotal(i int) Duration { return s.delayTotal[i] }
-
-// Delayed returns how many reservations found resource i busy.
-func (s *CalendarStore) Delayed(i int) uint64 { return s.delayed[i] }
 
 // Utilization returns resource i's busyTotal / now; now must be > 0.
 func (s *CalendarStore) Utilization(i int, now Time) float64 {
@@ -109,15 +191,15 @@ func (s *CalendarStore) DelaySum() Duration {
 	return total
 }
 
-// Totals returns the aggregate statistics over all resources.
+// Totals returns the aggregate statistics over all resources: the
+// bookings made, the busy time and queueing delay they imposed, and
+// how many of them found their resource busy.
 func (s *CalendarStore) Totals() (reservations uint64, busy, delay Duration, delayed uint64) {
-	for i := range s.freeAt {
-		reservations += s.reservations[i]
+	for i := range s.busyTotal {
 		busy += s.busyTotal[i]
 		delay += s.delayTotal[i]
-		delayed += s.delayed[i]
 	}
-	return
+	return s.reservations, busy, delay, s.delayed
 }
 
 // MaxDelayIndex returns the resource with the largest cumulative

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -233,10 +234,11 @@ func TestCalendarBackToBack(t *testing.T) {
 	if s1 != 0 || e1 != 10 || s2 != 10 || e2 != 20 {
 		t.Fatalf("reservations: [%d,%d] [%d,%d]", s1, e1, s2, e2)
 	}
-	if c.DelayTotal(1) != 10 || c.Delayed(1) != 1 {
-		t.Fatalf("delay=%d delayed=%d", c.DelayTotal(1), c.Delayed(1))
+	if res, _, delay, delayed := c.Totals(); c.DelayTotal(1) != 10 || res != 2 || delay != 10 || delayed != 1 {
+		t.Fatalf("entry delay=%d; totals reservations=%d delay=%d delayed=%d",
+			c.DelayTotal(1), res, delay, delayed)
 	}
-	if c.FreeAt(0) != 0 || c.Reservations(0) != 0 {
+	if c.FreeAt(0) != 0 || c.BusyTotal(0) != 0 || c.DelayTotal(0) != 0 {
 		t.Fatal("reserving entry 1 touched entry 0")
 	}
 }
@@ -284,6 +286,109 @@ func TestQuickCalendarNoOverlap(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// calendarRun is one random ReserveRun: a store of 1..16 entries that
+// earlier bookings left partly busy, and a run over it.
+type calendarRun struct {
+	Entries     uint8
+	Warm        []struct{ Entry, At, Busy uint8 }
+	Base, First uint8
+	Div         uint8
+	At          []uint16
+	Short, Long uint8
+	NLong       uint8
+	Stretched   bool    // false books with a nil stretch
+	Stretch     []uint8 // per-entry factor codes
+}
+
+// stretchFactors maps a stretch code to a factor: 0 and 1 leave the
+// busy time alone, the rest stretch it, some to a half cycle.
+var stretchFactors = [...]float64{0, 1, 0.5, 1.25, 1.5, 2, 2.5, 3.3, 4}
+
+// apply books r through ReserveRun when run is true, and through one
+// Reserve call per slice otherwise, and returns the store, the end time
+// of every slice and the latest end.
+func (r calendarRun) apply(run bool) (c *CalendarStore, ends []Time, last Time) {
+	n := int(r.Entries%16) + 1
+	c = NewCalendarStore(n)
+	for _, w := range r.Warm {
+		c.Reserve(int(w.Entry)%n, Time(w.At), Duration(w.Busy))
+	}
+	div := int(r.Div%4) + 1
+	base := int(r.Base) % n
+	first := int(r.First) % ((n - base) * div)
+	slices := min(len(r.At), (n-base)*div-first)
+	times := make([]Time, slices)
+	for j := range times {
+		times[j] = Time(r.At[j] % 512)
+	}
+	nLong := int(r.NLong) % (slices + 1)
+	var stretch []float64
+	if r.Stretched {
+		stretch = make([]float64, n-base)
+		for e := range stretch {
+			if e < len(r.Stretch) {
+				stretch[e] = stretchFactors[int(r.Stretch[e])%len(stretchFactors)]
+			}
+		}
+	}
+	short, long := Duration(r.Short), Duration(r.Long)
+	if run {
+		return c, times, c.ReserveRun(base, first, div, times, short, long, nLong, stretch)
+	}
+	for j, at := range times {
+		rel := (first + j) / div
+		busy := short
+		if j < nLong {
+			busy = long
+		}
+		if stretch != nil && stretch[rel] > 1 {
+			busy = Duration(float64(busy)*stretch[rel] + 0.5)
+		}
+		_, times[j] = c.Reserve(base+rel, at, busy)
+		last = max(last, times[j])
+	}
+	return c, times, last
+}
+
+// Property: ReserveRun leaves the store, its totals, the slice end
+// times and the latest end exactly as the same bookings made one
+// Reserve call at a time.
+func TestQuickCalendarReserveRunMatchesReserve(t *testing.T) {
+	f := func(r calendarRun) bool {
+		got, gotEnds, gotLast := r.apply(true)
+		want, wantEnds, wantLast := r.apply(false)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotEnds, wantEnds) || gotLast != wantLast {
+			return false
+		}
+		r1, b1, d1, x1 := got.Totals()
+		r2, b2, d2, x2 := want.Totals()
+		return r1 == r2 && b1 == b2 && d1 == d2 && x1 == x2 && r1 == uint64(len(r.Warm)+len(gotEnds))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCalendarReserveRunAllocs: booking a run allocates nothing.
+func TestCalendarReserveRunAllocs(t *testing.T) {
+	c := NewCalendarStore(64)
+	times := make([]Time, 32)
+	stretch := make([]float64, 32)
+	stretch[5] = 2.5
+	var at Time
+	allocs := testing.AllocsPerRun(100, func() {
+		for j := range times {
+			times[j] = at
+		}
+		c.ReserveRun(32, 3, 2, times, 4, 5, 7, stretch)
+		c.ReserveRun(0, 0, 1, times, 4, 5, 7, nil)
+		at += 3
+	})
+	if allocs != 0 {
+		t.Fatalf("ReserveRun allocates %v per run, want 0", allocs)
 	}
 }
 

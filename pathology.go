@@ -76,18 +76,7 @@ func (r *Run) Pathologies() []string {
 // modules: whole-run busy fractions come from the module calendars at
 // the kernel's final time.
 func (r *Run) hotSpot() bool {
-	us := r.Machine.GM.ModuleUtilization(r.Machine.Kernel.Now())
-	if len(us) == 0 {
-		return false
-	}
-	var sum, max float64
-	for _, u := range us {
-		sum += u
-		if u > max {
-			max = u
-		}
-	}
-	mean := sum / float64(len(us))
+	mean, max := r.Machine.GM.UtilizationSummary(r.Machine.Kernel.Now())
 	return mean > 0 && max >= hotSpotMinUtil && max/mean >= hotSpotSkew
 }
 
