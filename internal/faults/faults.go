@@ -223,6 +223,14 @@ func parseOne(item string) (Event, error) {
 	default:
 		return ev, fmt.Errorf("unknown kind %q (want ce, module, port, lock, storm)", kindPart)
 	}
+	// A factor or span the kind has no use for would be dropped when
+	// the plan prints, so the printed plan would mean something else.
+	if span > 0 && ev.Kind != LockStall {
+		return ev, fmt.Errorf("a span applies only to lock, not %s", kindPart)
+	}
+	if factor > 0 && (ev.Kind == LockStall || ev.Kind == PageStorm) {
+		return ev, fmt.Errorf("a factor does not apply to %s", kindPart)
+	}
 	return ev, nil
 }
 

@@ -67,6 +67,10 @@ func TestParseErrors(t *testing.T) {
 		"ce:2xNaN@0",      // NaN factor
 		"ce:2xInf@0",      // infinite factor
 		"lock:0@0+NaN",    // NaN span
+		"ce:1@5+10",       // span on a kind without one
+		"port:3x2@0+9",    // span on a kind without one
+		"storm:1x2@5",     // factor on a kind without one
+		"lock:0x3@5",      // factor on a kind without one
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q): expected error", spec)
