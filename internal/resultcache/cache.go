@@ -1,9 +1,10 @@
 // Package resultcache is a content-addressed, crash-safe, on-disk
 // memo of simulation results. The simulator is deterministic: a run is
-// fully described by (application, configuration, timestep override,
-// kernel seed, fault plan, code version, job shape), so its output is
-// perfectly cacheable and a sweep service can answer repeated or
-// overlapping requests without re-simulating.
+// fully described by its canonical scenario document (application,
+// configuration, steps, scale, seed, fault plan, cycle budget), the
+// code version and the job shape, so its output is perfectly cacheable
+// and a sweep service can answer repeated or overlapping requests
+// without re-simulating.
 //
 // Crash-safety and integrity are the design center, not add-ons:
 //
@@ -38,60 +39,40 @@ import (
 )
 
 // Key identifies one cacheable job result. Every field participates in
-// the hash. Fields added after v1 (MaxCycles onward) enter the
-// canonical form only when non-zero, so keys minted before the field
-// existed keep their addresses.
+// the hash, in one fixed canonical form.
 type Key struct {
-	// Kind is the job shape ("simulate" or "bench"):
-	// distinct shapes produce distinct payloads for otherwise equal
-	// inputs, so they must never collide.
+	// Kind is the job shape ("simulate" or "bench"): distinct shapes
+	// encode distinct payloads for the same document, so they must
+	// never collide.
 	Kind string
-	// App is the application name (e.g. "FLO52").
-	App string
-	// Config is the configuration name, or a comma-joined list for
-	// sweep-shaped jobs.
-	Config string
-	// Steps is the timestep override (0 = app default).
-	Steps int
-	// Seed is the kernel seed (0 = the deterministic derived seed).
-	Seed int64
-	// Plan is the fault plan in the faults.Parse grammar ("" = none).
-	Plan string
+	// Doc is the experiment: the canonical text of one scenario
+	// document (scenario.Scenario.Format). Two spellings of one
+	// experiment print the same text, so they share an address; any
+	// change to what runs changes the text.
+	Doc string
 	// Version names the code that produced the result. Results are
 	// model output, so a model change must miss: bake a build/version
 	// stamp in here.
 	Version string
-	// MaxCycles is the virtual-time budget the run executed under
-	// (0 = unlimited). A budget-truncated result is a different payload
-	// from an unbounded run's, so the cap is part of the address.
-	MaxCycles int64
-	// Workload is the workload source when the job names its app by
-	// document rather than registry name — an inline .workload text or
-	// a gen: spec ("" = App carries the name). The full source is part
-	// of the address: two generated apps that differ in any knob are
-	// different experiments and must never share a cache slot.
-	Workload string
+	// App, Config and Seed name an experiment without a document. Only
+	// callers that key synthetic entries set them; a service key leaves
+	// them zero, since Doc already holds all three.
+	App    string
+	Config string
+	Seed   int64
 }
 
-// planEscaper keeps the canonical form one line: Plan may carry a
-// multi-line document (corpus scenario lists, bench scenario files),
-// and the entry-file key check reads exactly one line. Plans without
-// backslashes or newlines — every v1 key — render unchanged, so
-// existing entry addresses are preserved.
-var planEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+// escaper keeps the canonical form one line whatever the fields hold:
+// Doc is a multi-line document, and the entry-file key check reads
+// exactly one line. Backslashes are escaped too, so a literal `\n`
+// never aliases a newline.
+var escaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
 // Canonical renders the key as one line with a fixed field order — the
 // string that is hashed, and that each entry records for verification.
 func (k Key) Canonical() string {
-	s := fmt.Sprintf("kind=%s app=%s config=%s steps=%d seed=%d plan=%s version=%s",
-		k.Kind, k.App, k.Config, k.Steps, k.Seed, planEscaper.Replace(k.Plan), k.Version)
-	if k.MaxCycles != 0 {
-		s += fmt.Sprintf(" maxcycles=%d", k.MaxCycles)
-	}
-	if k.Workload != "" {
-		s += fmt.Sprintf(" workload=%s", planEscaper.Replace(k.Workload))
-	}
-	return s
+	return escaper.Replace(fmt.Sprintf("kind=%s app=%s config=%s seed=%d version=%s doc=%s",
+		k.Kind, k.App, k.Config, k.Seed, k.Version, k.Doc))
 }
 
 // ID is the entry's content address: the hex SHA-256 of the canonical

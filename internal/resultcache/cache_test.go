@@ -10,9 +10,14 @@ import (
 	"testing"
 )
 
+// testDoc is a canonical scenario document: the shape of every key
+// the service mints.
+func testDoc(seed int64) string {
+	return fmt.Sprintf("name: simulate\napp: FLO52\nconfig: 8proc\nsteps: 2\nscale: 1\nseed: %d\nplan: ce:1@76414\n", seed)
+}
+
 func testKey(seed int64) Key {
-	return Key{Kind: "simulate", App: "FLO52", Config: "8proc",
-		Steps: 2, Seed: seed, Plan: "ce:1@76414", Version: "test-v1"}
+	return Key{Kind: "simulate", Doc: testDoc(seed), Version: "test-v1"}
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -41,15 +46,12 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestKeyFieldsAllParticipate(t *testing.T) {
 	base := testKey(1)
 	variants := []Key{
-		{Kind: "sweep", App: base.App, Config: base.Config, Steps: base.Steps, Seed: base.Seed, Plan: base.Plan, Version: base.Version},
-		func() Key { k := base; k.App = "ADM"; return k }(),
-		func() Key { k := base; k.Config = "32proc"; return k }(),
-		func() Key { k := base; k.Steps = 3; return k }(),
-		func() Key { k := base; k.Seed = 2; return k }(),
-		func() Key { k := base; k.Plan = ""; return k }(),
+		func() Key { k := base; k.Kind = "bench"; return k }(),
+		func() Key { k := base; k.Doc = testDoc(2); return k }(),
 		func() Key { k := base; k.Version = "test-v2"; return k }(),
-		func() Key { k := base; k.MaxCycles = 7; return k }(),
-		func() Key { k := base; k.Workload = "workload: w\nsteps: 2\n"; return k }(),
+		func() Key { k := base; k.App = "FLO52"; return k }(),
+		func() Key { k := base; k.Config = "8proc"; return k }(),
+		func() Key { k := base; k.Seed = 1; return k }(),
 	}
 	seen := map[string]bool{base.ID(): true}
 	for i, v := range variants {
@@ -58,27 +60,20 @@ func TestKeyFieldsAllParticipate(t *testing.T) {
 		}
 		seen[v.ID()] = true
 	}
-	// Post-v1 fields enter the canonical form only when set, so keys
-	// minted before they existed keep their addresses.
-	if strings.Contains(base.Canonical(), "maxcycles") {
-		t.Fatalf("zero MaxCycles altered the v1 canonical form: %s", base.Canonical())
-	}
-	if strings.Contains(base.Canonical(), "workload") {
-		t.Fatalf("empty Workload altered the v1 canonical form: %s", base.Canonical())
-	}
 }
 
-// A workload document's newlines are escaped into the canonical form,
-// and any single-character edit to the document is a different key.
+// A workload document carried in the scenario text has its newlines
+// escaped into the canonical form, and any single-character edit to
+// it is a different key.
 func TestKeyWorkloadIdentity(t *testing.T) {
 	a := testKey(1)
-	a.Workload = "workload: w\nsteps: 2\n"
+	a.Doc = "name: simulate\nconfig: 8proc\nworkload:\n  workload: w\n  steps: 2\n"
 	b := a
-	b.Workload = "workload: w\nsteps: 3\n"
+	b.Doc = strings.Replace(a.Doc, "steps: 2", "steps: 3", 1)
 	if a.ID() == b.ID() {
 		t.Fatal("edited workload document shares a cache key")
 	}
-	if c := a.Canonical(); !strings.Contains(c, `workload=workload: w\nsteps: 2\n`) {
+	if c := a.Canonical(); !strings.Contains(c, `doc=name: simulate\nconfig: 8proc\nworkload:\n  workload: w\n`) {
 		t.Fatalf("canonical form not newline-escaped: %q", c)
 	}
 }
@@ -227,37 +222,43 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
-// TestMultiLinePlanRoundTrips is the regression test for multi-line
-// Plan fields (corpus scenario lists, bench scenario documents): the
-// raw document used to leak newlines into the entry's one-line key
-// record, so every Get failed verification, removed the entry, and
-// missed — the cache could never go warm for those kinds.
-func TestMultiLinePlanRoundTrips(t *testing.T) {
+// TestMultiLineDocRoundTrips: a multi-line document must not leak
+// newlines into the entry's one-line key record — if it did, every Get
+// would fail verification, remove the entry, and miss, so the cache
+// could never go warm. Every field is escaped, not just Doc.
+func TestMultiLineDocRoundTrips(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key{Kind: "bench", App: "bench", Version: "test-v1",
-		Plan: "name: tiny\napp: FLO52\nconfig: 1proc\nsteps: 1\n"}
-	payload := []byte(`{"version": 1, "records": []}`)
-	if err := c.Put(key, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Get(key)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("Get = %q, %v; want a hit with the stored payload", got, ok)
+	for _, key := range []Key{
+		{Kind: "bench", Version: "test-v1", Doc: "name: tiny\napp: FLO52\nconfig: 1proc\nsteps: 1\n"},
+		{Kind: "simulate", Version: "test-v1", App: "X\nplan: ce:1@5", Config: "8proc"},
+	} {
+		payload := []byte(`{"version": 1, "records": []}`)
+		if err := c.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := c.Get(key)
+		if !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("key %q: Get = %q, %v; want a hit with the stored payload", key.Canonical(), got, ok)
+		}
+		if strings.Contains(key.Canonical(), "\n") {
+			t.Fatalf("canonical form not one line: %q", key.Canonical())
+		}
 	}
 	if s := c.Stats(); s.Corrupt != 0 {
-		t.Fatalf("multi-line plan flagged corrupt: %+v", s)
+		t.Fatalf("multi-line key flagged corrupt: %+v", s)
 	}
-	if !strings.Contains(key.Canonical(), `plan=name: tiny\napp:`) {
+	key := Key{Kind: "bench", Version: "test-v1", Doc: "name: tiny\napp: FLO52\n"}
+	if !strings.Contains(key.Canonical(), `doc=name: tiny\napp:`) {
 		t.Fatalf("canonical form not newline-escaped: %q", key.Canonical())
 	}
 	// Escaping must not alias: a literal backslash-n differs from a
 	// newline.
 	other := key
-	other.Plan = strings.ReplaceAll(key.Plan, "\n", `\n`)
+	other.Doc = strings.ReplaceAll(key.Doc, "\n", `\n`)
 	if other.ID() == key.ID() {
-		t.Fatal("escaped and literal plans share an address")
+		t.Fatal("escaped and literal documents share an address")
 	}
 }

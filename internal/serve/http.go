@@ -120,7 +120,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job spec: " + err.Error()})
 		return
 	}
-	res, err := spec.Validate()
+	sc, err := spec.Validate()
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
@@ -129,9 +129,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Warm-cache fast path: a memoized result completes the job at
 	// submit time without consuming a queue slot.
 	if s.cache != nil && !spec.NoCache {
-		if payload, ok := s.cache.Get(spec.cacheKey(s.cfg.Version)); ok {
+		if payload, ok := s.cache.Get(spec.cacheKey(sc, s.cfg.Version)); ok {
 			s.mu.Lock()
-			job := &Job{ID: s.newID(), Spec: spec, res: res, State: StateDone,
+			job := &Job{ID: s.newID(), Spec: spec, sc: sc, State: StateDone,
 				CacheHit: true, SubmittedAt: time.Now()}
 			job.FinishedAt = job.SubmittedAt
 			job.result = payload
@@ -151,7 +151,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	job := &Job{ID: s.newID(), Spec: spec, res: res, State: StateQueued, SubmittedAt: time.Now()}
+	job := &Job{ID: s.newID(), Spec: spec, sc: sc, State: StateQueued, SubmittedAt: time.Now()}
 	if !s.q.push(job) {
 		s.mu.Unlock()
 		s.met.rejectedFull.Inc()

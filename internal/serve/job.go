@@ -7,13 +7,9 @@ import (
 	"strings"
 	"time"
 
-	cedar "repro"
-	"repro/internal/arch"
 	"repro/internal/faults"
-	"repro/internal/perfect"
 	"repro/internal/resultcache"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // Job types accepted by the service.
@@ -23,32 +19,37 @@ const (
 )
 
 // JobSpec is the submitted description of one job (the POST /jobs
-// body). Fields are per-type; Validate names misuse precisely.
+// body). Every job runs one scenario document: a bench job carries
+// the document's text, and a simulate job's fields are a scenario
+// written as JSON. Validate turns either into the one validated
+// *scenario.Scenario the job runs and caches under.
 type JobSpec struct {
 	// Type selects the job shape: simulate (one app on one
-	// configuration) or bench (one scenario document). A sweep is one
-	// simulate job per configuration, each cached on its own. A bench
-	// job whose document declares expect: deadlock or error is how a
-	// recorded fault scenario replays through the service.
+	// configuration, answered with the run's statfx text) or bench (one
+	// scenario document, answered with its record capture). A sweep is
+	// one simulate job per configuration, each cached on its own. A
+	// bench job whose document declares expect: deadlock or error is
+	// how a recorded fault scenario replays through the service.
 	Type string `json:"type"`
-	// App is the application name (simulate). Registry names and
-	// single-line gen: specs both resolve; exactly one of App and
-	// Workload must be set.
+	// App is the scenario's app: key (simulate): a registry name or a
+	// single-line gen: spec. Exactly one of App and Workload must be
+	// set.
 	App string `json:"app,omitempty"`
-	// Workload is an inline workload document or gen: spec (simulate)
-	// — the full-document alternative to App. File paths are
-	// rejected: a remote caller must not read server-side files. The
-	// source text folds into the result-cache key, so two generated
-	// apps differing in any knob never share a cache slot.
+	// Workload is the scenario's workload: key (simulate): an inline
+	// workload document or gen: spec, the full-document alternative to
+	// App. File paths are rejected: a remote caller must not read
+	// server-side files.
 	Workload string `json:"workload,omitempty"`
-	// Config is the configuration name (simulate).
+	// Config is the scenario's config: key (simulate).
 	Config string `json:"config,omitempty"`
-	// Steps overrides the timestep count when > 0 (simulate).
+	// Steps is the scenario's steps: key (simulate): the timestep count
+	// when > 0.
 	Steps int `json:"steps,omitempty"`
-	// Seed overrides the deterministic kernel seed when non-zero
-	// (simulate).
+	// Seed is the scenario's seed: key (simulate): the kernel seed when
+	// non-zero.
 	Seed int64 `json:"seed,omitempty"`
-	// Plan is a fault plan in the faults.Parse grammar (simulate).
+	// Plan is the scenario's plan: key (simulate): a fault plan in the
+	// faults.Parse grammar.
 	Plan string `json:"plan,omitempty"`
 	// Bench is a scenario document (bench): the text of one .scenario
 	// file in the internal/scenario format. The job fails when the
@@ -61,143 +62,95 @@ type JobSpec struct {
 	// cancellation threaded into the simulation kernel.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// MaxCycles caps virtual time (0 = unlimited): the in-model
-	// counterpart of the wall-clock deadline.
+	// counterpart of the wall-clock deadline. It is the scenario's
+	// max_cycles: key for a simulate job, and tightens a bench
+	// document's own budget (the smaller non-zero value wins).
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 	// NoCache skips the result cache for this job (both lookup and
 	// fill).
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// resolved carries the validated, decoded form of a spec so execution
-// never re-parses.
-type resolved struct {
-	app   perfect.App
-	cfg   arch.Config
-	plan  faults.Plan
-	bench *scenario.Scenario
-}
-
-// Validate checks the spec against the live application and
-// configuration registries and parses plan/scenario text, so a bad
-// request is rejected at submit time (400), never discovered by a
-// worker.
-func (sp *JobSpec) Validate() (resolved, error) {
-	var r resolved
-	var err error
-	switch sp.Type {
-	case TypeSimulate:
-		if r.app, err = sp.resolveApp(); err != nil {
-			return r, err
-		}
-		if r.cfg, err = lookupConfig(sp.Config); err != nil {
-			return r, err
-		}
-		if sp.Plan != "" {
-			if r.plan, err = faults.Parse(sp.Plan); err != nil {
-				return r, err
-			}
-			if err = r.plan.Validate(r.cfg); err != nil {
-				return r, err
-			}
-		}
-	case TypeBench:
-		if strings.TrimSpace(sp.Bench) == "" {
-			return r, fmt.Errorf("bench job without a scenario document")
-		}
-		if r.bench, err = scenario.Parse("bench", []byte(sp.Bench)); err != nil {
-			return r, err
-		}
-		// A spec-level cycle budget tightens (or sets) the document's
-		// own: both are part of the cache key, so the fold is safe.
-		if sp.MaxCycles > 0 {
-			r.bench.MaxCycles = sp.MaxCycles
-		}
-	case "":
-		return r, fmt.Errorf("missing job type (want %s or %s)", TypeSimulate, TypeBench)
-	default:
-		return r, fmt.Errorf("unknown job type %q (want %s or %s)", sp.Type, TypeSimulate, TypeBench)
-	}
+// Validate turns the spec into the scenario it runs, checked against
+// the live application and configuration registries, so a bad request
+// is rejected at submit time (400), never discovered by a worker.
+func (sp *JobSpec) Validate() (*scenario.Scenario, error) {
 	if sp.DeadlineMS < 0 {
-		return r, fmt.Errorf("negative deadline_ms %d", sp.DeadlineMS)
+		return nil, fmt.Errorf("negative deadline_ms %d", sp.DeadlineMS)
 	}
 	if sp.MaxCycles < 0 {
-		return r, fmt.Errorf("negative max_cycles %d", sp.MaxCycles)
+		return nil, fmt.Errorf("negative max_cycles %d", sp.MaxCycles)
 	}
-	return r, nil
-}
-
-// resolveApp resolves a spec's workload source: the App name (or
-// single-line gen: spec) or the Workload document, exactly one of
-// which must be set. File sources are rejected (Resolver.AllowFiles
-// stays false): the spec arrived over the network.
-func (sp *JobSpec) resolveApp() (perfect.App, error) {
-	switch {
-	case sp.App == "" && sp.Workload == "":
-		return perfect.App{}, fmt.Errorf("missing app (or workload)")
-	case sp.App != "" && sp.Workload != "":
-		return perfect.App{}, fmt.Errorf("app and workload are mutually exclusive")
-	}
-	src := sp.App
-	if sp.Workload != "" {
-		src = sp.Workload
-	}
-	return (perfect.Resolver{}).Resolve(src)
-}
-
-func lookupConfig(cfgName string) (arch.Config, error) {
-	cfg, ok := arch.FamilyByName(cfgName)
-	if !ok {
-		return cfg, arch.UnknownConfigError(cfgName)
-	}
-	return cfg, nil
-}
-
-// cacheKey derives the content-address of the job's result. The
-// version stamp makes results model-output-versioned; bench jobs fold
-// their document into the Plan field so any edit misses.
-func (sp *JobSpec) cacheKey(version string) resultcache.Key {
-	k := resultcache.Key{Kind: sp.Type, Version: version,
-		Steps: sp.Steps, Seed: sp.Seed, MaxCycles: sp.MaxCycles}
 	switch sp.Type {
 	case TypeSimulate:
-		k.App, k.Config, k.Plan = sp.App, sp.Config, sp.Plan
-		k.Workload = sp.Workload
+		// A simulate job runs the app unscaled, as cedarsim does. The
+		// scenario is printed and parsed back, as scenario.ForRun
+		// builds one, so the document's own validation applies. A
+		// newline in a name would splice keys into that document.
+		if strings.Contains(sp.App+sp.Config, "\n") {
+			return nil, fmt.Errorf("app and config are one-line names; send a workload document as workload")
+		}
+		doc := scenario.Scenario{Name: TypeSimulate, App: sp.App, Workload: sp.Workload,
+			Config: sp.Config, Steps: sp.Steps, Scale: 1, Seed: sp.Seed, MaxCycles: sp.MaxCycles}
+		if sp.Plan != "" {
+			var err error
+			if doc.Plan, err = faults.Parse(sp.Plan); err != nil {
+				return nil, err
+			}
+		}
+		return scenario.Parse(doc.Name, doc.Format())
 	case TypeBench:
-		// The document text is the whole identity (any edit misses);
-		// spec MaxCycles stays in the key because it folds into the run.
-		k.App = "bench"
-		k.Plan = sp.Bench
-		k.Steps, k.Seed = 0, 0
-	}
-	return k
-}
-
-// execute runs the job body under ctx and returns the canonical result
-// text. A simulate result is Run.StatfxText — the byte-stable
-// accounting block scenario.Reproduce compares — so a service result
-// is directly diffable against a local cedarsim run.
-func (sp *JobSpec) execute(ctx context.Context, r resolved, progress func(string)) ([]byte, error) {
-	switch sp.Type {
-	case TypeSimulate:
-		run, err := cedar.SimulateRunCtx(ctx, r.app, r.cfg, cedar.Options{
-			Steps: sp.Steps, Seed: sp.Seed, Faults: r.plan, MaxCycles: sim.Time(sp.MaxCycles)})
+		if strings.TrimSpace(sp.Bench) == "" {
+			return nil, fmt.Errorf("bench job without a scenario document")
+		}
+		sc, err := scenario.Parse(TypeBench, []byte(sp.Bench))
 		if err != nil {
 			return nil, err
 		}
-		progress(fmt.Sprintf("simulated %s on %s: ct=%d", r.app.Name, sp.Config, int64(run.Result.CT)))
-		return []byte(run.StatfxText()), nil
+		// A spec-level cycle budget only tightens the document's own;
+		// the fold lands in the canonical text, hence in the cache key.
+		if sp.MaxCycles > 0 && (sc.MaxCycles == 0 || sp.MaxCycles < sc.MaxCycles) {
+			sc.MaxCycles = sp.MaxCycles
+		}
+		return sc, nil
+	case "":
+		return nil, fmt.Errorf("missing job type (want %s or %s)", TypeSimulate, TypeBench)
+	default:
+		return nil, fmt.Errorf("unknown job type %q (want %s or %s)", sp.Type, TypeSimulate, TypeBench)
+	}
+}
 
-	case TypeBench:
-		recs, err := scenario.RunCtx(ctx, r.bench, false)
+// cacheKey derives the content-address of the job's result: the job
+// shape, the code version, and the scenario's canonical text, so two
+// spellings of one experiment share an entry and any change to what
+// runs misses.
+func (sp *JobSpec) cacheKey(sc *scenario.Scenario, version string) resultcache.Key {
+	return resultcache.Key{Kind: sp.Type, Version: version, Doc: string(sc.Format())}
+}
+
+// execute runs the job's scenario under ctx and returns the canonical
+// result text; the type chooses only the encoding. A simulate result
+// is Run.StatfxText — the byte-stable accounting block
+// scenario.Reproduce compares — so it is directly diffable against a
+// local cedarsim run. A bench result is the record capture, held to
+// the document's expect:.
+func (sp *JobSpec) execute(ctx context.Context, sc *scenario.Scenario, progress func(string)) ([]byte, error) {
+	if sp.Type == TypeBench {
+		recs, err := scenario.RunCtx(ctx, sc, false)
 		if err != nil {
 			return nil, err
 		}
-		progress(fmt.Sprintf("bench %s: %d record(s)", r.bench.Name, len(recs)))
+		progress(fmt.Sprintf("bench %s: %d record(s)", sc.Name, len(recs)))
 		// The canonical capture encoding: deterministic bytes, directly
 		// diffable against a cedarbench run of the same document.
 		return scenario.EncodeCapture(recs)
 	}
-	return nil, fmt.Errorf("unknown job type %q", sp.Type)
+	run, err := sc.Simulate(ctx)
+	if err != nil {
+		return nil, err
+	}
+	progress(fmt.Sprintf("simulated %s on %s: ct=%d", sc.AppName(), sc.Config, int64(run.Result.CT)))
+	return []byte(run.StatfxText()), nil
 }
 
 // Job states.
@@ -247,7 +200,7 @@ type Job struct {
 	result []byte
 	events []ProgressEvent
 
-	res      resolved
+	sc       *scenario.Scenario // the validated experiment it runs
 	cancel   context.CancelFunc // set while running
 	canceled bool               // client asked for cancellation
 }

@@ -1,9 +1,10 @@
 // Package serve is the long-running simulation service: an HTTP/JSON
 // API that accepts simulate jobs (one app on one configuration) and
-// bench jobs (one scenario document), runs them on a bounded worker
-// pool through the deterministic engine, memoizes results in a
-// crash-safe content-addressed cache, and exposes its own operational
-// metrics at /metrics.
+// bench jobs (one scenario document), turns each into the one
+// validated scenario it runs, runs them on a bounded worker pool
+// through the deterministic engine, memoizes results in a crash-safe
+// cache addressed by the scenario's canonical text, and exposes its
+// own operational metrics at /metrics.
 //
 // Robustness is the design center — the operational analogue of the
 // simulated machine's fail-stop machinery:
@@ -241,12 +242,12 @@ func (s *Server) resume() error {
 	}
 	for _, pj := range pending {
 		job := &Job{ID: pj.ID, Spec: pj.Spec, State: StateQueued, SubmittedAt: pj.SubmittedAt}
-		if res, verr := job.Spec.Validate(); verr != nil {
+		if sc, verr := job.Spec.Validate(); verr != nil {
 			job.State = StateFailed
 			job.Error = fmt.Sprintf("resumed job no longer valid: %v", verr)
 			job.FinishedAt = time.Now()
 		} else {
-			job.res = res
+			job.sc = sc
 			if !s.q.push(job) {
 				job.State = StateFailed
 				job.Error = "resumed queue exceeds the configured queue depth"
@@ -565,7 +566,7 @@ func (s *Server) attempt(jobCtx context.Context, job *Job, attempt int, deadline
 		}
 	}
 	useCache := s.cache != nil && !job.Spec.NoCache
-	key := job.Spec.cacheKey(s.cfg.Version)
+	key := job.Spec.cacheKey(job.sc, s.cfg.Version)
 	if useCache {
 		if p, ok := s.cache.Get(key); ok {
 			s.mu.Lock()
@@ -581,7 +582,7 @@ func (s *Server) attempt(jobCtx context.Context, job *Job, attempt int, deadline
 		ctx, cancel = context.WithTimeout(jobCtx, deadline)
 		defer cancel()
 	}
-	payload, err = job.Spec.execute(ctx, job.res, func(msg string) { s.addEvent(job, msg) })
+	payload, err = job.Spec.execute(ctx, job.sc, func(msg string) { s.addEvent(job, msg) })
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) && jobCtx.Err() == nil {
 			s.met.deadlines.Inc()

@@ -773,23 +773,55 @@ func TestBenchInterruptedIsNotAnOutcome(t *testing.T) {
 	}
 }
 
-// MaxCycles changes what a run computes, so it is part of the cache
-// address; the zero value stays out of the canonical form so specs
-// without a budget keep their pre-existing keys.
-func TestCacheKeyIncludesMaxCycles(t *testing.T) {
-	capped := smallSim
-	capped.MaxCycles = 1000
-	if smallSim.cacheKey("v").ID() == capped.cacheKey("v").ID() {
-		t.Fatal("simulate max_cycles does not change the cache key")
+// The cache key is the job shape, the version and the scenario's
+// canonical text: a change to anything that runs is a different key,
+// and two spellings of one experiment are the same key.
+func TestCacheKeyIdentity(t *testing.T) {
+	with := func(sp JobSpec, edit func(*JobSpec)) JobSpec { edit(&sp); return sp }
+	bench := func(doc string) JobSpec { return JobSpec{Type: TypeBench, Bench: doc} }
+	// okScenario's keys, commented and in another order.
+	reordered := "# the same experiment, spelled differently\nplan: ce:1@76414\nseed: 3327910339796038169\n" +
+		"scale: 1\n\nsteps: 1\nconfig: 8proc\napp: FLO52\nname: pgflt-kill\n"
+	budgeted := okScenario + "max_cycles: 5000\n"
+	cases := []struct {
+		name string
+		a, b JobSpec
+		same bool
+	}{
+		// smallSim written as a bench document: the same text, another
+		// payload encoding.
+		{"type", smallSim, bench("name: simulate\napp: FLO52\nconfig: 8proc\nsteps: 2\nscale: 1\n"), false},
+		{"app", smallSim, with(smallSim, func(sp *JobSpec) { sp.App = "ADM" }), false},
+		{"workload", smallSim, with(smallSim, func(sp *JobSpec) { sp.App, sp.Workload = "", "gen:seed=7" }), false},
+		{"workload edit", with(smallSim, func(sp *JobSpec) { sp.App, sp.Workload = "", "gen:seed=7" }),
+			with(smallSim, func(sp *JobSpec) { sp.App, sp.Workload = "", "gen:seed=8" }), false},
+		{"config", smallSim, with(smallSim, func(sp *JobSpec) { sp.Config = "4proc" }), false},
+		{"steps", smallSim, with(smallSim, func(sp *JobSpec) { sp.Steps = 3 }), false},
+		{"seed", smallSim, with(smallSim, func(sp *JobSpec) { sp.Seed = 7 }), false},
+		{"plan", smallSim, with(smallSim, func(sp *JobSpec) { sp.Plan = "ce:1@76414" }), false},
+		{"simulate max_cycles", smallSim, with(smallSim, func(sp *JobSpec) { sp.MaxCycles = 1000 }), false},
+		{"bench document", bench(okScenario), bench(strings.Replace(okScenario, "steps: 1", "steps: 2", 1)), false},
+		{"bench max_cycles", bench(okScenario), with(bench(okScenario), func(sp *JobSpec) { sp.MaxCycles = 1000 }), false},
+		// A bench job's max_cycles only tightens the document's own
+		// budget: the smaller non-zero value runs.
+		{"tighter spec budget", bench(budgeted), with(bench(budgeted), func(sp *JobSpec) { sp.MaxCycles = 1000 }), false},
+		{"looser spec budget", bench(budgeted), with(bench(budgeted), func(sp *JobSpec) { sp.MaxCycles = 1e9 }), true},
+		{"padded plan", with(smallSim, func(sp *JobSpec) { sp.Plan = "ce:1@76414" }),
+			with(smallSim, func(sp *JobSpec) { sp.Plan = " ce:1@76414 ," }), true},
+		{"commented, reordered bench document", bench(okScenario), bench(reordered), true},
 	}
-	bench := JobSpec{Type: TypeBench, Bench: okScenario}
-	benchCapped := bench
-	benchCapped.MaxCycles = 1000
-	if bench.cacheKey("v").ID() == benchCapped.cacheKey("v").ID() {
-		t.Fatal("bench max_cycles does not change the cache key")
-	}
-	if c := smallSim.cacheKey("v").Canonical(); strings.Contains(c, "maxcycles") {
-		t.Fatalf("zero max_cycles altered the canonical key: %s", c)
+	for _, tc := range cases {
+		var ids [2]string
+		for i, sp := range []JobSpec{tc.a, tc.b} {
+			sc, err := sp.Validate()
+			if err != nil {
+				t.Fatalf("%s: spec %+v: %v", tc.name, sp, err)
+			}
+			ids[i] = sp.cacheKey(sc, "v").ID()
+		}
+		if same := ids[0] == ids[1]; same != tc.same {
+			t.Errorf("%s: keys equal = %v, want %v", tc.name, same, tc.same)
+		}
 	}
 }
 

@@ -98,8 +98,9 @@ func TestSimulateJobGenWorkload(t *testing.T) {
 }
 
 // Bad workload submissions are rejected at submit time with a clear
-// message: both sources, neither source, and file paths
-// (the server must never read server-side files for a remote caller).
+// message: both sources, neither source, file paths (the server must
+// never read server-side files for a remote caller), and a multi-line
+// app or config.
 func TestWorkloadBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, fastCfg(), nil)
 	cases := []struct {
@@ -114,6 +115,12 @@ func TestWorkloadBadRequests(t *testing.T) {
 			"missing app (or workload)"},
 		{JobSpec{Type: TypeSimulate, Workload: "steps: 2\nbogus: 1\n", Config: "8proc"},
 			"unknown key"},
+		// A newline in a name would splice keys into the scenario the
+		// spec becomes; a multi-line document belongs in workload.
+		{JobSpec{Type: TypeSimulate, App: "FLO52\nplan: ce:1@5", Config: "8proc"},
+			"one-line names; send a workload document as workload"},
+		{JobSpec{Type: TypeSimulate, App: "FLO52", Config: "8proc\nplan: ce:1@5"},
+			"one-line names; send a workload document as workload"},
 	}
 	for _, tc := range cases {
 		status, _, raw := submit(t, ts, tc.spec)
