@@ -103,6 +103,17 @@ type App struct {
 	Phases []Phase
 }
 
+// Upper bounds on a workload's sizes. They keep every derived quantity
+// (iteration counts, array spans and offsets, the page tables, the
+// virtual clock) clear of int64 overflow and the page tables within
+// memory. The paper apps sit orders of magnitude below them, even
+// weak-scaled to 1024 CEs.
+const (
+	maxDataWords = 1 << 30 // data_words
+	maxPerPhase  = 1 << 20 // outer, inner, gm_words, gm_stride, clus_words
+	maxCycles    = 1 << 40 // work, serial_cycles
+)
+
 // Validate reports whether the model is self-consistent. Each check
 // names the violated constraint, so a hand-written or generated
 // workload document that fails gets an actionable message.
@@ -115,6 +126,9 @@ func (a App) Validate() error {
 	}
 	if a.DataWords < 1 {
 		return fmt.Errorf("perfect: %s: data_words %d violates data_words >= 1", a.Name, a.DataWords)
+	}
+	if a.DataWords > maxDataWords {
+		return fmt.Errorf("perfect: %s: data_words %d violates data_words <= %d", a.Name, a.DataWords, maxDataWords)
 	}
 	if a.CacheHitRatio < 0 || a.CacheHitRatio > 1 {
 		return fmt.Errorf("perfect: %s: cache_hit_ratio %v violates 0 <= cache_hit_ratio <= 1",
@@ -157,6 +171,28 @@ func (a App) Validate() error {
 		if p.SerialCycles < 0 {
 			return fmt.Errorf("%s: serial_cycles %d violates serial_cycles >= 0", at, p.SerialCycles)
 		}
+		for _, f := range []struct {
+			key      string
+			val, max int64
+		}{
+			{"outer", int64(p.Outer), maxPerPhase},
+			{"inner", int64(p.Inner), maxPerPhase},
+			{"work", p.Work, maxCycles},
+			{"gm_words", int64(p.GMWords), maxPerPhase},
+			{"gm_stride", int64(p.GMStride), maxPerPhase},
+			{"clus_words", int64(p.ClusWords), maxPerPhase},
+			{"serial_cycles", p.SerialCycles, maxCycles},
+		} {
+			if f.val > f.max {
+				return fmt.Errorf("%s: %s %d violates %s <= %d", at, f.key, f.val, f.key, f.max)
+			}
+		}
+		// A serial section with no cost takes no virtual time, so
+		// repeating it would spin without the clock, a cycle budget
+		// or an interrupt check ever advancing.
+		if p.Kind == PhaseSerial && p.Work == 0 && p.GMWords == 0 && p.ClusWords == 0 {
+			return fmt.Errorf("%s: a serial phase needs work, gm_words or clus_words >= 1", at)
+		}
 	}
 	if min := a.MinDataWords(); a.DataWords < min {
 		return fmt.Errorf("perfect: %s: data_words %d below the phase footprint %d (sum of phase spans)",
@@ -172,6 +208,11 @@ func (a App) Validate() error {
 func (a App) MinDataWords() int64 {
 	var total int64
 	for i := range a.Phases {
+		if total > maxDataWords {
+			// No valid DataWords holds it; stop before the sum of
+			// spans can overflow.
+			break
+		}
 		total += a.Phases[i].span()
 	}
 	return total

@@ -4,8 +4,8 @@ import "testing"
 
 // BenchmarkKernelScheduleHold measures the kernel's hot path: a
 // process advancing virtual time one Hold at a time, each Hold costing
-// one pooled event node and one calendar push/pop. The wake is the
-// process's own, so it continues without any goroutine switch. The allocation report is the contract — steady-state
+// one pooled event node, one calendar push/pop and two coroutine
+// switches. The allocation report is the contract — steady-state
 // Schedule/Hold must be 0 allocs/op — and the events/sec metric is the
 // kernel's raw dispatch throughput.
 func BenchmarkKernelScheduleHold(b *testing.B) {
@@ -107,7 +107,7 @@ func BenchmarkCalendarReserveRun(b *testing.B) {
 // BenchmarkProcPingPong measures the process switch itself: two
 // processes alternate Hold(1), so every event resumes the other
 // process and no callback or self-wake ever runs in between. One op is
-// one event: a process wake and the switch into it.
+// one event: a process wake, the switch into it and the switch back.
 func BenchmarkProcPingPong(b *testing.B) {
 	k := NewKernel(1)
 	for i := 0; i < 2; i++ {

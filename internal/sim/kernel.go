@@ -2,17 +2,18 @@
 // kernel in virtual time.
 //
 // The kernel drives coroutine processes (see Proc) one at a time, so a
-// simulation is fully deterministic even though each process runs on
-// its own goroutine: exactly one goroutine is ever runnable, and event
-// ordering is total (time, then insertion sequence).
+// simulation is fully deterministic: event ordering is total (time,
+// then insertion sequence), and exactly one process body runs at once.
 //
-// The dispatch loop runs on whichever goroutine holds control. Run
-// dispatches on the caller's goroutine, but a process that yields
-// dispatches the next event itself when it is a process wake Run would
-// dispatch now: it resumes that process directly, one goroutine switch
-// instead of two, or simply continues when the wake is its own. Every
-// other event and every stop condition goes back to Run's goroutine,
-// so callbacks — and their panics — always run on the caller's.
+// Every process body is an iter.Pull coroutine, and RunErr is the one
+// dispatch loop. It runs on the caller's goroutine and resumes a
+// process by switching into its coroutine, which switches back when
+// the process yields: two coroutine switches per process wake, with no
+// Go scheduler, lock or cross-CPU wake-up on the path. Callbacks, stop
+// conditions and the interrupt check all run in that loop, on the
+// caller's goroutine. Because coroutine switches never enter the
+// scheduler, the loop yields the thread to other goroutines at a fixed
+// cadence (see schedEvery).
 //
 // Virtual time is counted in integer cycles (Time). The kernel makes
 // no reference to wall-clock time, so measurements taken inside a
@@ -44,6 +45,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 )
 
 // Time is a point in virtual time, in cycles.
@@ -65,6 +67,13 @@ const calHorizon = 512
 
 // calMask maps a fire time to its bucket index.
 const calMask = calHorizon - 1
+
+// schedEvery is the dispatch cadence, in events, at which RunErr calls
+// runtime.Gosched. Coroutine switches never reach the Go scheduler, so
+// without it a long run would hold its thread until async preemption
+// (about 10 ms) and starve other goroutines, such as a serving
+// process's HTTP handlers. A power of two, so the check is a mask.
+const schedEvery = 64
 
 // Sentinel values of eventNode.pos that mean "not in the heap".
 const (
@@ -155,18 +164,12 @@ type Kernel struct {
 	calCursor Time
 
 	running *Proc
-	yielded chan struct{}
 	procs   []*Proc
 	live    int // procs spawned and not yet finished
 	fatal   error
 	rng     *rand.Rand
 
 	dispatched uint64 // events fired, for introspection/tests
-
-	// until is the horizon of the RunErr in progress. Outside RunErr
-	// it is -1, below every event time, so a process resumed by
-	// Shutdown never hands control on (see handoff).
-	until Time
 
 	// Watchdog / budget state (see SetWatchdog, SetMaxCycles).
 	maxCycles     Time
@@ -183,11 +186,7 @@ type Kernel struct {
 // NewKernel returns a kernel with its virtual clock at zero and a
 // deterministic random source seeded with seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		yielded: make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
-		until:   -1,
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -460,8 +459,6 @@ func (k *Kernel) Run(until Time) uint64 {
 // remaining processes.
 func (k *Kernel) RunErr(until Time) (uint64, error) {
 	start := k.dispatched
-	defer func(prev Time) { k.until = prev }(k.until)
-	k.until = until
 	for {
 		next := k.peek()
 		if next == nil {
@@ -490,15 +487,14 @@ func (k *Kernel) RunErr(until Time) (uint64, error) {
 		p, fn := next.proc, next.fn
 		k.recycle(next)
 		if p != nil {
-			// The process may hand control straight on to the
-			// processes of the following events (see handoff); each
-			// such event is counted where it ends, and this one is
-			// counted below when control comes back.
 			k.resume(p)
 		} else {
 			fn()
 		}
 		k.dispatched++
+		if k.dispatched&(schedEvery-1) == 0 {
+			runtime.Gosched()
+		}
 		if k.fatal != nil {
 			err := k.fatal
 			k.fatal = nil
@@ -511,37 +507,6 @@ func (k *Kernel) RunErr(until Time) (uint64, error) {
 		}
 	}
 	return k.dispatched - start, nil
-}
-
-// handoff is called by a yielding process, whose event ends here. If
-// the next pending event is a process wake that RunErr would dispatch
-// right now — nothing fatal pending, no interrupt check due, inside
-// the horizon and the cycle budget — it counts the ending event, pops
-// the wake and returns its process, made current, so the yielding
-// process can switch to it directly (or simply continue, when the
-// wake is its own). Otherwise it returns nil and the process hands
-// control back to RunErr, which then makes exactly the same decisions
-// it always has: callbacks, stop conditions and the interrupt check
-// all run on RunErr's goroutine.
-func (k *Kernel) handoff() *Proc {
-	if k.fatal != nil || k.err != nil ||
-		(k.interrupt != nil && (k.dispatched+1)%k.interruptEvery == 0) {
-		return nil
-	}
-	next := k.peek()
-	if next == nil || next.proc == nil || next.proc.state == stateDone ||
-		next.at > k.until || (k.maxCycles > 0 && next.at > k.maxCycles) {
-		return nil
-	}
-	k.dispatched++
-	k.pop(next)
-	k.now = next.at
-	p := next.proc
-	k.recycle(next)
-	k.lastProgress = k.now
-	k.running = p
-	p.state = stateRunning
-	return p
 }
 
 // RunAll runs until no events remain.
@@ -574,9 +539,9 @@ func (k *Kernel) SetMaxCycles(max Time) { k.maxCycles = max }
 // a kernel that otherwise only knows virtual time. The check never
 // fires mid-event, so a run that is not interrupted is byte-identical
 // to one with no check installed. A nil check disables interruption;
-// every <= 0 uses a default of 1024.
+// every == 0 uses a default of 1024.
 func (k *Kernel) SetInterrupt(every uint64, check func() error) {
-	if every <= 0 {
+	if every == 0 {
 		every = 1024
 	}
 	k.interrupt = check
@@ -656,24 +621,22 @@ func (k *Kernel) BlockedProcs() []*Proc {
 	return out
 }
 
-// Shutdown aborts every process that is still alive. Each blocked or
-// scheduled process is resumed with its aborted flag set; the blocking
-// primitive it was sleeping in panics with ErrAborted, which the
-// process wrapper swallows. After Shutdown returns, no process
-// goroutines remain. Shutdown must not be called from inside a
-// process.
+// Shutdown aborts every process that is still alive. Each new, blocked
+// or scheduled process is resumed with its aborted flag set; the
+// blocking primitive it was sleeping in panics with ErrAborted, which
+// the process wrapper swallows. Every coroutine is then stopped, so
+// after Shutdown returns no process goroutines remain. Shutdown must
+// not be called from inside a process.
 func (k *Kernel) Shutdown() {
 	if k.running != nil {
 		panic("sim: Shutdown called from inside a process")
 	}
 	for _, p := range k.procs {
-		if p.state == stateDone {
-			continue
-		}
-		p.aborted = true
-		if p.state == stateBlocked || p.state == stateScheduled || p.state == stateNew {
+		if p.state != stateDone {
+			p.aborted = true
 			k.resume(p)
 		}
+		p.stop()
 	}
 	k.procs = k.procs[:0]
 }
@@ -689,7 +652,8 @@ func (k *Kernel) wake(p *Proc) {
 	k.scheduleProc(k.now, p)
 }
 
-// resume transfers control to p and waits for it to yield back.
+// resume switches into p's coroutine and returns when p yields or
+// finishes.
 func (k *Kernel) resume(p *Proc) {
 	if p.state == stateDone {
 		return
@@ -698,8 +662,7 @@ func (k *Kernel) resume(p *Proc) {
 	prev := k.running
 	k.running = p
 	p.state = stateRunning
-	p.resume <- struct{}{}
-	<-k.yielded
+	p.next()
 	k.running = prev
 }
 

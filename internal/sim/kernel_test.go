@@ -469,8 +469,7 @@ func TestInterruptNilCheckIdentical(t *testing.T) {
 var errTestCause = errors.New("test cause")
 
 // pingPong spawns two processes that alternate Hold(1) until the run
-// stops, so every process wake is handed straight from one process to
-// the other.
+// stops, so every event wakes the process that did not run last.
 func pingPong(k *Kernel) {
 	for i := 0; i < 2; i++ {
 		k.Spawn("ping", func(p *Proc) {

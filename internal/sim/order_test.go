@@ -14,9 +14,9 @@ import (
 var updateOrder = flag.Bool("update", false, "rewrite testdata/dispatch_order.golden")
 
 // orderGolden is the recorded dispatch sequence of the seeded mixes
-// below. The kernel may change how it hands control between
-// goroutines, but never which event runs when: every mix must
-// reproduce this file byte for byte.
+// below. The kernel may change how it switches between processes, but
+// never which event runs when: every mix must reproduce this file byte
+// for byte.
 const orderGolden = "testdata/dispatch_order.golden"
 
 // orderSeeds is the number of seeded mixes in the golden.
@@ -31,9 +31,9 @@ var errOrderStop = errors.New("interrupt stop")
 // process panics, RunErr pauses at arbitrary horizons, cycle budgets
 // and interrupt checks — and logs every observable dispatch: the time
 // and process id each time a process resumes or ends, "cb" for each
-// callback, and each RunErr's outcome. The log is built on whichever
-// goroutine holds control, which is safe because exactly one runs at a
-// time.
+// callback, and each RunErr's outcome. Process bodies append to the
+// log from their coroutines and callbacks from RunErr's loop, which is
+// safe because exactly one of them runs at a time.
 func orderMix(seed int64) string {
 	var log strings.Builder
 	r := rand.New(rand.NewSource(seed))

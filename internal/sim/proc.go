@@ -1,8 +1,11 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 )
 
 // ErrAborted is the panic value delivered inside a process when the
@@ -28,9 +31,16 @@ type Proc struct {
 	k       *Kernel
 	id      int
 	name    string
-	resume  chan struct{}
 	state   procState
 	aborted bool
+
+	// The body runs as an iter.Pull coroutine: next switches into it
+	// until it suspends or returns, suspend (the coroutine's yield)
+	// switches back out, and stop finishes a coroutine that will
+	// never be resumed again.
+	next    func() (struct{}, bool)
+	stop    func()
+	suspend func(struct{}) bool
 
 	// waitingOn names the primitive the process is currently blocked
 	// in, for deadlock diagnostics.
@@ -45,16 +55,15 @@ type Proc struct {
 // current virtual time. The name is used in diagnostics only.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		k:      k,
-		id:     len(k.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		state:  stateNew,
+		k:     k,
+		id:    len(k.procs),
+		name:  name,
+		state: stateNew,
 	}
 	k.procs = append(k.procs, p)
 	k.live++
-	go func() {
-		<-p.resume
+	p.next, p.stop = iter.Pull(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
 		defer func() {
 			r := recover()
 			p.state = stateDone
@@ -62,13 +71,11 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 			if r != nil && r != ErrAborted && k.fatal == nil {
 				k.fatal = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}
-			k.yielded <- struct{}{}
 		}()
-		if p.aborted {
-			panic(ErrAborted)
+		if !p.aborted {
+			fn(p)
 		}
-		fn(p)
-	}()
+	})
 	p.state = stateScheduled
 	k.scheduleProc(k.now, p)
 	k.armWatchdog()
@@ -166,24 +173,13 @@ func (p *Proc) block() {
 	p.yield()
 }
 
-// yield gives up control until the process is resumed. When the next
-// event wakes another process, control passes straight to it (one
-// goroutine switch); when it is this process's own wake, the process
-// just continues; otherwise control goes back to RunErr. On resume
-// after an abort, it panics with ErrAborted so that the process
-// unwinds through whatever primitive it was sleeping in.
+// yield suspends the coroutine, handing control back to the dispatch
+// loop, until the process is resumed. On resume after an abort, or
+// when the coroutine is being stopped, it panics with ErrAborted so
+// that the process unwinds through whatever primitive it was sleeping
+// in.
 func (p *Proc) yield() {
-	k := p.k
-	switch next := k.handoff(); next {
-	case p:
-	case nil:
-		k.yielded <- struct{}{}
-		<-p.resume
-	default:
-		next.resume <- struct{}{}
-		<-p.resume
-	}
-	if p.aborted {
+	if !p.suspend(struct{}{}) || p.aborted {
 		panic(ErrAborted)
 	}
 }
