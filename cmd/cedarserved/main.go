@@ -5,16 +5,17 @@
 // and survives the operational failure modes a batch CLI never meets —
 // overload (bounded queue, 429 + Retry-After), wedged jobs (per-job
 // wall-clock deadlines threaded into the simulation kernel), crashing
-// jobs (panic isolation with the stack in the job record), flaky I/O
-// (retry with exponential backoff and jitter), and restarts (SIGTERM
-// drains running jobs and persists the pending queue; the next process
-// resumes it).
+// jobs (panic isolation with the stack in the job record), a failing
+// cache disk (the result in hand is served anyway), and restarts
+// (SIGTERM drains running jobs and persists the pending queue; the next
+// process resumes it). Jobs are deterministic, so each runs once: a
+// failure is final, never retried.
 //
 // Usage:
 //
 //	cedarserved [-addr :8344] [-cache-dir DIR] [-state-dir DIR]
 //	            [-queue-depth N] [-workers N] [-deadline 2m]
-//	            [-max-retries N] [-drain-timeout 30s] [-version V]
+//	            [-max-deadline 10m] [-drain-timeout 30s] [-version V]
 //
 // Endpoints (see internal/serve):
 //
@@ -62,9 +63,8 @@ func main() {
 	stateDir := flag.String("state-dir", "", "state directory for the persisted pending queue (empty = no persistence)")
 	queueDepth := flag.Int("queue-depth", 0, "pending-job queue bound (0 = default 64); a full queue answers 429")
 	workers := flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS)")
-	deadline := flag.Duration("deadline", 0, "default per-attempt wall-clock deadline (0 = 2m)")
+	deadline := flag.Duration("deadline", 0, "default per-job wall-clock deadline (0 = 2m)")
 	maxDeadline := flag.Duration("max-deadline", 0, "cap on client-requested deadlines (0 = 10m)")
-	maxRetries := flag.Int("max-retries", 0, "transient-failure retries per job (0 = default 3)")
 	drainTimeout := flag.Duration("drain-timeout", 0, "how long SIGTERM waits for running jobs (0 = 30s)")
 	version := flag.String("version", "dev", "code version stamped into cache keys")
 	flag.Parse()
@@ -79,7 +79,6 @@ func main() {
 		Workers:         *workers,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
-		MaxRetries:      *maxRetries,
 		DrainTimeout:    *drainTimeout,
 		CacheDir:        *cacheDir,
 		StateDir:        *stateDir,

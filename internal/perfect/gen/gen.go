@@ -159,7 +159,10 @@ func ParseSpec(s string) (Spec, error) {
 			sp.Steps, err = strconv.Atoi(val)
 		case "phases":
 			var r Range
-			r, err = parseRange(val)
+			// Checked before the int conversion, which a huge count overflows.
+			if r, err = parseRange(val); err == nil && r.Max > maxPhases {
+				err = fmt.Errorf("%s violates max <= %d", r, maxPhases)
+			}
 			sp.PhaseMin, sp.PhaseMax = int(r.Min), int(r.Max)
 		case "mix":
 			if _, ok := mixes[val]; !ok {
@@ -169,7 +172,7 @@ func ParseSpec(s string) (Spec, error) {
 		case "gran":
 			sp.Gran, err = parseRange(val)
 		case "jitter":
-			sp.Jitter, err = strconv.ParseFloat(val, 64)
+			sp.Jitter, err = parseNum(val)
 		case "serial":
 			sp.Serial, err = parseRange(val)
 		case "pages":
@@ -177,7 +180,7 @@ func ParseSpec(s string) (Spec, error) {
 		case "gm":
 			sp.GM, err = parseRange(val)
 		case "hot":
-			sp.Hot, err = strconv.ParseFloat(val, 64)
+			sp.Hot, err = parseNum(val)
 		default:
 			err = fmt.Errorf("unknown key %q", key)
 		}
@@ -191,19 +194,33 @@ func ParseSpec(s string) (Spec, error) {
 	return sp, nil
 }
 
-// parseRange parses "lo-hi" or a single number (a point range).
+// parseNum parses a finite number.
+func parseNum(s string) (float64, error) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%q is not a finite number", s)
+	}
+	return v, nil
+}
+
+// parseRange parses "lo-hi" or a single number (a point range). The
+// separator is the first '-' that does not sign an exponent, so the
+// "1e-05-0.5" String prints parses back.
 func parseRange(s string) (Range, error) {
-	lo, hi, ok := strings.Cut(s, "-")
-	if !ok {
-		hi = lo
+	lo, hi := s, s
+	for i := 1; i < len(s); i++ {
+		if s[i] == '-' && s[i-1] != 'e' && s[i-1] != 'E' {
+			lo, hi = s[:i], s[i+1:]
+			break
+		}
 	}
-	min, err := strconv.ParseFloat(strings.TrimSpace(lo), 64)
+	min, err := parseNum(lo)
 	if err != nil {
-		return Range{}, fmt.Errorf("bad range %q", s)
+		return Range{}, fmt.Errorf("bad range %q: %v", s, err)
 	}
-	max, err := strconv.ParseFloat(strings.TrimSpace(hi), 64)
+	max, err := parseNum(hi)
 	if err != nil {
-		return Range{}, fmt.Errorf("bad range %q", s)
+		return Range{}, fmt.Errorf("bad range %q: %v", s, err)
 	}
 	if max < min {
 		return Range{}, fmt.Errorf("range %q has max < min", s)
@@ -211,27 +228,64 @@ func parseRange(s string) (Range, error) {
 	return Range{min, max}, nil
 }
 
+// maxPhases bounds the parallel phase count per step. The paper apps
+// have a handful; Generate builds every phase up front.
+const maxPhases = 64
+
+// The loop shapes Generate samples each parallel phase from:
+// iteration counts over the Perfect regime, tens to hundreds per phase
+// instance, repeated up to maxRepeat times a step.
+var (
+	innerRange   = Range{8, 256} // XDOALL and main-cluster phases
+	sxOuterRange = Range{2, 48}  // SDOALL outer loop
+	sxInnerRange = Range{4, 64}  // SDOALL inner loop
+)
+
+const (
+	maxRepeat    = 6
+	maxHotStride = 32 * 4 // largest hot-spot stride
+)
+
 func (s Spec) validate() error {
 	switch {
 	case s.Steps < 1:
 		return fmt.Errorf("gen: steps %d violates steps >= 1", s.Steps)
-	case s.PhaseMin < 1 || s.PhaseMax < s.PhaseMin:
-		return fmt.Errorf("gen: phases %d-%d violates 1 <= min <= max", s.PhaseMin, s.PhaseMax)
-	case s.Gran.Min < 1:
-		return fmt.Errorf("gen: gran %s violates gran >= 1", s.Gran)
+	case s.PhaseMin < 1 || s.PhaseMax < s.PhaseMin || s.PhaseMax > maxPhases:
+		return fmt.Errorf("gen: phases %d-%d violates 1 <= min <= max <= %d", s.PhaseMin, s.PhaseMax, maxPhases)
+	case s.Gran.Min < 1 || s.Gran.Max > perfect.MaxCycles:
+		return fmt.Errorf("gen: gran %s violates 1 <= gran <= %d", s.Gran, int64(perfect.MaxCycles))
 	case s.Jitter < 0 || s.Jitter > 1:
 		return fmt.Errorf("gen: jitter %v violates 0 <= jitter <= 1", s.Jitter)
 	case s.Serial.Min < 0 || s.Serial.Max >= 1:
 		return fmt.Errorf("gen: serial %s violates 0 <= serial < 1", s.Serial)
-	case s.Pages.Min < 1:
-		return fmt.Errorf("gen: pages %s violates pages >= 1", s.Pages)
-	case s.GM.Min < 0:
-		return fmt.Errorf("gen: gm %s violates gm >= 0", s.GM)
+	case s.Pages.Min < 1 || s.Pages.Max > perfect.MaxDataWords/512:
+		return fmt.Errorf("gen: pages %s violates 1 <= pages <= %d", s.Pages, perfect.MaxDataWords/512)
+	case s.GM.Min < 0 || s.GM.Min == 0 && s.GM.Max > 0:
+		// GM is sampled log-uniformly, which needs a positive range.
+		return fmt.Errorf("gen: gm %s violates gm > 0 (or gm = 0)", s.GM)
 	case s.Hot < 0 || s.Hot > 1:
 		return fmt.Errorf("gen: hot %v violates 0 <= hot <= 1", s.Hot)
 	}
 	if _, ok := mixes[s.Mix]; !ok {
 		return fmt.Errorf("gen: unknown mix %q (want %s)", s.Mix, strings.Join(MixNames(), ", "))
+	}
+	// The largest app the ranges can generate: every sample at its top.
+	iters := max(innerRange.Max, sxOuterRange.Max*sxInnerRange.Max)
+	gmWords := s.GM.Max * s.Gran.Max
+	if gmWords > perfect.MaxPerPhase {
+		return fmt.Errorf("gen: gm %s at gran %s reaches %.4g gm_words, violating gm_words <= %d",
+			s.GM, s.Gran, gmWords, perfect.MaxPerPhase)
+	}
+	// Phase spans (iterations x stride + vector) plus the serial phase.
+	footprint := float64(s.PhaseMax)*(iters*max(gmWords, maxHotStride)+gmWords) + 512
+	if footprint > perfect.MaxDataWords {
+		return fmt.Errorf("gen: phases %d-%d at %.4g gm_words reach a %.4g-word footprint, violating data_words <= %d",
+			s.PhaseMin, s.PhaseMax, gmWords, footprint, perfect.MaxDataWords)
+	}
+	parallelWork := float64(s.PhaseMax) * maxRepeat * iters * s.Gran.Max
+	if serialWork := s.Serial.Max / (1 - s.Serial.Max) * parallelWork; serialWork > perfect.MaxCycles {
+		return fmt.Errorf("gen: serial %s with phases %d-%d at gran %s reaches %.4g serial work, violating work <= %d",
+			s.Serial, s.PhaseMin, s.PhaseMax, s.Gran, serialWork, int64(perfect.MaxCycles))
 	}
 	return nil
 }
@@ -303,15 +357,13 @@ func Generate(s Spec) perfect.App {
 		if work < 1 {
 			work = 1
 		}
-		// Loop shape: iteration counts log-uniform over the Perfect
-		// regime (tens to hundreds of iterations per phase instance).
-		inner := int(logUniform(rng, Range{8, 256}))
+		inner := int(logUniform(rng, innerRange))
 		outer := 1
 		if kind == perfect.PhaseSX {
-			outer = int(logUniform(rng, Range{2, 48}))
-			inner = int(logUniform(rng, Range{4, 64}))
+			outer = int(logUniform(rng, sxOuterRange))
+			inner = int(logUniform(rng, sxInnerRange))
 		}
-		repeat := 1 + rng.Intn(6)
+		repeat := 1 + rng.Intn(maxRepeat)
 		// GM intensity is per-cycle; convert to per-iteration words.
 		gmWords := int(logUniform(rng, s.GM) * float64(work))
 		gmStride := 0
@@ -319,7 +371,7 @@ func Generate(s Spec) perfect.App {
 			// Hot-spot bias: stride a multiple of the 32-module word
 			// interleave with a narrow vector, so every iteration's
 			// references land on the same module or two.
-			gmStride = 32 * (1 + rng.Intn(4))
+			gmStride = 32 * (1 + rng.Intn(maxHotStride/32))
 			if gmWords > 4 {
 				gmWords = 1 + rng.Intn(4)
 			}

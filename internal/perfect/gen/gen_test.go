@@ -102,6 +102,8 @@ func TestSpecStringRoundTrip(t *testing.T) {
 		{Seed: 41, Name: "storm", Steps: 2, PhaseMin: 3, PhaseMax: 6, Mix: "xdoall",
 			Gran: Range{500, 8000}, Jitter: 0.25, Serial: Range{0.001, 0.05},
 			Pages: Range{16, 64}, GM: Range{0.05, 0.2}, Hot: 1},
+		// Exponent forms: String prints 1e-05, whose '-' is no separator.
+		func() Spec { s := Default(); s.Serial = Range{1e-05, 0.1}; s.GM = Range{1e-05, 1e-04}; return s }(),
 	}
 	for _, want := range specs {
 		str := want.String()
@@ -124,6 +126,16 @@ func TestParseSpecErrors(t *testing.T) {
 		{"jitter=2", "jitter <= 1"},
 		{"serial=0.5-1.5", "serial < 1"},
 		{"phases=0-3", "1 <= min <= max"},
+		{"seed=1,gran=1e15", "gran <= 1099511627776"},
+		{"seed=1,gran=Inf", "not a finite number"},
+		{"seed=1,gm=1e9", "gm_words <= 1048576"},
+		{"seed=1,gm=0-0.5", "gm > 0"},
+		{"seed=1,pages=1e15", "pages <= 2097152"},
+		{"seed=1,phases=1-1000000000", "max <= 64"},
+		{"seed=1,phases=64,gm=0.5-1,gran=10000", "data_words <= 1073741824"},
+		{"seed=1,serial=0.999999", "work <= 1099511627776"},
+		{"seed=1,jitter=NaN", "not a finite number"},
+		{"seed=1,hot=NaN", "not a finite number"},
 	}
 	for _, c := range cases {
 		_, err := ParseSpec(c.spec)

@@ -147,14 +147,14 @@ func TestValidateEdgeCases(t *testing.T) {
 		{"negative clus words", func(a *App) { a.Phases[1].ClusWords = -1 }, "clus_words >= 0"},
 		{"negative serial cycles", func(a *App) { a.Phases[1].SerialCycles = -1 }, "serial_cycles >= 0"},
 		{"data below footprint", func(a *App) { a.DataWords = 100 }, "below the phase footprint"},
-		{"data above bound", func(a *App) { a.DataWords = maxDataWords + 1 }, "data_words <= "},
-		{"outer above bound", func(a *App) { a.Phases[1].Outer = maxPerPhase + 1 }, "outer <= "},
-		{"inner above bound", func(a *App) { a.Phases[1].Inner = maxPerPhase + 1 }, "inner <= "},
-		{"work above bound", func(a *App) { a.Phases[1].Work = maxCycles + 1 }, "work <= "},
-		{"gm words above bound", func(a *App) { a.Phases[1].GMWords = maxPerPhase + 1 }, "gm_words <= "},
-		{"gm stride above bound", func(a *App) { a.Phases[1].GMStride = maxPerPhase + 1 }, "gm_stride <= "},
-		{"clus words above bound", func(a *App) { a.Phases[1].ClusWords = maxPerPhase + 1 }, "clus_words <= "},
-		{"serial cycles above bound", func(a *App) { a.Phases[1].SerialCycles = maxCycles + 1 }, "serial_cycles <= "},
+		{"data above bound", func(a *App) { a.DataWords = MaxDataWords + 1 }, "data_words <= "},
+		{"outer above bound", func(a *App) { a.Phases[1].Outer = MaxPerPhase + 1 }, "outer <= "},
+		{"inner above bound", func(a *App) { a.Phases[1].Inner = MaxPerPhase + 1 }, "inner <= "},
+		{"work above bound", func(a *App) { a.Phases[1].Work = MaxCycles + 1 }, "work <= "},
+		{"gm words above bound", func(a *App) { a.Phases[1].GMWords = MaxPerPhase + 1 }, "gm_words <= "},
+		{"gm stride above bound", func(a *App) { a.Phases[1].GMStride = MaxPerPhase + 1 }, "gm_stride <= "},
+		{"clus words above bound", func(a *App) { a.Phases[1].ClusWords = MaxPerPhase + 1 }, "clus_words <= "},
+		{"serial cycles above bound", func(a *App) { a.Phases[1].SerialCycles = MaxCycles + 1 }, "serial_cycles <= "},
 		{"zero-cost serial phase", func(a *App) { a.Phases[0].Work, a.Phases[0].GMWords = 0, 0 }, "a serial phase needs work"},
 		{"bad kind", func(a *App) { a.Phases[1].Kind = PhaseKind(99) }, "unknown phase kind"},
 	}

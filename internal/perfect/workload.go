@@ -109,9 +109,9 @@ type App struct {
 // memory. The paper apps sit orders of magnitude below them, even
 // weak-scaled to 1024 CEs.
 const (
-	maxDataWords = 1 << 30 // data_words
-	maxPerPhase  = 1 << 20 // outer, inner, gm_words, gm_stride, clus_words
-	maxCycles    = 1 << 40 // work, serial_cycles
+	MaxDataWords = 1 << 30 // data_words
+	MaxPerPhase  = 1 << 20 // outer, inner, gm_words, gm_stride, clus_words
+	MaxCycles    = 1 << 40 // work, serial_cycles
 )
 
 // Validate reports whether the model is self-consistent. Each check
@@ -127,8 +127,8 @@ func (a App) Validate() error {
 	if a.DataWords < 1 {
 		return fmt.Errorf("perfect: %s: data_words %d violates data_words >= 1", a.Name, a.DataWords)
 	}
-	if a.DataWords > maxDataWords {
-		return fmt.Errorf("perfect: %s: data_words %d violates data_words <= %d", a.Name, a.DataWords, maxDataWords)
+	if a.DataWords > MaxDataWords {
+		return fmt.Errorf("perfect: %s: data_words %d violates data_words <= %d", a.Name, a.DataWords, MaxDataWords)
 	}
 	if a.CacheHitRatio < 0 || a.CacheHitRatio > 1 {
 		return fmt.Errorf("perfect: %s: cache_hit_ratio %v violates 0 <= cache_hit_ratio <= 1",
@@ -175,13 +175,13 @@ func (a App) Validate() error {
 			key      string
 			val, max int64
 		}{
-			{"outer", int64(p.Outer), maxPerPhase},
-			{"inner", int64(p.Inner), maxPerPhase},
-			{"work", p.Work, maxCycles},
-			{"gm_words", int64(p.GMWords), maxPerPhase},
-			{"gm_stride", int64(p.GMStride), maxPerPhase},
-			{"clus_words", int64(p.ClusWords), maxPerPhase},
-			{"serial_cycles", p.SerialCycles, maxCycles},
+			{"outer", int64(p.Outer), MaxPerPhase},
+			{"inner", int64(p.Inner), MaxPerPhase},
+			{"work", p.Work, MaxCycles},
+			{"gm_words", int64(p.GMWords), MaxPerPhase},
+			{"gm_stride", int64(p.GMStride), MaxPerPhase},
+			{"clus_words", int64(p.ClusWords), MaxPerPhase},
+			{"serial_cycles", p.SerialCycles, MaxCycles},
 		} {
 			if f.val > f.max {
 				return fmt.Errorf("%s: %s %d violates %s <= %d", at, f.key, f.val, f.key, f.max)
@@ -208,7 +208,7 @@ func (a App) Validate() error {
 func (a App) MinDataWords() int64 {
 	var total int64
 	for i := range a.Phases {
-		if total > maxDataWords {
+		if total > MaxDataWords {
 			// No valid DataWords holds it; stop before the sum of
 			// spans can overflow.
 			break

@@ -32,6 +32,7 @@ func FuzzJobSpec(f *testing.F) {
 		{Type: TypeSimulate, App: "FLO52", Config: "8proc", Plan: " ce:1@76414 ,", MaxCycles: 1000},
 		{Type: TypeSimulate, Workload: inlineWorkloadDoc, Config: "8proc", Steps: 2},
 		{Type: TypeSimulate, Workload: "gen:seed=7", Config: "8proc", Steps: 2},
+		{Type: TypeSimulate, App: "gen:seed=1,gran=1e15", Config: "4proc"},
 		{Type: TypeSimulate, App: "FLO52", Workload: inlineWorkloadDoc, Config: "8proc"},
 		{Type: TypeSimulate, Workload: "apps.workload", Config: "8proc"},
 		{Type: TypeSimulate, Workload: "steps: 2\nbogus: 1\n", Config: "8proc"},

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/metricreg"
@@ -87,13 +86,9 @@ type submitResponse struct {
 	CacheHit bool   `json:"cache_hit,omitempty"`
 }
 
-func (s *Server) retryAfterSeconds() string {
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
+// retryAfter is the Retry-After hint, in seconds, sent with 429 and
+// 503 answers.
+const retryAfter = "1"
 
 // MaxBodyBytes bounds a job submission's request body. A job spec is a
 // few hundred bytes and the paper apps' workload documents are under a
@@ -102,7 +97,7 @@ const MaxBodyBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		s.met.rejectedDrain.Inc()
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server is draining; not accepting jobs"})
 		return
@@ -155,7 +150,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.q.push(job) {
 		s.mu.Unlock()
 		s.met.rejectedFull.Inc()
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusTooManyRequests,
 			errorBody{Error: fmt.Sprintf("job queue full (%d pending)", s.q.depth())})
 		return

@@ -57,7 +57,7 @@ type JobSpec struct {
 	// payload is the scenario's canonical record capture —
 	// deterministic, so warm resubmits come straight from the cache.
 	Bench string `json:"bench,omitempty"`
-	// DeadlineMS caps each attempt's wall-clock run time in
+	// DeadlineMS caps the job's wall-clock run time in
 	// milliseconds; 0 uses the server default. Enforced by context
 	// cancellation threaded into the simulation kernel.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
@@ -181,7 +181,6 @@ type Job struct {
 	Spec JobSpec
 
 	State    string
-	Retries  int
 	CacheHit bool
 	Error    string
 	PanicVal string
@@ -210,7 +209,6 @@ type JobView struct {
 	ID          string          `json:"id"`
 	Spec        JobSpec         `json:"spec"`
 	State       string          `json:"state"`
-	Retries     int             `json:"retries"`
 	CacheHit    bool            `json:"cache_hit"`
 	Error       string          `json:"error,omitempty"`
 	Panic       string          `json:"panic,omitempty"`
@@ -229,7 +227,7 @@ type JobView struct {
 // mutex.
 func (j *Job) view(withEvents bool) JobView {
 	v := JobView{
-		ID: j.ID, Spec: j.Spec, State: j.State, Retries: j.Retries,
+		ID: j.ID, Spec: j.Spec, State: j.State,
 		CacheHit: j.CacheHit, Error: j.Error, Panic: j.PanicVal, Stack: j.Stack,
 		SubmittedAt: j.SubmittedAt,
 	}

@@ -12,17 +12,16 @@
 //   - Admission control: the job queue is bounded; a full queue
 //     rejects with 429 and a Retry-After hint instead of growing
 //     without bound, and a draining server rejects with 503.
-//   - Deadlines: each attempt runs under a context deadline threaded
-//     into the simulation kernel's interrupt check (plus the optional
+//   - Deadlines: each job runs under a context deadline threaded into
+//     the simulation kernel's interrupt check (plus the optional
 //     virtual-time MaxCycles budget), so no wedged scenario can pin a
 //     worker forever.
 //   - Panic isolation: a panicking job fails alone, with the panic
 //     value and stack preserved in its job record; the worker and the
 //     server keep serving.
-//   - Retry with exponential backoff and jitter for transient failure
-//     classes (result-cache I/O, attempts that miss their deadline
-//     under load); the retry count is visible in the job record and
-//     /metrics.
+//   - One run per job: the same job always gives the same bytes, so a
+//     failure is final and no job is ever run twice. A failed cache
+//     write still serves the result in hand.
 //   - Graceful drain: SIGTERM (via Drain) stops admission, lets
 //     running jobs finish up to a drain deadline, cancels stragglers,
 //     and persists the still-pending queue atomically so a restarted
@@ -35,7 +34,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	mrand "math/rand"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -54,7 +52,7 @@ type Config struct {
 	QueueDepth int
 	// Workers is the number of concurrent jobs (default GOMAXPROCS).
 	Workers int
-	// DefaultDeadline caps an attempt's wall-clock time when the spec
+	// DefaultDeadline caps a job's wall-clock run time when the spec
 	// does not set one (default 2m). Zero after defaulting disables.
 	DefaultDeadline time.Duration
 	// MaxDeadline caps client-requested deadlines (default 10m).
@@ -62,14 +60,6 @@ type Config struct {
 	// DrainTimeout is how long Drain waits for running jobs before
 	// canceling them (default 30s).
 	DrainTimeout time.Duration
-	// MaxRetries bounds transient-failure retries per job (default 3).
-	MaxRetries int
-	// RetryBase is the first backoff delay (default 250ms); each retry
-	// doubles it up to RetryMax (default 5s), with jitter.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// RetryAfter is the hint returned with 429/503 (default 1s).
-	RetryAfter time.Duration
 	// CacheDir enables the result cache rooted there ("" = no cache).
 	CacheDir string
 	// StateDir enables pending-queue persistence ("" = none).
@@ -94,18 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 250 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 5 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.Version == "" {
 		c.Version = "dev"
@@ -137,13 +115,10 @@ type Server struct {
 	Metrics *metricreg.Registry
 	met     metrics
 
-	// failHook, when set, runs before every attempt and can force a
-	// failure — the test seam for the retry/backoff and panic-isolation
-	// machinery (a returned Transient error is retried; a panic inside
-	// the hook exercises isolation).
-	failHook func(job *Job, attempt int) error
-	// sleep is the backoff sleeper, replaceable in tests.
-	sleep func(ctx context.Context, d time.Duration)
+	// failHook, when set, runs before each job and can force a failure
+	// or hold the job running — the test seam for panic isolation,
+	// admission and drain.
+	failHook func(job *Job) error
 }
 
 // metrics are the service's operational instruments.
@@ -155,7 +130,6 @@ type metrics struct {
 	failed        metricreg.Counter
 	canceled      metricreg.Counter
 	panics        metricreg.Counter
-	retries       metricreg.Counter
 	deadlines     metricreg.Counter
 	cacheWriteErr metricreg.Counter
 	drainSeconds  metricreg.Gauge
@@ -172,14 +146,6 @@ func New(cfg Config) (*Server, error) {
 		q:       newQueue(cfg.QueueDepth),
 		jobs:    map[string]*Job{},
 		Metrics: metricreg.New(),
-		sleep: func(ctx context.Context, d time.Duration) {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
-		},
 	}
 	s.cond.L = &s.mu
 	if cfg.CacheDir != "" {
@@ -212,8 +178,7 @@ func (s *Server) registerMetrics() {
 	s.met.failed = m.Counter("serve_jobs_failed_total", "jobs that ended in failure", "")
 	s.met.canceled = m.Counter("serve_jobs_canceled_total", "jobs canceled by a client or by drain", "")
 	s.met.panics = m.Counter("serve_job_panics_total", "jobs that panicked (isolated to the job)", "")
-	s.met.retries = m.Counter("serve_retries_total", "transient-failure retries", "")
-	s.met.deadlines = m.Counter("serve_deadline_exceeded_total", "attempts stopped by the per-job deadline", "")
+	s.met.deadlines = m.Counter("serve_deadline_exceeded_total", "jobs stopped by the per-job deadline", "")
 	s.met.cacheWriteErr = m.Counter("serve_cache_write_errors_total", "result-cache write failures", "")
 	s.met.drainSeconds = m.Gauge("serve_drain_seconds", "duration of the last graceful drain", "")
 	if s.cache != nil {
@@ -356,26 +321,6 @@ func (s *Server) addEvent(job *Job, msg string) {
 	s.mu.Unlock()
 }
 
-// Transient marks an error as retryable: the retry machinery backs
-// off and re-attempts jobs failing with one, up to MaxRetries.
-func Transient(err error) error { return &transientError{err} }
-
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return "transient: " + e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// cacheWriteError is a computed result whose cache write failed: a
-// transient class, but one that carries the payload so the final
-// attempt can succeed without recomputing.
-type cacheWriteError struct {
-	err     error
-	payload []byte
-}
-
-func (e *cacheWriteError) Error() string { return "result-cache write failed: " + e.err.Error() }
-func (e *cacheWriteError) Unwrap() error { return e.err }
-
 // panicError is a recovered job panic.
 type panicError struct {
 	val   string
@@ -384,31 +329,9 @@ type panicError struct {
 
 func (e *panicError) Error() string { return "job panicked: " + e.val }
 
-// isTransient classifies retryable failures: explicit Transient marks,
-// cache-write failures, and attempts that missed their wall-clock
-// deadline (load-dependent — a later attempt may find a free worker or
-// a warm cache).
-func isTransient(err error) bool {
-	var te *transientError
-	var ce *cacheWriteError
-	return errors.As(err, &te) || errors.As(err, &ce) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // isAbort reports a job stopped by cancellation (client cancel or
 // drain) rather than by its own failure.
 func isAbort(err error) bool { return errors.Is(err, context.Canceled) }
-
-// backoff returns the exponential-with-jitter delay before retry
-// attempt (0-based): base<<attempt capped at RetryMax, then jittered
-// to [d/2, d) so a burst of retries does not re-synchronize.
-func (s *Server) backoff(attempt int) time.Duration {
-	d := s.cfg.RetryBase << uint(attempt)
-	if d > s.cfg.RetryMax || d <= 0 {
-		d = s.cfg.RetryMax
-	}
-	half := d / 2
-	return half + time.Duration(mrand.Int63n(int64(half)+1))
-}
 
 func (s *Server) worker() {
 	defer s.wg.Done()
@@ -421,8 +344,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob drives one job through attempts, retries, and its terminal
-// state. Panics never escape: they are recorded on the job.
+// runJob runs one job once and records its terminal state. Panics
+// never escape: they are recorded on the job.
 func (s *Server) runJob(job *Job) {
 	s.mu.Lock()
 	if job.canceled {
@@ -441,50 +364,7 @@ func (s *Server) runJob(job *Job) {
 	defer s.running.Add(-1)
 	defer cancel()
 
-	deadline := s.cfg.DefaultDeadline
-	if job.Spec.DeadlineMS > 0 {
-		deadline = time.Duration(job.Spec.DeadlineMS) * time.Millisecond
-		if deadline > s.cfg.MaxDeadline {
-			deadline = s.cfg.MaxDeadline
-		}
-	}
-
-	var payload []byte
-	var err error
-	for attempt := 0; ; attempt++ {
-		payload, err = s.attempt(ctx, job, attempt, deadline)
-		if err == nil {
-			break
-		}
-		var pe *panicError
-		if errors.As(err, &pe) || isAbort(err) {
-			break
-		}
-		if !isTransient(err) || attempt >= s.cfg.MaxRetries {
-			// Out of attempts. A cache-write failure still has the
-			// result in hand: serve it rather than fail the job over a
-			// sick disk.
-			var cw *cacheWriteError
-			if errors.As(err, &cw) {
-				payload, err = cw.payload, nil
-				s.addEvent(job, "serving result despite cache write failure")
-			}
-			break
-		}
-		d := s.backoff(attempt)
-		s.mu.Lock()
-		job.Retries++
-		job.events = append(job.events, ProgressEvent{At: time.Now(),
-			Msg: fmt.Sprintf("attempt %d failed (%v); retrying in %v", attempt+1, err, d.Round(time.Millisecond))})
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		s.met.retries.Inc()
-		s.sleep(ctx, d)
-		if ctx.Err() != nil {
-			err = ctx.Err()
-			break
-		}
-	}
+	payload, err := s.run(ctx, job)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -551,17 +431,17 @@ func (s *Server) finishLocked(job *Job, state, errMsg string) {
 	s.cond.Broadcast()
 }
 
-// attempt runs one try of the job: cache lookup, execution under the
-// per-attempt deadline, cache fill. A panic anywhere inside — the
-// simulation, the cache, the hook — comes back as *panicError.
-func (s *Server) attempt(jobCtx context.Context, job *Job, attempt int, deadline time.Duration) (payload []byte, err error) {
+// run executes the job: cache lookup, execution under the job's
+// deadline, cache fill. A panic anywhere inside — the simulation, the
+// cache, the hook — comes back as *panicError.
+func (s *Server) run(jobCtx context.Context, job *Job) (payload []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &panicError{val: fmt.Sprint(r), stack: string(debug.Stack())}
 		}
 	}()
 	if h := s.failHook; h != nil {
-		if herr := h(job, attempt); herr != nil {
+		if herr := h(job); herr != nil {
 			return nil, herr
 		}
 	}
@@ -576,6 +456,10 @@ func (s *Server) attempt(jobCtx context.Context, job *Job, attempt int, deadline
 			return p, nil
 		}
 	}
+	deadline := s.cfg.DefaultDeadline
+	if job.Spec.DeadlineMS > 0 {
+		deadline = min(time.Duration(job.Spec.DeadlineMS)*time.Millisecond, s.cfg.MaxDeadline)
+	}
 	ctx := jobCtx
 	if deadline > 0 {
 		var cancel context.CancelFunc
@@ -586,14 +470,16 @@ func (s *Server) attempt(jobCtx context.Context, job *Job, attempt int, deadline
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) && jobCtx.Err() == nil {
 			s.met.deadlines.Inc()
-			return nil, fmt.Errorf("attempt deadline %v exceeded: %w", deadline, err)
+			return nil, fmt.Errorf("job deadline %v exceeded: %w", deadline, err)
 		}
 		return nil, err
 	}
+	// The result is in hand and deterministic: a sick cache disk costs
+	// the next identical job a rerun, not this one its result.
 	if useCache {
 		if perr := s.cache.Put(key, payload); perr != nil {
 			s.met.cacheWriteErr.Inc()
-			return nil, &cacheWriteError{err: perr, payload: payload}
+			s.addEvent(job, "serving result despite cache write failure: "+perr.Error())
 		}
 	}
 	return payload, nil

@@ -22,21 +22,18 @@ import (
 	"repro/internal/scenario"
 )
 
-// fastCfg is a test server configuration with tiny backoffs so retry
-// tests run in milliseconds.
+// fastCfg is a small test server configuration.
 func fastCfg() Config {
 	return Config{
 		QueueDepth: 16,
 		Workers:    2,
-		RetryBase:  time.Millisecond,
-		RetryMax:   4 * time.Millisecond,
 		Version:    "test-v1",
 	}
 }
 
 // newTestServer builds, hooks, and starts a server. The hook must be
 // installed before Start so workers never race the assignment.
-func newTestServer(t *testing.T, cfg Config, hook func(*Job, int) error) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, cfg Config, hook func(*Job) error) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -226,7 +223,7 @@ func TestQueueFullReturns429(t *testing.T) {
 	cfg.Workers = 1
 	cfg.QueueDepth = 1
 	gate := make(chan struct{})
-	s, ts := newTestServer(t, cfg, func(job *Job, attempt int) error {
+	s, ts := newTestServer(t, cfg, func(job *Job) error {
 		<-gate // hold the worker mid-job until released
 		return nil
 	})
@@ -280,7 +277,7 @@ func TestQueueFullReturns429(t *testing.T) {
 // The panic-isolation gate: a panicking job fails alone, with the
 // panic value and stack in its record; the server keeps serving.
 func TestPanicIsolation(t *testing.T) {
-	s, ts := newTestServer(t, fastCfg(), func(job *Job, attempt int) error {
+	s, ts := newTestServer(t, fastCfg(), func(job *Job) error {
 		if job.Spec.Seed == 666 {
 			panic("scenario collapsed the machine model")
 		}
@@ -297,9 +294,6 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if !strings.Contains(badV.Panic, "collapsed the machine model") || badV.Stack == "" {
 		t.Fatalf("panic not preserved in record: panic=%q stack %d bytes", badV.Panic, len(badV.Stack))
-	}
-	if badV.Retries != 0 {
-		t.Fatalf("panicking job was retried %d times; panics are not transient", badV.Retries)
 	}
 	if code, body := result(t, ts, badSub.ID); code != http.StatusInternalServerError || !strings.Contains(body, "panic") {
 		t.Fatalf("panicked job result: %d %s", code, body)
@@ -324,12 +318,9 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // The deadline gate: an over-deadline job is stopped by context
-// cancellation (threaded into the kernel), retried as a transient
-// class, and fails alone.
+// cancellation (threaded into the kernel) and fails alone, once.
 func TestDeadlineExceededFailsAlone(t *testing.T) {
-	cfg := fastCfg()
-	cfg.MaxRetries = 2
-	s, ts := newTestServer(t, cfg, nil)
+	s, ts := newTestServer(t, fastCfg(), nil)
 	slow := JobSpec{Type: TypeSimulate, App: "ADM", Config: "32proc", Steps: 500,
 		DeadlineMS: 40, NoCache: true}
 	_, slowSub, _ := submit(t, ts, slow)
@@ -342,68 +333,14 @@ func TestDeadlineExceededFailsAlone(t *testing.T) {
 	if !strings.Contains(v.Error, "deadline") {
 		t.Fatalf("error does not name the deadline: %q", v.Error)
 	}
-	if v.Retries != 2 {
-		t.Fatalf("deadline retries = %d, want 2 (transient class)", v.Retries)
-	}
-	if s.met.deadlines.Value() != 3 {
-		t.Fatalf("deadline metric = %d, want 3 attempts", s.met.deadlines.Value())
+	if s.met.deadlines.Value() != 1 {
+		t.Fatalf("deadline metric = %d, want 1 (one run)", s.met.deadlines.Value())
 	}
 	if okV := waitTerminal(t, ts, okSub.ID); okV.State != StateDone {
 		t.Fatalf("concurrent job: %s", okV.State)
 	}
 	if s.q.depth() != 0 || s.running.Load() != 0 {
 		t.Fatalf("queue %d running %d after deadline failure", s.q.depth(), s.running.Load())
-	}
-}
-
-// The retry gate: transient failures back off and retry; the retry
-// count is visible in the job record and /metrics.
-func TestTransientRetryWithBackoff(t *testing.T) {
-	s, ts := newTestServer(t, fastCfg(), func(job *Job, attempt int) error {
-		if attempt < 2 {
-			return Transient(fmt.Errorf("simulated cache I/O flake %d", attempt))
-		}
-		return nil
-	})
-	_, sub, _ := submit(t, ts, smallSim)
-	v := waitTerminal(t, ts, sub.ID)
-	if v.State != StateDone {
-		t.Fatalf("job state %s (err %q)", v.State, v.Error)
-	}
-	if v.Retries != 2 {
-		t.Fatalf("retries = %d, want 2", v.Retries)
-	}
-	if s.met.retries.Value() != 2 {
-		t.Fatalf("retries metric = %d, want 2", s.met.retries.Value())
-	}
-	var sawRetryEvent bool
-	for _, ev := range v.Events {
-		if strings.Contains(ev.Msg, "retrying in") {
-			sawRetryEvent = true
-		}
-	}
-	if !sawRetryEvent {
-		t.Fatalf("no retry progress event: %+v", v.Events)
-	}
-	if !strings.Contains(metricsText(t, ts), metricLine("cedar_serve_retries_total", "2")) {
-		t.Fatal("retries not visible in /metrics")
-	}
-}
-
-// A transient failure that never clears exhausts MaxRetries and fails.
-func TestTransientRetriesExhaust(t *testing.T) {
-	cfg := fastCfg()
-	cfg.MaxRetries = 2
-	_, ts := newTestServer(t, cfg, func(job *Job, attempt int) error {
-		return Transient(fmt.Errorf("permanent flake"))
-	})
-	_, sub, _ := submit(t, ts, smallSim)
-	v := waitTerminal(t, ts, sub.ID)
-	if v.State != StateFailed || v.Retries != 2 {
-		t.Fatalf("state %s retries %d, want failed/2", v.State, v.Retries)
-	}
-	if !strings.Contains(v.Error, "transient") {
-		t.Fatalf("terminal error lost the cause: %q", v.Error)
 	}
 }
 
@@ -424,7 +361,7 @@ func TestGracefulDrainAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	s.failHook = func(job *Job, attempt int) error {
+	s.failHook = func(job *Job) error {
 		if job.Spec.Seed == 1 {
 			<-gate
 		}
@@ -561,7 +498,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Workers = 1
 	gate := make(chan struct{})
-	s, ts := newTestServer(t, cfg, func(job *Job, attempt int) error {
+	s, ts := newTestServer(t, cfg, func(job *Job) error {
 		if job.Spec.Seed == 1 {
 			<-gate
 		}
@@ -644,6 +581,48 @@ func TestCorruptCacheEntryRecomputed(t *testing.T) {
 	}
 	if !strings.Contains(metricsText(t, ts), metricLine("cedar_serve_cache_corrupt_total", "1")) {
 		t.Fatal("corruption not visible in /metrics")
+	}
+}
+
+// A failed cache write serves the result in hand: the job runs once,
+// finishes done with the same bytes as a local run, and the failure is
+// counted.
+func TestCacheWriteFailureServesResult(t *testing.T) {
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	cfg := fastCfg()
+	cfg.CacheDir = cacheDir
+	s, ts := newTestServer(t, cfg, nil)
+	want := smallSimWant(t)
+	// A regular file where the cache directory was: every Put fails.
+	if err := os.RemoveAll(cacheDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cacheDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, sub, _ := submit(t, ts, smallSim)
+	v := waitTerminal(t, ts, sub.ID)
+	if v.State != StateDone || v.CacheHit {
+		t.Fatalf("state %s cache_hit %v (err %q)", v.State, v.CacheHit, v.Error)
+	}
+	if _, got := result(t, ts, sub.ID); got != want {
+		t.Fatalf("result differs from a local run:\n%s", got)
+	}
+	runs := 0
+	for _, ev := range v.Events {
+		if strings.HasPrefix(ev.Msg, "simulated ") {
+			runs++
+		}
+	}
+	if runs != 1 {
+		t.Fatalf("job simulated %d times, want 1: %+v", runs, v.Events)
+	}
+	if s.met.cacheWriteErr.Value() != 1 {
+		t.Fatalf("cache write errors = %d, want 1", s.met.cacheWriteErr.Value())
+	}
+	if !strings.Contains(metricsText(t, ts), metricLine("cedar_serve_cache_write_errors_total", "1")) {
+		t.Fatal("cache write error not visible in /metrics")
 	}
 }
 
@@ -752,8 +731,8 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// A deadline-expired bench attempt surfaces its raw error for the
-// retry machinery instead of being mapped through scenario.Outcome —
+// A deadline-expired bench job surfaces its raw error instead of
+// being mapped through scenario.Outcome —
 // otherwise an expect: error document would accept the truncated run
 // as a success and cache its payload.
 func TestBenchInterruptedIsNotAnOutcome(t *testing.T) {

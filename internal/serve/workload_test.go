@@ -121,6 +121,12 @@ func TestWorkloadBadRequests(t *testing.T) {
 			"one-line names; send a workload document as workload"},
 		{JobSpec{Type: TypeSimulate, App: "FLO52", Config: "8proc\nplan: ce:1@5"},
 			"one-line names; send a workload document as workload"},
+		// A gen: spec past the generator's bounds is refused with the
+		// bound, not a handler panic. JSON escapes the '<'.
+		{JobSpec{Type: TypeSimulate, App: "gen:seed=1,gran=1e15", Config: "4proc"},
+			`gran \u003c= 1099511627776`},
+		{JobSpec{Type: TypeSimulate, Workload: "gen:seed=1,phases=1-1000000000", Config: "4proc"},
+			`max \u003c= 64`},
 	}
 	for _, tc := range cases {
 		status, _, raw := submit(t, ts, tc.spec)
