@@ -193,6 +193,25 @@ func TestParseNsOp(t *testing.T) {
 	}
 }
 
+// TestParseNsOpResultForms: one captured result line of each form go
+// test -json emits, the count-first line whose name came in an earlier
+// event and the one-event line that starts with the name and its
+// -GOMAXPROCS suffix. Both are keyed on the Test field.
+func TestParseNsOpResultForms(t *testing.T) {
+	log := strings.Join([]string{
+		event("BenchmarkKernelScheduleHold", "BenchmarkKernelScheduleHold   \t"),
+		event("BenchmarkKernelScheduleHold", " 4507105\t       542.3 ns/op\t   1843846 events/sec\t       0 B/op\t       0 allocs/op\n"),
+		event("BenchmarkProcPingPong", "BenchmarkProcPingPong-2   \t13378114\t        17.40 ns/op\t       0 B/op\t       0 allocs/op\n"),
+	}, "\n")
+	got, err := ParseNsOp(strings.NewReader(log), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got["BenchmarkKernelScheduleHold"] != 542.3 || got["BenchmarkProcPingPong"] != 17.40 {
+		t.Fatalf("parsed %v", got)
+	}
+}
+
 // TestParseNsOpLongLine is the regression test for the 1 MiB
 // bufio.Scanner cap: one oversized output line used to error out the
 // whole gate ("token too long").

@@ -12,9 +12,12 @@ import (
 )
 
 // nsOp matches the measurement line of a benchmark result inside a
-// -json Output field, e.g. " 4507105\t       542.3 ns/op\t...". The
-// benchmark's name arrives separately in the event's Test field.
-var nsOp = regexp.MustCompile(`^\s*\d+\t\s*([0-9.]+) ns/op`)
+// -json Output field. Depending on the go version the line either
+// starts at the iteration count, " 4507105\t       542.3 ns/op\t...",
+// with the name in an earlier Output event, or carries the name too,
+// "BenchmarkKernelScheduleHold-2   \t13378114\t  17.40 ns/op\t...".
+// Either way the result is keyed on the event's Test field.
+var nsOp = regexp.MustCompile(`^(?:Benchmark\S*)?\s*\d+\t\s*([0-9.]+) ns/op`)
 
 // testEvent is the subset of the `go test -json` schema we read.
 type testEvent struct {

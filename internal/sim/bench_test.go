@@ -2,10 +2,13 @@ package sim
 
 import "testing"
 
-// BenchmarkKernelScheduleHold measures the kernel's hot path: a
-// process advancing virtual time one Hold at a time, each Hold costing
-// one pooled event node, one calendar push/pop and two coroutine
-// switches. The allocation report is the contract — steady-state
+// BenchmarkKernelScheduleHold measures the kernel's hot path for a
+// lone process advancing virtual time one Hold at a time. Its own wake
+// is always the next event, so the kernel fires it in place: a peek at
+// the empty queue and no coroutine switch. Only every schedEvery-th
+// Hold goes through the dispatch loop (one pooled event node, one
+// calendar push/pop and two coroutine switches), so the loop can call
+// Gosched. The allocation report is the contract — steady-state
 // Schedule/Hold must be 0 allocs/op — and the events/sec metric is the
 // kernel's raw dispatch throughput.
 func BenchmarkKernelScheduleHold(b *testing.B) {
@@ -106,8 +109,10 @@ func BenchmarkCalendarReserveRun(b *testing.B) {
 
 // BenchmarkProcPingPong measures the process switch itself: two
 // processes alternate Hold(1), so every event resumes the other
-// process and no callback or self-wake ever runs in between. One op is
-// one event: a process wake, the switch into it and the switch back.
+// process and no callback or self-wake ever runs in between. The other
+// process's wake is always pending first, so no Hold fires in place.
+// One op is one event: a process wake, the switch into it and the
+// switch back.
 func BenchmarkProcPingPong(b *testing.B) {
 	k := NewKernel(1)
 	for i := 0; i < 2; i++ {

@@ -9,7 +9,10 @@
 // dispatch loop. It runs on the caller's goroutine and resumes a
 // process by switching into its coroutine, which switches back when
 // the process yields: two coroutine switches per process wake, with no
-// Go scheduler, lock or cross-CPU wake-up on the path. Callbacks, stop
+// Go scheduler, lock or cross-CPU wake-up on the path. The exception
+// is a Hold whose own wake is the next event the loop would dispatch:
+// the kernel fires that wake in place (see holdInPlace) and the
+// process simply continues, with no switch at all. Callbacks, stop
 // conditions and the interrupt check all run in that loop, on the
 // caller's goroutine. Because coroutine switches never enter the
 // scheduler, the loop yields the thread to other goroutines at a fixed
@@ -35,7 +38,8 @@
 // window is exactly as wide as the bucket ring, every live bucket holds
 // a single fire time, and because insertion sequence numbers grow
 // monotonically, appending to a bucket's intrusive list keeps it sorted
-// by (time, seq) for free. Far-future events (watchdogs, samplers,
+// by (time, seq) for free. An occupancy bitmap finds the next busy
+// bucket 64 buckets at a time. Far-future events (watchdogs, samplers,
 // long holds behind a backlogged port) go into an inlined typed 4-ary
 // min-heap (no container/heap interface{} boxing). Dispatch compares
 // the heads of both tiers, preserving the exact (time, seq) total
@@ -44,6 +48,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 )
@@ -158,8 +163,10 @@ type Kernel struct {
 	// Near-horizon tier: a ring of one-cycle buckets covering
 	// [now, now+calHorizon). calCount is the number of events in the
 	// ring; calCursor is a lower bound on the earliest live bucket time
-	// (no live calendar event fires before it).
+	// (no live calendar event fires before it). Bit i of calBusy is set
+	// while bucket i holds an event.
 	cal       [calHorizon]calBucket
+	calBusy   [calHorizon / 64]uint64
 	calCount  int
 	calCursor Time
 
@@ -170,6 +177,12 @@ type Kernel struct {
 	rng     *rand.Rand
 
 	dispatched uint64 // events fired, for introspection/tests
+	switches   uint64 // coroutine resumes (see Switches)
+
+	// until is the horizon of the RunErr in progress. Outside RunErr
+	// it is -1, below every event time, so holdInPlace never fires a
+	// wake for a process that Shutdown resumes.
+	until Time
 
 	// Watchdog / budget state (see SetWatchdog, SetMaxCycles).
 	maxCycles     Time
@@ -186,7 +199,7 @@ type Kernel struct {
 // NewKernel returns a kernel with its virtual clock at zero and a
 // deterministic random source seeded with seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{rng: rand.New(rand.NewSource(seed)), until: -1}
 }
 
 // Now returns the current virtual time.
@@ -198,6 +211,12 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // EventsFired returns the number of events dispatched so far.
 func (k *Kernel) EventsFired() uint64 { return k.dispatched }
+
+// Switches returns the number of coroutine resumes so far: process
+// starts and wakes that switched into a process's coroutine. A wake
+// fired in place by Hold (see holdInPlace) counts as an event but not
+// as a switch.
+func (k *Kernel) Switches() uint64 { return k.switches }
 
 // PendingEvents returns the number of events currently queued (both
 // tiers). Since canceled events are removed eagerly, every pending
@@ -266,13 +285,15 @@ func (k *Kernel) push(e *eventNode) {
 // window apart), and appending keeps the bucket sorted by seq because
 // sequence numbers only grow.
 func (k *Kernel) calPush(e *eventNode) {
-	b := &k.cal[int(e.at)&calMask]
+	i := int(e.at) & calMask
+	b := &k.cal[i]
 	e.prev = b.tail
 	e.next = nil
 	if b.tail != nil {
 		b.tail.next = e
 	} else {
 		b.head = e
+		k.calBusy[i>>6] |= 1 << (i & 63)
 	}
 	b.tail = e
 	e.pos = posCalendar
@@ -283,9 +304,11 @@ func (k *Kernel) calPush(e *eventNode) {
 }
 
 // calRemove unlinks the node from its bucket (cancel, or dispatch of
-// the bucket head).
+// the bucket head). Both callers then recycle the node, which marks it
+// free.
 func (k *Kernel) calRemove(e *eventNode) {
-	b := &k.cal[int(e.at)&calMask]
+	i := int(e.at) & calMask
+	b := &k.cal[i]
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -293,34 +316,56 @@ func (k *Kernel) calRemove(e *eventNode) {
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
-	} else {
-		b.tail = e.prev
+	} else if b.tail = e.prev; e.prev == nil {
+		// e was the bucket's only event.
+		k.calBusy[i>>6] &^= 1 << (i & 63)
 	}
 	e.next, e.prev = nil, nil
-	e.pos = posFree
 	k.calCount--
 }
 
 // calHead returns the earliest calendar event without removing it, or
-// nil when the ring is empty. The cursor sweep is amortized O(1): the
-// cursor only moves forward over a bucket it found empty, and an
-// insert only pulls it back to a time that is guaranteed occupied.
+// nil when the ring is empty. While the ring holds events, now <=
+// calCursor <= the earliest of them: the clock only moves to a time
+// peek has seen to be no later than every pending event, and peek
+// leaves the cursor on the ring's earliest. So a busy cursor bucket
+// holds exactly the events at the cursor's time; calSeek finds the
+// earliest when the cursor's bucket is empty.
 func (k *Kernel) calHead() *eventNode {
+	if e := k.cal[int(k.calCursor)&calMask].head; e != nil {
+		return e
+	}
+	return k.calSeek()
+}
+
+// calSeek moves the cursor to the earliest occupied bucket and returns
+// its head, or nil when the ring is empty. Every live event fires
+// within [calCursor, calCursor+calHorizon), so the earliest is in the
+// first occupied bucket at or after the cursor's, in ring order, and
+// the occupancy bitmap finds it a word at a time rather than a bucket
+// at a time. An insert only pulls the cursor back to a time that is
+// guaranteed occupied.
+func (k *Kernel) calSeek() *eventNode {
 	if k.calCount == 0 {
 		return nil
 	}
-	if k.calCursor < k.now {
-		// The clock advanced past the cursor (a heap event fired in a
-		// calendar-quiet stretch). Buckets behind now are necessarily
-		// empty, and scanning them could alias wrapped future times.
-		k.calCursor = k.now
+	i := int(k.calCursor) & calMask
+	if w := k.calBusy[i>>6] >> (i & 63); w != 0 {
+		k.calCursor += Time(bits.TrailingZeros64(w))
+		return k.cal[int(k.calCursor)&calMask].head
 	}
-	for {
-		if e := k.cal[int(k.calCursor)&calMask].head; e != nil {
-			return e
+	// The rest of the ring, word by word from the next one, wrapping
+	// round to the low bits of the cursor's own word last.
+	base := i &^ 63
+	for j := 1; j <= len(k.calBusy); j++ {
+		word := (base>>6 + j) % len(k.calBusy)
+		if w := k.calBusy[word]; w != 0 {
+			b := word<<6 + bits.TrailingZeros64(w)
+			k.calCursor += Time((b - i) & calMask)
+			return k.cal[b].head
 		}
-		k.calCursor++
 	}
+	panic("sim: calendar count and occupancy disagree")
 }
 
 // peek returns the earliest pending event across both tiers without
@@ -459,6 +504,8 @@ func (k *Kernel) Run(until Time) uint64 {
 // remaining processes.
 func (k *Kernel) RunErr(until Time) (uint64, error) {
 	start := k.dispatched
+	defer func(prev Time) { k.until = prev }(k.until)
+	k.until = until
 	for {
 		next := k.peek()
 		if next == nil {
@@ -507,6 +554,37 @@ func (k *Kernel) RunErr(until Time) (uint64, error) {
 		}
 	}
 	return k.dispatched - start, nil
+}
+
+// holdInPlace fires p's wake at time at in place, as the dispatch loop
+// would fire it next, and reports whether it did. It is called by the
+// running process p from Hold instead of scheduling the wake and
+// switching out of its coroutine only to be switched straight back in.
+// It refuses, and Hold takes the loop path, unless RunErr is on the
+// stack, p is not aborted, the loop would dispatch the wake now rather
+// than stop or pause (the horizon, the cycle budget, an interrupt check
+// or Gosched due at the next dispatch count), and no pending event
+// fires at or before at: an equal-time event has a lower sequence
+// number, so it runs first. Firing does exactly what the loop does for
+// the wake: it counts the ending event, spends the wake's sequence
+// number and moves the clock, so event order, EventsFired and every
+// stop are the same either way.
+func (k *Kernel) holdInPlace(p *Proc, at Time) bool {
+	if p.aborted || at > k.until || (k.maxCycles > 0 && at > k.maxCycles) {
+		return false
+	}
+	n := k.dispatched + 1
+	if n&(schedEvery-1) == 0 || (k.interrupt != nil && n%k.interruptEvery == 0) {
+		return false
+	}
+	if next := k.peek(); next != nil && next.at <= at {
+		return false
+	}
+	k.dispatched = n
+	k.seq++
+	k.now = at
+	k.lastProgress = at
+	return true
 }
 
 // RunAll runs until no events remain.
@@ -659,6 +737,7 @@ func (k *Kernel) resume(p *Proc) {
 		return
 	}
 	k.lastProgress = k.now
+	k.switches++
 	prev := k.running
 	k.running = p
 	p.state = stateRunning

@@ -469,7 +469,9 @@ func TestInterruptNilCheckIdentical(t *testing.T) {
 var errTestCause = errors.New("test cause")
 
 // pingPong spawns two processes that alternate Hold(1) until the run
-// stops, so every event wakes the process that did not run last.
+// stops, so every event wakes the process that did not run last. Each
+// Hold finds the other process's wake pending at the same time, so it
+// never fires in place: every wake is a coroutine switch.
 func pingPong(k *Kernel) {
 	for i := 0; i < 2; i++ {
 		k.Spawn("ping", func(p *Proc) {

@@ -33,9 +33,12 @@ var errOrderStop = errors.New("interrupt stop")
 // and process id each time a process resumes or ends, "cb" for each
 // callback, and each RunErr's outcome. Process bodies append to the
 // log from their coroutines and callbacks from RunErr's loop, which is
-// safe because exactly one of them runs at a time.
-func orderMix(seed int64) string {
+// safe because exactly one of them runs at a time. It also returns how
+// many of the mix's own Holds fired their wake in place: a Hold that
+// returns with no coroutine resume in between never left its process.
+func orderMix(seed int64) (string, int) {
 	var log strings.Builder
+	inPlace := 0
 	r := rand.New(rand.NewSource(seed))
 	k := NewKernel(seed)
 	conds := []*Cond{NewCond(k, "c0"), NewCond(k, "c1")}
@@ -45,6 +48,13 @@ func orderMix(seed int64) string {
 		k.SetWatchdog(Duration(200 + r.Intn(300)))
 	}
 	panicked := false
+	hold := func(p *Proc, d Duration) {
+		s := k.Switches()
+		p.Hold(d)
+		if d > 0 && k.Switches() == s {
+			inPlace++
+		}
+	}
 
 	var spawn func()
 	dur := func() Duration {
@@ -88,7 +98,7 @@ func orderMix(seed int64) string {
 			op := r.Intn(16)
 			switch op {
 			case 0, 1, 2, 3:
-				p.Hold(dur())
+				hold(p, dur())
 			case 4:
 				p.Yield()
 			case 5:
@@ -104,7 +114,7 @@ func orderMix(seed int64) string {
 			case 10:
 				station.Acquire(p)
 				held++
-				p.Hold(dur())
+				hold(p, dur())
 				held--
 				station.Release()
 			case 11:
@@ -170,18 +180,26 @@ func orderMix(seed int64) string {
 	fmt.Fprintf(&log, "live=%d blocked=%d\n", k.LiveProcs(), len(k.BlockedProcs()))
 	k.Shutdown()
 	fmt.Fprintf(&log, "events=%d interrupts=%d\n", k.EventsFired(), interrupts)
-	return log.String()
+	return log.String(), inPlace
 }
 
 // TestDispatchOrderGolden pins the exact per-event dispatch sequence
 // of seeded random mixes. Regenerate with -update only for a change
-// that is meant to alter event order.
+// that is meant to alter event order. The mixes must also take Hold's
+// in-place path, so the golden keeps covering it.
 func TestDispatchOrderGolden(t *testing.T) {
 	var got strings.Builder
+	inPlace := 0
 	for seed := int64(1); seed <= orderSeeds; seed++ {
 		fmt.Fprintf(&got, "== seed %d\n", seed)
-		got.WriteString(orderMix(seed))
+		log, n := orderMix(seed)
+		got.WriteString(log)
+		inPlace += n
 	}
+	if inPlace == 0 {
+		t.Fatal("no Hold in the mixes fired its wake in place; the golden no longer covers that path")
+	}
+	t.Logf("%d Holds fired their wake in place", inPlace)
 	if *updateOrder {
 		if err := os.MkdirAll(filepath.Dir(orderGolden), 0o755); err != nil {
 			t.Fatal(err)

@@ -131,7 +131,10 @@ func (p *Proc) checkRunning(op string) {
 
 // Hold advances the process d cycles of virtual time. Other events and
 // processes run in the meantime. Hold(0) is a no-op that does not
-// yield.
+// yield. When the process's own wake would be the next event
+// dispatched, the kernel fires it in place and Hold returns without a
+// coroutine switch; otherwise the wake is scheduled and the process
+// yields to the dispatch loop.
 func (p *Proc) Hold(d Duration) {
 	p.checkRunning("Hold")
 	if d < 0 {
@@ -141,8 +144,12 @@ func (p *Proc) Hold(d Duration) {
 		return
 	}
 	p.holdTotal += d
+	at := p.k.now + d
+	if p.k.holdInPlace(p, at) {
+		return
+	}
 	p.state = stateScheduled
-	p.k.scheduleProc(p.k.now+d, p)
+	p.k.scheduleProc(at, p)
 	p.yield()
 }
 

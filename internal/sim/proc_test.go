@@ -129,3 +129,152 @@ func TestRunErrLetsOtherGoroutinesRun(t *testing.T) {
 		t.Fatalf("a process saw the other goroutine's flag after %d events, want within %d", seenAt, 4*schedEvery)
 	}
 }
+
+// TestLoneHoldFiresInPlace: a process alone in the kernel is always
+// the next event after its own Hold, so after its start it never
+// switches, except where the loop must run anyway to call Gosched.
+func TestLoneHoldFiresInPlace(t *testing.T) {
+	for _, n := range []int{schedEvery - 1, 1000} {
+		k := NewKernel(1)
+		k.Spawn("lone", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Hold(1)
+			}
+		})
+		fired := k.RunAll()
+		if fired != uint64(n+1) || k.EventsFired() != fired || k.Now() != Time(n) {
+			t.Fatalf("n=%d: fired %d (kernel %d) at %d, want %d at %d", n, fired, k.EventsFired(), k.Now(), n+1, n)
+		}
+		// One switch starts the process; the Gosched cadence takes
+		// every schedEvery-th Hold back through the loop.
+		if want := uint64(1 + n/schedEvery); k.Switches() != want {
+			t.Fatalf("n=%d: %d switches, want %d", n, k.Switches(), want)
+		}
+	}
+}
+
+// TestInPlaceInterruptStopsAtSameEvent: the interrupt check runs at
+// every 100th dispatch count whether or not the wakes before it fired
+// in place. A lone process wakes at t = i for event i (the start is
+// event 0 at t = 0); the check's third call, at count 200, stops the
+// run after events 0..199, at t = 199.
+func TestInPlaceInterruptStopsAtSameEvent(t *testing.T) {
+	k := NewKernel(1)
+	k.Spawn("lone", func(p *Proc) {
+		for {
+			p.Hold(1)
+		}
+	})
+	calls := 0
+	k.SetInterrupt(100, func() error {
+		if calls++; calls == 3 {
+			return errTestCause
+		}
+		return nil
+	})
+	n, err := k.RunErr(Forever)
+	var ce *CanceledError
+	if !errors.As(err, &ce) || ce.Cause != errTestCause {
+		t.Fatalf("RunErr = %v, want a *CanceledError carrying the cause", err)
+	}
+	if ce.At != 199 || n != 200 || k.EventsFired() != 200 || k.Now() != 199 {
+		t.Fatalf("canceled at %d after %d events (kernel %d, now %d), want 199 after 200", ce.At, n, k.EventsFired(), k.Now())
+	}
+	k.Shutdown()
+}
+
+// TestInPlaceHoldStopsAtHorizon: Run(until) never lets a process run
+// past until, however many of its wakes fire in place, and a later
+// Run picks up where it left off.
+func TestInPlaceHoldStopsAtHorizon(t *testing.T) {
+	k := NewKernel(1)
+	var last Time
+	k.Spawn("lone", func(p *Proc) {
+		for {
+			p.Hold(7)
+			last = p.Now()
+		}
+	})
+	for _, until := range []Time{50, 51, 300} {
+		k.Run(until)
+		if want := until / 7 * 7; last != want || k.Now() != want {
+			t.Fatalf("Run(%d): process last ran at %d, clock %d, want %d", until, last, k.Now(), want)
+		}
+	}
+	if k.EventsFired() != 1+300/7 {
+		t.Fatalf("fired %d events, want %d", k.EventsFired(), 1+300/7)
+	}
+	k.Shutdown()
+}
+
+// TestInPlaceHoldRespectsCycleBudget: the budget stops the run before
+// the first wake later than it, at the same Now as the loop path.
+func TestInPlaceHoldRespectsCycleBudget(t *testing.T) {
+	k := NewKernel(1)
+	k.Spawn("lone", func(p *Proc) {
+		for {
+			p.Hold(7)
+		}
+	})
+	k.SetMaxCycles(50)
+	_, err := k.RunErr(Forever)
+	var be *CycleBudgetError
+	if !errors.As(err, &be) || be.Budget != 50 || be.Now != 49 || be.Live != 1 {
+		t.Fatalf("RunErr = %#v, want a *CycleBudgetError{Budget: 50, Now: 49, Live: 1}", err)
+	}
+	if k.Now() != 49 || k.EventsFired() != 8 {
+		t.Fatalf("stopped at %d after %d events, want 49 after 8", k.Now(), k.EventsFired())
+	}
+	k.Shutdown()
+}
+
+// TestInPlaceHoldCountsAsProgress: a wake fired in place is progress
+// for the watchdog, exactly as a resume is. The process's Hold(1000)
+// ties with the first watchdog tick, so it resumes through the loop at
+// 1000; its Hold(50) then fires in place and it blocks at 1050. The
+// tick at 2000 sees only 950 idle cycles, so the deadlock is reported
+// at 3000.
+func TestInPlaceHoldCountsAsProgress(t *testing.T) {
+	k := NewKernel(1)
+	c := NewCond(k, "never")
+	k.SetWatchdog(1000)
+	k.Spawn("sleeper", func(p *Proc) {
+		p.Hold(1000)
+		p.Hold(50)
+		c.Wait(p)
+	})
+	_, err := k.RunErr(Forever)
+	var de *DeadlockError
+	if !errors.As(err, &de) || de.At != 3000 {
+		t.Fatalf("RunErr = %v, want a *DeadlockError at 3000", err)
+	}
+	k.Shutdown()
+}
+
+// TestAbortedHoldStillUnwinds: a process that recovers from its own
+// abort and holds again must not have that wake fired in place; the
+// Hold unwinds with ErrAborted as on the loop path.
+func TestAbortedHoldStillUnwinds(t *testing.T) {
+	k := NewKernel(1)
+	var second any
+	reached := false
+	k.Spawn("victim", func(p *Proc) {
+		defer func() {
+			recover() // the first ErrAborted, from Abort itself
+			defer func() { second = recover() }()
+			p.Hold(1)
+			reached = true
+		}()
+		p.Hold(1)
+		k.Abort(p)
+	})
+	if _, err := k.RunErr(Forever); err != nil {
+		t.Fatalf("RunErr: %v", err)
+	}
+	if second != ErrAborted || reached {
+		t.Fatalf("Hold after abort recovered %v (returned: %v), want ErrAborted", second, reached)
+	}
+	if k.LiveProcs() != 0 {
+		t.Fatalf("live procs = %d, want 0", k.LiveProcs())
+	}
+}
