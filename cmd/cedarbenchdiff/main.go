@@ -35,7 +35,7 @@
 // vanished from the fresh log would pass vacuously, proving nothing.
 //
 // The comparison semantics live in internal/benchcmp, shared with the
-// cedarbench scenario-suite gate.
+// scenario-capture diff (scenario.Diff).
 //
 // Exit status: 0 when every gated benchmark passes, 1 on regression,
 // missed speedup, missing-under-min-speedup, or empty intersection,

@@ -8,14 +8,14 @@
 // Usage:
 //
 //	cedarsim [-app FLO52 | gen:seed=7,hot=1 | file.workload]
-//	         [-list-apps] [-scenario file.scenario]
+//	         [-list-apps] [-scenario file.scenario|dir]
 //	         [-ces 32] [-steps N] [-no-baseline]
 //	         [-config 64proc|32flat] [-clusters N -ces-per-cluster N
 //	          -gm-modules N -stages N -degree N] [-list-configs]
 //	         [-fault ce:2@1e6,module:17@5e5]
 //	         [-record-scenario new.scenario]
 //	         [-trace out.json] [-profile out.folded] [-series out.csv|out.prom]
-//	         [-metrics out.prom|out.json|out.csv]
+//	         [-metrics out.prom|out.json|out.csv] [-hpm out.json|out.txt]
 //	         [-parallel N] [-statfx] [-server http://host:8344]
 //
 // Independent simulations within one invocation — the measured run and
@@ -31,7 +31,7 @@
 // 32flat, the unclustered machine of the paper's Section 6; the
 // parametric flags build a custom machine validated by
 // arch.Config.Validate, whose error names the violated topology
-// constraint. Every command shares this selection (internal/cli).
+// constraint. The selection lives in internal/cli.
 //
 // With -fault, the run is repeated healthy and degraded and a
 // baseline-vs-degraded overhead-decomposition delta table is printed.
@@ -47,9 +47,12 @@
 // (see -list-apps), a gen: spec sampling the parametric generator
 // (internal/perfect/gen), a .workload document file, or an inline
 // document — the same sources every command's -app accepts. -scenario
-// runs any .scenario document, checks its expect: outcome, and prints
-// its canonical record capture — byte-diffable against cedarbench and
-// a cedarserved bench job of the same document.
+// runs a .scenario document, or every one in a directory, through the
+// engine pool at -parallel, checks each one's expect: outcome and
+// pathology:, and prints the canonical record capture — byte-identical
+// to the committed capture of the directory (BENCH_scenarios.json,
+// testdata/scaling/BENCH_scaling.json) and to a cedarserved bench job
+// of the same document.
 //
 // -statfx prints only the run's canonical statfx accounting block
 // (Run.StatfxText). -server submits the same invocation to a running
@@ -69,9 +72,14 @@
 // With -fault they export the degraded run. -metrics writes the run's
 // full metric registry snapshot — the same source of truth StatfxText
 // and cedarserved's /metrics render — in the format the extension
-// selects (.prom, .json, or CSV); it arms nothing either. Whenever a
-// bounded instrumentation buffer overflowed, a one-line warning on
-// stderr reports the total dropped-event count.
+// selects (.prom, .json, or CSV); it arms nothing either. -hpm arms
+// the cedarhpm monitor and offloads its trace buffer, as the paper's
+// workstation did: a .json path gets per-event counts, the barrier and
+// helper-wait durations per CE, and the hardware counters (module
+// utilization, network ports, cluster caches, OS page faults); any
+// other path gets the raw records, one "at ce event aux" line each.
+// Whenever a bounded instrumentation buffer overflowed, a one-line
+// warning on stderr reports the total dropped-event count.
 package main
 
 import (
@@ -110,18 +118,27 @@ func printApps() {
 	}
 }
 
-// runScenario executes one .scenario file, checks its declared
-// outcome, and prints its canonical record capture — byte-diffable
-// against the same scenario's records in a cedarbench capture or a
-// cedarserved bench job result. Exit status 1 when the outcome misses
-// the document's expect:.
-func runScenario(path string) {
-	sc, err := scenario.LoadFile(path)
+// runScenarios executes a .scenario file, or every one in a
+// directory, through the engine pool, checks each declared outcome,
+// and prints the canonical record capture — byte-diffable against the
+// directory's committed capture or a cedarserved bench job result.
+// Exit status 1 when a run misses its document's expect: or
+// pathology:.
+func runScenarios(path string, parallel int) {
+	var scs []*scenario.Scenario
+	var err error
+	if fi, serr := os.Stat(path); serr == nil && fi.IsDir() {
+		scs, err = scenario.LoadDir(path)
+	} else {
+		var sc *scenario.Scenario
+		sc, err = scenario.LoadFile(path)
+		scs = []*scenario.Scenario{sc}
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
 		os.Exit(2)
 	}
-	recs, err := scenario.RunCtx(context.Background(), sc, false)
+	recs, err := scenario.RunAll(context.Background(), scs, parallel, false)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
 		os.Exit(1)
@@ -145,8 +162,8 @@ func usageErr(format string, args ...any) {
 func main() {
 	appName := flag.String("app", "FLO52", "application: a registry name (see -list-apps), a gen: spec, a .workload file, or an inline document")
 	listApps := flag.Bool("list-apps", false, "print the built-in application registry and exit")
-	scenarioPath := flag.String("scenario", "", "run one .scenario file, check its expect: outcome, and print its canonical record capture")
-	machine := cli.MachineFlags(flag.CommandLine, 32, true)
+	scenarioPath := flag.String("scenario", "", "run a .scenario file, or every one in a directory, check each expect: outcome, and print the canonical record capture")
+	machine := cli.MachineFlags(flag.CommandLine, 32)
 	steps := cli.StepsFlag(flag.CommandLine, 0, "override timestep count (0 = app default)")
 	noBase := flag.Bool("no-baseline", false, "skip the 1-processor baseline (no contention estimate)")
 	chunk := flag.Int("chunk", 0, "XDOALL pickup chunk size (>1 amortizes the iteration lock)")
@@ -159,6 +176,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a runtime/pprof heap profile at exit")
 	seriesPath := flag.String("series", "", "write the sampled time series (CSV, or Prometheus text if *.prom)")
 	metricsPath := flag.String("metrics", "", "write the run's metric registry snapshot (Prometheus text if *.prom, JSON if *.json, CSV otherwise)")
+	hpmPath := flag.String("hpm", "", "write the cedarhpm trace: a summary with hardware counters if *.json, the raw records otherwise")
 	parallel := cli.ParallelFlag(flag.CommandLine, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
 	serverURL := flag.String("server", "", "submit the run to a cedarserved instance at this URL and print its canonical statfx result")
 	statfx := flag.Bool("statfx", false, "run locally and print only the canonical statfx accounting block (byte-diffable against a -server run)")
@@ -173,7 +191,7 @@ func main() {
 		return
 	}
 	if *scenarioPath != "" {
-		runScenario(*scenarioPath)
+		runScenarios(*scenarioPath, *parallel)
 		return
 	}
 	stopProf, err := profio.Start(*cpuProfile, *memProfile)
@@ -221,7 +239,7 @@ func main() {
 		return
 	}
 
-	exp := exporter{trace: *tracePath, profile: *profilePath, series: *seriesPath, metrics: *metricsPath}
+	exp := exporter{trace: *tracePath, profile: *profilePath, series: *seriesPath, metrics: *metricsPath, hpm: *hpmPath}
 	exp.arm(&opts)
 
 	if *faultSpec != "" {
@@ -322,15 +340,15 @@ func main() {
 // exporter writes the observability outputs of a run to the paths the
 // flags selected (empty paths are skipped).
 type exporter struct {
-	trace, profile, series, metrics string
+	trace, profile, series, metrics, hpm string
 }
 
-// arm arms exactly what the selected artifacts read: the trace folds
-// the hpm monitor's stream, the series CSV reads the collector. The
-// folded profile and -metrics read only the accounts and the metric
-// registry, which every run keeps.
+// arm arms exactly what the selected artifacts read: the trace and
+// -hpm read the hpm monitor's stream, the series CSV reads the
+// collector. The folded profile and -metrics read only the accounts
+// and the metric registry, which every run keeps.
 func (e exporter) arm(opts *cedar.Options) {
-	if e.trace != "" {
+	if e.trace != "" || e.hpm != "" {
 		opts.TraceCapacity = 1 << 22
 	}
 	if e.series != "" {
@@ -338,8 +356,8 @@ func (e exporter) arm(opts *cedar.Options) {
 	}
 }
 
-// write exports the run's trace, profile, series, and metric registry
-// files, then checks the run's drop counters. Export failures are
+// write exports the run's trace, profile, series, metric registry and
+// hpm files, then checks the run's drop counters. Export failures are
 // fatal: an invocation that asked for an artifact and cannot produce
 // it should not exit 0.
 func (e exporter) write(run *cedar.Run) {
@@ -376,6 +394,14 @@ func (e exporter) write(run *cedar.Run) {
 			default:
 				return metricreg.WriteCSV(f, snap)
 			}
+		})
+	}
+	if e.hpm != "" {
+		e.toFile(e.hpm, func(f *os.File) error {
+			if strings.HasSuffix(e.hpm, ".json") {
+				return writeHPMJSON(f, run)
+			}
+			return writeHPMRecords(f, run)
 		})
 	}
 	warnDropped(run)

@@ -2,12 +2,21 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	cedar "repro"
+	"repro/internal/arch"
+	"repro/internal/faults"
+	"repro/internal/hpm"
+	"repro/internal/perfect"
 )
 
 // TestMain lets a test run the command itself: with CEDARSIM_MAIN set,
@@ -90,5 +99,116 @@ func TestRecordScenarioInlinesGeneratedApp(t *testing.T) {
 	}
 	if again, _ := os.ReadFile(path); !bytes.Equal(again, doc) {
 		t.Fatal("re-recording changed the existing document")
+	}
+}
+
+// -scenario takes a directory too: the scaling study prints its
+// committed capture byte for byte at any -parallel.
+func TestScenarioDirPrintsCapture(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scaling", "BENCH_scaling.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []string{"1", "2"} {
+		code, stdout, stderr := cedarsim(t, "-scenario", filepath.Join("..", "..", "testdata", "scaling"), "-parallel", parallel)
+		if code != 0 {
+			t.Fatalf("-parallel %s: exit %d, stderr %q", parallel, code, stderr)
+		}
+		if stdout != string(want) {
+			t.Fatalf("-parallel %s: capture differs from BENCH_scaling.json:\n%s", parallel, stdout)
+		}
+	}
+}
+
+// hpmRun runs FLO52 on 8 CEs for one step in process, armed as -hpm
+// arms it, under the given fault plan.
+func hpmRun(t *testing.T, plan string) *cedar.Run {
+	t.Helper()
+	opts := cedar.Options{Steps: 1, TraceCapacity: 1 << 22}
+	if plan != "" {
+		var err error
+		if opts.Faults, err = faults.Parse(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run, err := cedar.SimulateRunCtx(context.Background(), perfect.FLO52(), arch.Cedar8, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// hpmJSON runs cedarsim with -hpm to a .json file and decodes it.
+func hpmJSON(t *testing.T, args ...string) hpmSummary {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "hpm.json")
+	if code, _, stderr := cedarsim(t, append(args, "-hpm", path)...); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s hpmSummary
+	if err := json.Unmarshal(data, &s); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// The -hpm summary's event counts are the monitor's, and its hardware
+// counters cover every module and cluster.
+func TestHPMSummaryCounts(t *testing.T) {
+	s := hpmJSON(t, "-app", "FLO52", "-ces", "8", "-steps", "1", "-no-baseline")
+	run := hpmRun(t, "")
+	for ev := hpm.EventID(0); ev < hpm.NumEvents; ev++ {
+		if got, want := s.EventCounts[ev.String()], int64(run.Monitor.Count(ev)); got != want {
+			t.Errorf("event_counts[%s] = %d, monitor counted %d", ev, got, want)
+		}
+	}
+	if s.Cycles != int64(run.Result.CT) || s.Records != len(run.Monitor.Trace()) || s.Dropped != 0 {
+		t.Errorf("cycles %d records %d dropped %d; want %d %d 0", s.Cycles, s.Records, s.Dropped, run.Result.CT, len(run.Monitor.Trace()))
+	}
+	if len(s.HW.ModuleUtilization) != arch.Cedar8.GMModules || len(s.HW.Clusters) != arch.Cedar8.Clusters {
+		t.Errorf("hw covers %d modules and %d clusters", len(s.HW.ModuleUtilization), len(s.HW.Clusters))
+	}
+	if s.HW.Network.Reservations == 0 || s.HW.HottestPort.Name == "" || s.HW.OS.SeqFaults+s.HW.OS.ConcFaults == 0 {
+		t.Errorf("hardware counters left empty: %+v", s.HW)
+	}
+}
+
+// Any -hpm path other than .json gets the raw trace, one line per
+// record.
+func TestHPMRecordDump(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hpm.txt")
+	if code, _, stderr := cedarsim(t, "-app", "FLO52", "-ces", "8", "-steps", "1", "-no-baseline", "-hpm", path); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	trace := hpmRun(t, "").Monitor.Trace()
+	if len(lines) != len(trace) {
+		t.Fatalf("%d lines for %d trace records", len(lines), len(trace))
+	}
+	for i, rec := range trace {
+		if want := fmt.Sprintf("%d %d %s %d", rec.At, rec.CE, rec.Event, rec.Aux); lines[i] != want {
+			t.Fatalf("line %d = %q, want %q", i+1, lines[i], want)
+		}
+	}
+}
+
+// With -fault, -hpm exports the degraded run.
+func TestHPMExportsDegradedRun(t *testing.T) {
+	const plan = "ce:1@76414"
+	s := hpmJSON(t, "-app", "FLO52", "-ces", "8", "-steps", "1", "-fault", plan)
+	run := hpmRun(t, plan)
+	if s.Cycles != int64(run.Result.CT) || s.Cycles == int64(hpmRun(t, "").Result.CT) {
+		t.Fatalf("exported %d cycles; the degraded run took %d", s.Cycles, run.Result.CT)
+	}
+	if s.EventCounts[hpm.EvFaultInject.String()] == 0 {
+		t.Fatalf("no fault-inject events in the export: %v", s.EventCounts)
 	}
 }

@@ -6,9 +6,9 @@
 //
 //	cedarsim -app FLO52 -ces 16 -trace t.json -profile p.folded -series s.csv
 //
-// and machine-readable event summaries from:
+// and the machine-readable cedarhpm summary from:
 //
-//	cedartrace -app FLO52 -ces 16 -summary -json | jq .event_counts
+//	cedarsim -app FLO52 -ces 16 -no-baseline -hpm h.json && jq .event_counts h.json
 package main
 
 import (

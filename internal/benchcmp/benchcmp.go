@@ -1,6 +1,6 @@
 // Package benchcmp is the shared comparison core behind the repo's
 // historical performance gates: cmd/cedarbenchdiff (go test -json
-// benchmark logs, events/sec) and cmd/cedarbench (declarative scenario
+// benchmark logs, events/sec) and scenario.Diff (declarative scenario
 // captures, BENCH_scenarios.json) both gate through Compare, so the
 // pass/fail semantics — tolerance bands, the inverted -min-speedup
 // gate, exact-match drift, and what happens when an entry disappears

@@ -1,6 +1,6 @@
-// Package cli is the one selection path every command shares: it turns
-// an -app value into a perfect.App and the machine flags into an
-// arch.Config, and registers the -steps and -parallel counts, so all
+// Package cli is the selection path the commands share: it turns an
+// -app value into a perfect.App and the machine flags into an
+// arch.Config, and registers the -steps and -parallel counts, so the
 // commands accept the same sources and report the same errors.
 package cli
 
@@ -49,18 +49,8 @@ func Apps(list string) ([]perfect.App, error) {
 	return apps, nil
 }
 
-// Config looks up a named member of the machine family.
-func Config(name string) (arch.Config, error) {
-	cfg, ok := arch.FamilyByName(name)
-	if !ok {
-		return cfg, arch.UnknownConfigError(name)
-	}
-	return cfg, nil
-}
-
-// Machine is the machine-selection flag set: -config, -ces, and
-// -list-configs, plus the parametric dimension flags when a command
-// registers them.
+// Machine is the machine-selection flag set: -config, -ces,
+// -list-configs, and the parametric dimension flags.
 type Machine struct {
 	Name string // -config: a named family member
 	CEs  int    // -ces: a paper configuration by CE count
@@ -70,21 +60,18 @@ type Machine struct {
 	Dims arch.Config
 }
 
-// MachineFlags registers -config, -ces (defaulting to ces), and
-// -list-configs on fs, plus the parametric dimension flags when
-// parametric is set.
-func MachineFlags(fs *flag.FlagSet, ces int, parametric bool) *Machine {
+// MachineFlags registers -config, -ces (defaulting to ces),
+// -list-configs, and the parametric dimension flags on fs.
+func MachineFlags(fs *flag.FlagSet, ces int) *Machine {
 	m := &Machine{}
 	fs.StringVar(&m.Name, "config", "", "named machine family member (see -list-configs)")
 	fs.IntVar(&m.CEs, "ces", ces, "processor count: 1, 4, 8, 16, or 32")
 	fs.BoolVar(&m.List, "list-configs", false, "print all named machine configurations and exit")
-	if parametric {
-		fs.IntVar(&m.Dims.Clusters, "clusters", 0, "custom machine: cluster count")
-		fs.IntVar(&m.Dims.CEsPerCluster, "ces-per-cluster", 0, "custom machine: CEs per cluster")
-		fs.IntVar(&m.Dims.GMModules, "gm-modules", 0, "custom machine: global memory modules (default 32)")
-		fs.IntVar(&m.Dims.NetStages, "stages", 0, "custom machine: network stages (default 2)")
-		fs.IntVar(&m.Dims.SwitchDegree, "degree", 0, "custom machine: crossbar switch degree (default 8)")
-	}
+	fs.IntVar(&m.Dims.Clusters, "clusters", 0, "custom machine: cluster count")
+	fs.IntVar(&m.Dims.CEsPerCluster, "ces-per-cluster", 0, "custom machine: CEs per cluster")
+	fs.IntVar(&m.Dims.GMModules, "gm-modules", 0, "custom machine: global memory modules (default 32)")
+	fs.IntVar(&m.Dims.NetStages, "stages", 0, "custom machine: network stages (default 2)")
+	fs.IntVar(&m.Dims.SwitchDegree, "degree", 0, "custom machine: crossbar switch degree (default 8)")
 	return m
 }
 
@@ -116,7 +103,11 @@ func (m *Machine) Config() (arch.Config, error) {
 		cfg.Name = fmt.Sprintf("custom-%dx%d", cfg.Clusters, cfg.CEsPerCluster)
 		return cfg, cfg.Validate()
 	case m.Name != "":
-		return Config(m.Name)
+		cfg, ok := arch.FamilyByName(m.Name)
+		if !ok {
+			return cfg, arch.UnknownConfigError(m.Name)
+		}
+		return cfg, nil
 	}
 	var supported []string
 	for _, c := range arch.PaperConfigs() {

@@ -42,7 +42,7 @@ func TestAppsKeepGenCommas(t *testing.T) {
 func TestMachineConfig(t *testing.T) {
 	parse := func(args ...string) (arch.Config, error) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		m := MachineFlags(fs, 16, true)
+		m := MachineFlags(fs, 16)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,9 @@ import (
 )
 
 // ShrinkApp minimizes a generated app while keep returns true for it —
-// the pathology-preserving reducer behind cedarfuzz -apps. The phase
+// the pathology-preserving reducer that minimized the committed
+// fuzz-*.scenario workloads (TestPathologyScenariosRediscovered in the
+// root package re-derives them). The phase
 // list is reduced ddmin-style first (whole phases are the biggest
 // lever), then each surviving phase's knobs are simplified one at a
 // time: repeats and iteration counts halved, work snapped to coarse

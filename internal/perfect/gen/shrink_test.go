@@ -9,7 +9,7 @@ import (
 
 // hotStride reports whether the app still has a phase with a module-
 // aliasing stride — a cheap, deterministic stand-in for the simulated
-// pathology predicate cedarfuzz uses.
+// pathology predicate (cedar.Run.Pathologies).
 func hotStride(a perfect.App) bool {
 	for _, p := range a.Phases {
 		if p.GMStride > 0 && p.GMStride%32 == 0 {

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	cedar "repro"
 	"repro/internal/sim"
 )
 
@@ -84,7 +86,7 @@ metrics:
 
 	// A workload block prints last, two-space indented; a single-line
 	// source stays inline.
-	block := &Scenario{Name: "w", Config: "8proc", Scale: 1, Pathology: PathologyHotSpot,
+	block := &Scenario{Name: "w", Config: "8proc", Scale: 1, Pathology: cedar.PathologyHotSpot,
 		Workload: "workload: w\n  phase: serial s\n    work: 1\n"}
 	want = "name: w\nconfig: 8proc\nscale: 1\npathology: hotspot\nworkload:\n  workload: w\n    phase: serial s\n      work: 1\n"
 	if got := string(block.Format()); got != want {
@@ -122,9 +124,10 @@ func TestIsInterruptedClassification(t *testing.T) {
 	}
 }
 
-// RunCtx fails only when the outcome differs from expect:. A run that
-// stops as declared yields the records of the accounting it produced,
-// and an interrupted run returns its raw error whatever expect: says.
+// RunCtx fails only when the outcome differs from expect: or the run
+// does not show its declared pathology:. A run that stops as declared
+// yields the records of the accounting it produced, and an interrupted
+// run returns its raw error whatever expect: says.
 func TestRunHonoursExpect(t *testing.T) {
 	const killed = "app: FLO52\nconfig: 16proc\nsteps: 1\nseed: 1645508699426838620\n" +
 		"plan: ce:0@50000,ce:1@50000,ce:2@50000,ce:3@50000,ce:4@50000,ce:5@50000,ce:6@50000,ce:7@50000\n"
@@ -157,5 +160,15 @@ func TestRunHonoursExpect(t *testing.T) {
 	cancel()
 	if _, err := RunCtx(ctx, parse(killed+"expect: error\n"), false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run = %v, want context.Canceled", err)
+	}
+
+	// The paper apps trip no detector, so a healthy FLO52 run that
+	// declares a hot spot fails, in RunCtx and in Reproduce alike.
+	healed := parse("app: FLO52\nconfig: 4proc\nsteps: 1\npathology: hotspot\n")
+	if _, err := Run(healed, false); err == nil || !strings.Contains(err.Error(), "declared pathology hotspot not detected") {
+		t.Fatalf("undetected pathology: RunCtx err = %v", err)
+	}
+	if _, err := Reproduce(context.Background(), healed); err == nil || !strings.Contains(err.Error(), "not detected") {
+		t.Fatalf("undetected pathology: Reproduce err = %v", err)
 	}
 }

@@ -85,30 +85,38 @@ func isInterrupted(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// check holds a run's raw error to the declared expectation. An
-// interrupted run is never an outcome: its error comes back as is,
+// check holds a run and its raw error to the declared expectation:
+// the expect: outcome, and the pathology: class when one is declared.
+// An interrupted run is never an outcome: its error comes back as is,
 // whatever expect: says, so a truncated run cannot pass for an
 // expected failure (and a service cannot cache it as one).
-func (sc *Scenario) check(err error) error {
+func (sc *Scenario) check(run *cedar.Run, err error) error {
 	if isInterrupted(err) {
 		return err
 	}
 	got, want := Outcome(err), sc.Expectation()
 	switch {
-	case got == want:
-		return nil
-	case err != nil:
+	case got != want && err != nil:
 		return fmt.Errorf("scenario %s: outcome %s, want %s: %w", sc.Name, got, want, err)
-	default:
+	case got != want:
 		return fmt.Errorf("scenario %s: outcome %s, want %s", sc.Name, got, want)
+	case sc.Pathology == "":
+		return nil
+	case run == nil:
+		return fmt.Errorf("scenario %s: declared pathology %s, but no run to inspect", sc.Name, sc.Pathology)
 	}
+	if shown := run.Pathologies(); !slices.Contains(shown, sc.Pathology) {
+		return fmt.Errorf("scenario %s: declared pathology %s not detected (run shows %v)", sc.Name, sc.Pathology, shown)
+	}
+	return nil
 }
 
 // RunCtx executes one scenario through the cedar facade and extracts
 // its metric records. wallclock additionally measures
 // MetricWallEventsPerSec (nondeterministic; see the metric's doc). The
-// run fails only when its outcome differs from the declared expect:
-// (or it was interrupted); a run that stops as expected — a pinned
+// run fails only when its outcome differs from the declared expect:,
+// when it does not show its declared pathology:, or when it was
+// interrupted; a run that stops as expected — a pinned
 // deadlock, say — yields the records of the accounting it produced.
 // When the metric set has speedup or ov_cont, RunCtx also runs the
 // 1-processor base they compare against (see base).
@@ -116,7 +124,7 @@ func RunCtx(ctx context.Context, sc *Scenario, wallclock bool) ([]Record, error)
 	start := time.Now()
 	run, err := sc.Simulate(ctx)
 	wall := time.Since(start)
-	if err := sc.check(err); err != nil {
+	if err := sc.check(run, err); err != nil {
 		return nil, err
 	}
 	if run == nil {
@@ -149,14 +157,14 @@ func (sc *Scenario) base(ctx context.Context) (*core.Result, error) {
 }
 
 // Reproduce runs the scenario twice, holds both runs to the declared
-// expectation, and requires their statfx accounting to be
+// expectation (as RunCtx does), and requires their statfx accounting to be
 // byte-identical: the record/replay contract a checked-in scenario
 // makes. It returns the first run.
 func Reproduce(ctx context.Context, sc *Scenario) (*cedar.Run, error) {
 	var runs [2]*cedar.Run
 	for i := range runs {
 		run, err := sc.Simulate(ctx)
-		if err := sc.check(err); err != nil {
+		if err := sc.check(run, err); err != nil {
 			return run, err
 		}
 		runs[i] = run

@@ -2,15 +2,16 @@
 // file names everything one measurement run depends on — application,
 // machine configuration, weak-scale factor, fault plan, kernel seed,
 // cycle budget — plus its expected outcome and the metrics to extract
-// from it. It is the repo's one experiment format: cmd/cedarbench
-// turns a directory of them into a canonical BENCH_scenarios.json
-// capture that is committed and diffed against the previous run with
-// per-metric gates (internal/benchcmp); cedarserved runs one per bench
-// job; cedarsim -scenario runs one and -record-scenario writes one;
-// the fault-scenario regression corpus (testdata/faultcorpus/), which
-// cedarfuzz replays, is a directory of them; and so is the machine-
-// family scaling study (testdata/scaling/): one document per machine,
-// scale: 1 for strong scaling and scale: auto for weak.
+// from it. It is the repo's one experiment format: RunAll turns a
+// directory of them into a canonical BENCH_scenarios.json capture that
+// is committed and diffed against the previous run with per-metric
+// gates (internal/benchcmp; the root package's TestScenarioCaptures);
+// cedarserved runs one per bench job; cedarsim -scenario runs one file
+// or a whole directory and -record-scenario writes one; the fault-
+// scenario regression corpus (testdata/faultcorpus/), which
+// TestCorpusReplay replays, is a directory of them; and so is the
+// machine-family scaling study (testdata/scaling/): one document per
+// machine, scale: 1 for strong scaling and scale: auto for weak.
 //
 // The paper's contribution is a measurement methodology, not a single
 // number, so the repo's perf and correctness trajectory should live in
@@ -48,7 +49,9 @@
 // scaled members — and an integer pins the factor explicitly.
 // `expect:` declares the run's outcome: ok (the default) completes,
 // deadlock stops with sim.ErrDeadlock, error is any other simulation
-// error; a run fails only when its outcome differs.
+// error; a run fails only when its outcome differs. `pathology:`
+// declares a class the run must show (cedar.Run.Pathologies): a
+// promoted pathological workload that quietly heals fails its run.
 //
 // The metrics are ct_cycles, os_breakdown (the Table-2 rows),
 // concurrency, events, sim_events_per_sec and the opt-in
@@ -68,14 +71,15 @@ import (
 	"strconv"
 	"strings"
 
+	cedar "repro"
 	"repro/internal/arch"
 	"repro/internal/faults"
 	"repro/internal/perfect"
 
 	// Scenario documents may name their app as a gen: spec (app: or an
 	// inline workload: block); linking the generator installs the
-	// perfect.RegisterGen hook for every scenario consumer (cedarbench,
-	// cedarserved) in one place.
+	// perfect.RegisterGen hook for every scenario consumer (cedarsim,
+	// cedarserved, the tests) in one place.
 	_ "repro/internal/perfect/gen"
 )
 
@@ -103,7 +107,7 @@ const (
 	MetricSimEventsPerSec = "sim_events_per_sec"
 	// MetricWallEventsPerSec is kernel events per wall-clock second —
 	// the real throughput trend line. Nondeterministic, so it is only
-	// recorded when the runner opts in (cedarbench -wallclock), gated
+	// recorded when the runner opts in (RunAll's wallclock), gated
 	// with a tolerance instead of exactly, and never part of the
 	// committed byte-identical capture.
 	MetricWallEventsPerSec = "wall_events_per_sec"
@@ -149,18 +153,10 @@ var completedOnly = map[string]bool{
 // ScaleAuto is the Scale sentinel for perfect.ScaleFactorFor.
 const ScaleAuto = 0
 
-// Pathology classes a promoted scenario may declare (pathology: key):
-// the workload-space fuzzer (cedarfuzz -apps) re-detects each promoted
-// scenario's declared pathology as its regression gate.
-const (
-	PathologyHotSpot       = "hotspot"
-	PathologyBarrierConvoy = "barrier-convoy"
-	PathologyPageStorm     = "page-storm"
-)
-
-// knownPathologies validates the pathology: key.
+// knownPathologies validates the pathology: key against the detector
+// classes (cedar.Run.Pathologies).
 var knownPathologies = map[string]bool{
-	PathologyHotSpot: true, PathologyBarrierConvoy: true, PathologyPageStorm: true,
+	cedar.PathologyHotSpot: true, cedar.PathologyBarrierConvoy: true, cedar.PathologyPageStorm: true,
 }
 
 // Outcomes a scenario may declare (expect: key); the empty string
@@ -188,8 +184,8 @@ type Scenario struct {
 	// file path, so a scenario document stays self-contained and safe
 	// to accept over the network (cedarserved bench jobs).
 	Workload string
-	// Pathology declares which pathology class this scenario was
-	// promoted for ("" = none); see the Pathology constants.
+	// Pathology declares the pathology class the run must show ("" =
+	// none); see the cedar.Pathology constants.
 	Pathology string
 	// Config is the machine family member name (arch.FamilyByName).
 	Config string
@@ -350,7 +346,7 @@ func Parse(fallbackName string, data []byte) (*Scenario, error) {
 		case "pathology":
 			if !knownPathologies[val] {
 				err = fmt.Errorf("unknown pathology %q (want %s, %s, or %s)",
-					val, PathologyHotSpot, PathologyBarrierConvoy, PathologyPageStorm)
+					val, cedar.PathologyHotSpot, cedar.PathologyBarrierConvoy, cedar.PathologyPageStorm)
 			}
 			sc.Pathology = val
 		case "config":

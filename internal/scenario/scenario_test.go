@@ -121,7 +121,7 @@ workload:
 	if !strings.HasPrefix(sc.Workload, "workload: probe\n") || !strings.HasSuffix(sc.Workload, "gm_stride: 32\n") {
 		t.Fatalf("block not dedented into a document:\n%s", sc.Workload)
 	}
-	if sc.Pathology != PathologyHotSpot {
+	if sc.Pathology != cedar.PathologyHotSpot {
 		t.Fatalf("Pathology = %q", sc.Pathology)
 	}
 	app, cfg, err := sc.Resolve()

@@ -142,7 +142,7 @@ func (sp *JobSpec) execute(ctx context.Context, sc *scenario.Scenario, progress 
 		}
 		progress(fmt.Sprintf("bench %s: %d record(s)", sc.Name, len(recs)))
 		// The canonical capture encoding: deterministic bytes, directly
-		// diffable against a cedarbench run of the same document.
+		// diffable against cedarsim -scenario on the same document.
 		return scenario.EncodeCapture(recs)
 	}
 	run, err := sc.Simulate(ctx)

@@ -5,8 +5,9 @@ import (
 )
 
 // Workload pathology classes the detectors below recognize. The names
-// are the values a scenario's pathology: key declares (see
-// internal/scenario) and the labels cedarfuzz -apps promotes under.
+// are the values a scenario's pathology: key declares; the scenario
+// runner fails a run that does not show its declared class (see
+// internal/scenario).
 const (
 	// PathologyHotSpot: the global-memory traffic concentrates on a
 	// few modules (strided access aliasing the word-interleaved
@@ -56,8 +57,9 @@ const (
 // Pathologies inspects a completed run's accounting and returns the
 // pathology classes it exhibits, in the constants' declaration order
 // (an empty slice for a healthy run). Detection is deterministic: the
-// same run yields the same labels, which is what lets cedarfuzz shrink
-// a generated workload against "still pathological" as the predicate.
+// same run yields the same labels, which is what lets gen.ShrinkApp
+// shrink a generated workload against "still pathological" as the
+// predicate.
 func (r *Run) Pathologies() []string {
 	var out []string
 	if r.hotSpot() {

@@ -12,8 +12,8 @@ import (
 
 // FaultWindows runs the app healthy on the configuration with the
 // cedarhpm monitor armed and returns the merged virtual-time windows
-// in which page faults were serviced. The schedule fuzzer
-// (faults.SweepTimes) aims fail-stops at these windows — the hand-off
+// in which page faults were serviced. FuzzFailStopSchedule aims
+// fail-stops at these windows through faults.SweepTimes — the hand-off
 // races live inside them.
 func FaultWindows(app perfect.App, cfg arch.Config, opts Options) ([]faults.Window, error) {
 	opts.Faults = nil
@@ -46,7 +46,7 @@ const faultWindowTrace = 1 << 22
 // Table-2 OS breakdown, and every CE's per-category account — as a
 // canonical text block. Two runs of the same scenario produce
 // byte-identical StatfxText; scenario.Reproduce, and through it the
-// fault corpus gate in cedarfuzz, compares runs with it.
+// fault corpus gate TestCorpusReplay, compares runs with it.
 //
 // The block renders from the run's metric registry snapshot — the same
 // source every exporter reads — and is byte-identical to the original

@@ -3,6 +3,7 @@ package cedar_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -40,6 +41,55 @@ func TestCorpusReplay(t *testing.T) {
 	if !sawRoadmap {
 		t.Error("the ROADMAP fail-stop schedule is missing from the corpus")
 	}
+}
+
+// FuzzFailStopSchedule sweeps fail-stop schedules across the page-fault
+// windows of a healthy FLO52 run on 8proc (one timestep): the schedule
+// family that exposed the fail-stop page-fault deadlock. Each input
+// seed maps to one plan (faults.SweepTimes), and every plan must run to
+// completion. A failing plan is shrunk (scenario.Shrink) and reported
+// as a ready-to-commit testdata/faultcorpus document. The windows are
+// found once per process; the seed corpus is in
+// testdata/fuzz/FuzzFailStopSchedule/.
+func FuzzFailStopSchedule(f *testing.F) {
+	app, cfg, opts := perfect.FLO52(), arch.Cedar8, cedar.Options{Steps: 1}
+	windows, err := cedar.FaultWindows(app, cfg, opts)
+	if err != nil {
+		f.Fatalf("healthy window-discovery run: %v", err)
+	}
+	if len(windows) == 0 {
+		f.Fatal("no page-fault windows on the healthy run; nothing to aim at")
+	}
+	base, err := scenario.ForRun("failstop", app, cfg, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// CE 0 leads the main task; killing it deadlocks the machine by
+	// design (the helpers starve), which would drown real hand-off bugs
+	// in expected failures. Kill any other CE.
+	var ces []int
+	for ce := 1; ce < cfg.CEs(); ce++ {
+		ces = append(ces, ce)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		plan := faults.SweepTimes(nil, windows, ces, cfg.GMModules, seed, 1)[0]
+		if err := plan.Validate(cfg); err != nil {
+			t.Fatalf("SweepTimes generated an invalid plan: %v", err)
+		}
+		sc := *base
+		sc.Name, sc.Plan = fmt.Sprintf("failstop-%d", seed), plan
+		ctx := context.Background()
+		_, err := sc.Simulate(ctx)
+		if err == nil {
+			return
+		}
+		shrunk, runs, serr := scenario.Shrink(ctx, &sc, 60)
+		if serr != nil {
+			t.Fatalf("plan %s: %v (shrink failed: %v)", plan, err, serr)
+		}
+		t.Fatalf("plan %s: %v\nshrunk in %d runs; add it to testdata/faultcorpus/ with a comment naming the bug:\n%s",
+			plan, err, runs, shrunk.Format())
+	})
 }
 
 // TestReplayBitIdentical: running the same scenario twice must produce
