@@ -74,12 +74,11 @@ type Options struct {
 	// gives defaults. Spans come from the monitor (TraceCapacity), not
 	// from Observe.
 	Observe *obs.Options
-	// Parallel bounds how many independent simulations the batch
-	// helpers (Sweeps, FaultSweep) run concurrently. Zero
-	// uses GOMAXPROCS; 1 forces the sequential path. Parallelism is
-	// wall-clock only: every simulation owns its kernel and
-	// deterministic seed, and results are assembled in input order, so
-	// batch output is byte-identical at any setting (see
+	// Parallel bounds how many independent simulations Sweeps runs
+	// concurrently. Zero uses GOMAXPROCS; 1 forces the sequential
+	// path. Parallelism is wall-clock only: every simulation owns its
+	// kernel and deterministic seed, and results are assembled in input
+	// order, so sweep output is byte-identical at any setting (see
 	// internal/engine).
 	Parallel int
 
@@ -390,62 +389,4 @@ func normalize(s *core.Sweep) {
 	for _, r := range s.Results {
 		r.Scale = scale
 	}
-}
-
-// FaultReport is one FaultSweep entry: the degraded run under one
-// fault plan plus its decomposition against the healthy baseline. Err
-// is set when the degraded run ended abnormally (e.g. sim.ErrDeadlock
-// from a plan that kills the machine); Run still carries the partial
-// accounting then.
-type FaultReport struct {
-	Plan   faults.Plan
-	Run    *Run
-	Report *core.DegradedReport // nil when Err is set
-	Err    error
-}
-
-// FaultSweep runs the application once healthy on the configuration
-// (the baseline) and once per fault plan, comparing each degraded run
-// against the baseline with the paper's overhead decomposition (the
-// 1-processor run supplies the contention base). Runs use the same
-// deterministic seeds as Simulate, so a sweep is reproducible run to
-// run. Baseline failures abort the sweep; per-plan failures are
-// recorded in the report and the sweep continues. The two baselines
-// and the per-plan degraded runs each execute concurrently per
-// Options.Parallel, with reports ordered by plan index.
-func FaultSweep(app perfect.App, cfg arch.Config, plans []faults.Plan, opts Options) ([]*FaultReport, error) {
-	healthy := opts
-	healthy.Faults = nil
-	type baseOut struct {
-		res *core.Result
-		err error
-	}
-	bases := engine.Map(opts.Parallel, []arch.Config{arch.Cedar1, cfg},
-		func(_ int, c arch.Config) baseOut {
-			run, err := SimulateRunErr(app, c, healthy)
-			if err != nil {
-				return baseOut{err: err}
-			}
-			return baseOut{res: run.Result}
-		})
-	for _, b := range bases {
-		if b.err != nil {
-			return nil, b.err
-		}
-	}
-	base1p, baseline := bases[0].res, bases[1].res
-	out := engine.Map(opts.Parallel, plans, func(_ int, plan faults.Plan) *FaultReport {
-		po := opts
-		po.Faults = plan
-		fr := &FaultReport{Plan: plan}
-		run, err := SimulateRunErr(app, cfg, po)
-		fr.Run = run
-		if err != nil {
-			fr.Err = err
-		} else {
-			fr.Report, fr.Err = core.CompareDegraded(base1p, baseline, run.Result, plan.String())
-		}
-		return fr
-	})
-	return out, nil
 }

@@ -11,37 +11,10 @@ import (
 	"strings"
 	"time"
 
-	cedar "repro"
 	"repro/internal/arch"
-	"repro/internal/faults"
 	"repro/internal/perfect"
 	"repro/internal/serve"
 )
-
-// runStatfx runs the selected simulation locally and prints only its
-// canonical statfx accounting block — the byte-stable text a
-// cedarserved job returns for the same invocation, so the two are
-// directly diffable. A -metrics path still works here (written to its
-// own file; drop warnings go to stderr), keeping stdout byte-stable.
-func runStatfx(app perfect.App, cfg arch.Config, opts cedar.Options, faultSpec string, exp exporter) {
-	if faultSpec != "" {
-		plan, err := faults.Parse(faultSpec)
-		if err != nil {
-			usageErr("%v", err)
-		}
-		if err := plan.Validate(cfg); err != nil {
-			usageErr("%v", err)
-		}
-		opts.Faults = plan
-	}
-	run, err := cedar.SimulateRunErr(app, cfg, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(run.StatfxText())
-	exp.write(run)
-}
 
 // remoteWorkload derives the inline workload a -server run submits for
 // the -app source src, which resolved to app. A registry name travels

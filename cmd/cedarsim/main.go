@@ -18,12 +18,15 @@
 //	         [-metrics out.prom|out.json|out.csv] [-hpm out.json|out.txt]
 //	         [-parallel N] [-statfx] [-server http://host:8344]
 //
-// Independent simulations within one invocation — the measured run and
-// its 1-processor baseline, and the healthy/degraded pair of a -fault
-// comparison — execute through the deterministic parallel engine;
-// -parallel bounds the worker count (default GOMAXPROCS, 1 forces
-// sequential). Each simulation owns its kernel and seed, so the
-// printed report is identical at any setting.
+// Every local invocation takes one path: it makes the measured run,
+// the only one armed and exported, together with the reference runs its
+// view sets it against — the 1-processor baseline for the report
+// (unless -no-baseline), that baseline and the healthy run on the same
+// machine for -fault, none for -statfx. They execute through the
+// deterministic parallel engine in one call; -parallel bounds the
+// worker count (default GOMAXPROCS, 1 forces sequential). Each
+// simulation owns its kernel and seed, so the printed output is
+// identical at any setting.
 //
 // The machine defaults to the paper configuration selected by -ces
 // (1, 4, 8, 16, or 32 — the closed list the paper measures). -config
@@ -33,9 +36,10 @@
 // arch.Config.Validate, whose error names the violated topology
 // constraint. The selection lives in internal/cli.
 //
-// With -fault, the run is repeated healthy and degraded and a
-// baseline-vs-degraded overhead-decomposition delta table is printed.
-// -record-scenario writes the fault run as a new .scenario document
+// With -fault, the measured run is the degraded one, and the fault
+// activations and a baseline-vs-degraded overhead-decomposition delta
+// table are printed in place of the report. -record-scenario writes
+// the fault run — with -statfx too — as a new .scenario document
 // (scenario.ForRun: the app — inline when it is not a registry app —
 // config, steps, resolved seed, plan, and the observed outcome as
 // expect:). It refuses a custom machine and an existing file before
@@ -52,7 +56,8 @@
 // pathology:, and prints the canonical record capture — byte-identical
 // to the committed capture of the directory (BENCH_scenarios.json,
 // testdata/scaling/BENCH_scaling.json) and to a cedarserved bench job
-// of the same document.
+// of the same document. It reads only -parallel, -cpuprofile and
+// -memprofile.
 //
 // -statfx prints only the run's canonical statfx accounting block
 // (Run.StatfxText). -server submits the same invocation to a running
@@ -61,6 +66,9 @@
 // configuration, steps, and fault plan. Any -app source other than a
 // registry name travels to the server inline as the canonical document
 // text, so one workload caches under one key however it was spelled.
+// -server and -scenario refuse (exit 2, naming each) any explicitly
+// set flag they would drop: -server carries no -chunk, -tree, export
+// flag or -record-scenario to the service.
 //
 // Each observability flag arms only what its artifact reads: -trace
 // arms the cedarhpm monitor and writes the Chrome/Perfetto
@@ -69,15 +77,17 @@
 // CSV, or as Prometheus text exposition when the path ends in .prom,
 // and -profile writes folded stacks weighted by virtual cycles (feed
 // to flamegraph.pl or inferno) from the CE accounts, arming nothing.
-// With -fault they export the degraded run. -metrics writes the run's
-// full metric registry snapshot — the same source of truth StatfxText
-// and cedarserved's /metrics render — in the format the extension
-// selects (.prom, .json, or CSV); it arms nothing either. -hpm arms
-// the cedarhpm monitor and offloads its trace buffer, as the paper's
-// workstation did: a .json path gets per-event counts, the barrier and
-// helper-wait durations per CE, and the hardware counters (module
-// utilization, network ports, cluster caches, OS page faults); any
-// other path gets the raw records, one "at ce event aux" line each.
+// -metrics writes the run's full metric registry snapshot — the same
+// source of truth StatfxText and cedarserved's /metrics render — in the
+// format the extension selects (.prom, .json, or CSV); it arms nothing
+// either. -hpm arms the cedarhpm monitor and offloads its trace buffer,
+// as the paper's workstation did: a .json path gets per-event counts,
+// the barrier and helper-wait durations per CE, and the hardware
+// counters (module utilization, network ports, cluster caches, OS page
+// faults); any other path gets the raw records, one "at ce event aux"
+// line each. Every one of these exports the measured run — with -fault
+// the degraded one — and works with -statfx too, leaving its stdout
+// unchanged.
 // Whenever a bounded instrumentation buffer overflowed, a one-line
 // warning on stderr reports the total dropped-event count.
 package main
@@ -89,8 +99,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
 
 	cedar "repro"
 	"repro/internal/arch"
@@ -191,8 +201,14 @@ func main() {
 		return
 	}
 	if *scenarioPath != "" {
-		runScenarios(*scenarioPath, *parallel)
-		return
+		refuseIgnored("scenario", "parallel", "cpuprofile", "memprofile")
+	}
+	if *serverURL != "" {
+		// -statfx and -no-baseline name what a -server run prints anyway;
+		// -parallel cannot change it.
+		refuseIgnored("server", "app", "steps", "fault", "statfx", "no-baseline", "parallel",
+			"config", "ces", "clusters", "ces-per-cluster", "gm-modules", "stages", "degree",
+			"cpuprofile", "memprofile")
 	}
 	stopProf, err := profio.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -204,6 +220,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cedarsim: profile: %v\n", err)
 		}
 	}()
+	if *scenarioPath != "" {
+		runScenarios(*scenarioPath, *parallel)
+		return
+	}
 	if *recordPath != "" && *faultSpec == "" {
 		usageErr("-record-scenario needs a -fault plan to record")
 	}
@@ -222,11 +242,9 @@ func main() {
 		usageErr("%v", err)
 	}
 
-	opts := cedar.Options{Steps: *steps, XdoallChunk: *chunk, TreeFanout: *tree, Parallel: *parallel}
-
-	// The service modes print the canonical statfx block and nothing
-	// else, so a local and a remote run of the same invocation diff
-	// byte-for-byte.
+	// -server prints the service's canonical statfx block and nothing
+	// else, so a local -statfx and a remote run of the same invocation
+	// diff byte for byte.
 	if *serverURL != "" {
 		if machine.Custom() {
 			usageErr("-server needs a named configuration the service knows (see -list-configs)")
@@ -234,47 +252,106 @@ func main() {
 		runRemote(*serverURL, app, remoteWorkload(*appName, app), cfg, *steps, *faultSpec)
 		return
 	}
-	if *statfx {
-		runStatfx(app, cfg, opts, *faultSpec, exporter{metrics: *metricsPath})
-		return
-	}
 
-	exp := exporter{trace: *tracePath, profile: *profilePath, series: *seriesPath, metrics: *metricsPath, hpm: *hpmPath}
-	exp.arm(&opts)
-
+	var plan faults.Plan
 	if *faultSpec != "" {
-		runFaulted(app, cfg, opts, *faultSpec, *recordPath, exp)
-		return
+		if plan, err = faults.Parse(*faultSpec); err != nil {
+			usageErr("%v", err)
+		}
+		if err := plan.Validate(cfg); err != nil {
+			usageErr("%v", err)
+		}
 	}
+	// opts runs the healthy reference runs; the measured run adds the
+	// fault plan and arms what the exported artifacts read.
+	opts := cedar.Options{Steps: *steps, XdoallChunk: *chunk, TreeFanout: *tree}
+	measured := opts
+	measured.Faults = plan
+	var rec *scenario.Scenario
+	if *recordPath != "" {
+		rec = recordable(*recordPath, app, cfg, measured)
+	}
+	exp := exporter{trace: *tracePath, profile: *profilePath, series: *seriesPath, metrics: *metricsPath, hpm: *hpmPath}
+	exp.arm(&measured)
 
-	// The measured run and the 1-processor baseline are independent
-	// simulations; run them through the engine pool.
-	var runX *cedar.Run
-	var runErr error
-	var base *core.Result
+	// The measured run and the reference runs its view sets it against
+	// are independent simulations; run them through the engine pool.
+	// The report needs the 1-processor base (Tp_ideal); the degraded
+	// comparison needs that base and the healthy run on cfg.
+	var run, base1p, healthy *cedar.Run
+	var runErr, base1pErr, healthyErr error
 	jobs := []func(){
-		func() { runX, runErr = cedar.SimulateRunErr(app, cfg, opts) },
+		func() { run, runErr = cedar.SimulateRunErr(app, cfg, measured) },
 	}
-	if !*noBase && cfg.CEs() > 1 {
-		jobs = append(jobs, func() { base = cedar.Simulate(app, arch.Cedar1, opts) })
+	base := func() { base1p, base1pErr = cedar.SimulateRunErr(app, arch.Cedar1, opts) }
+	switch {
+	case *statfx:
+	case plan != nil:
+		jobs = append(jobs, base, func() { healthy, healthyErr = cedar.SimulateRunErr(app, cfg, opts) })
+	case !*noBase && cfg.CEs() > 1:
+		jobs = append(jobs, base)
 	}
 	engine.Do(*parallel, jobs...)
-	if runErr != nil {
+	if err := errors.Join(base1pErr, healthyErr); err != nil {
+		fmt.Fprintf(os.Stderr, "cedarsim: baseline run failed: %v\n", err)
+		os.Exit(1)
+	}
+	if run == nil { // the simulator refused its inputs; nothing ran
 		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", runErr)
 		os.Exit(1)
 	}
-	res := runX.Result
-	exp.write(runX)
+	// A run that ended abnormally still exports and records its
+	// accounting up to the failure: with -fault, the trace shows the
+	// fault windows.
+	exp.write(run)
+	if rec != nil {
+		record(rec, *recordPath, runErr)
+	}
 
-	if base != nil {
+	// The degraded view reports a failed run itself; the others do not
+	// print one.
+	switch {
+	case plan != nil && !*statfx:
+		printDegraded(run, runErr, base1p, healthy, plan)
+	case runErr != nil:
+		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", runErr)
+		os.Exit(1)
+	case *statfx:
+		fmt.Print(run.StatfxText())
+	default:
+		printReport(run.Result, base1p, cfg)
+	}
+}
+
+// refuseIgnored exits 2 naming every explicitly set flag that -mode
+// does not read, other than -mode itself: a silently dropped flag would
+// print a result the invocation did not ask for.
+func refuseIgnored(mode string, reads ...string) {
+	var ignored []string
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name != mode && !slices.Contains(reads, f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		usageErr("-%s ignores %s", mode, strings.Join(ignored, ", "))
+	}
+}
+
+// printReport prints the full measurement report of res, set against
+// the 1-processor run base1p when there is one.
+func printReport(res *core.Result, base1p *cedar.Run, cfg arch.Config) {
+	var base *core.Result
+	if base1p != nil {
+		base = base1p.Result
 		// Normalize both to the paper's CT1 for readable seconds.
-		if paper := perfect.PaperCT1(app.Name); paper > 0 {
+		if paper := perfect.PaperCT1(res.App); paper > 0 {
 			scale := paper / arch.Seconds(int64(base.CT))
 			base.Scale, res.Scale = scale, scale
 		}
 	}
 
-	fmt.Printf("%s on %s (%d CEs, %d clusters)\n", app.Name, cfg.Name, cfg.CEs(), cfg.Clusters)
+	fmt.Printf("%s on %s (%d CEs, %d clusters)\n", res.App, cfg.Name, cfg.CEs(), cfg.Clusters)
 	fmt.Printf("completion time: %.1f s (%.0f cycles)\n", res.CTSeconds(), float64(res.CT))
 	if base != nil {
 		fmt.Printf("speedup over 1 processor: %.2f\n", res.Speedup(base))
@@ -407,10 +484,6 @@ func (e exporter) write(run *cedar.Run) {
 	warnDropped(run)
 }
 
-// warnDroppedOnce keeps the drop warning to one line per invocation
-// even when several runs (baseline, degraded) dropped events.
-var warnDroppedOnce sync.Once
-
 // warnDropped warns on stderr when a run's bounded instrumentation
 // buffers overflowed — silent drops would skew any fold over the trace
 // (the Figure 4 decompositions). Stderr keeps -statfx stdout
@@ -420,10 +493,8 @@ func warnDropped(run *cedar.Run) {
 	if n == 0 {
 		return
 	}
-	warnDroppedOnce.Do(func() {
-		fmt.Fprintf(os.Stderr,
-			"cedarsim: warning: %d instrumentation event(s) dropped (trace or series buffer full); raise the trace capacity or series capacity before trusting trace folds\n", n)
-	})
+	fmt.Fprintf(os.Stderr,
+		"cedarsim: warning: %d instrumentation event(s) dropped (trace or series buffer full); raise the trace capacity or series capacity before trusting trace folds\n", n)
 }
 
 func (e exporter) toFile(path string, fn func(*os.File) error) {
@@ -448,11 +519,10 @@ func (e exporter) toFile(path string, fn func(*os.File) error) {
 // anything runs: a run that cannot be recorded (a custom machine, an
 // option a scenario does not carry) or a path that already exists is a
 // bad invocation, not a wasted simulation.
-func recordable(path string, app perfect.App, cfg arch.Config, opts cedar.Options, plan faults.Plan) *scenario.Scenario {
+func recordable(path string, app perfect.App, cfg arch.Config, opts cedar.Options) *scenario.Scenario {
 	if _, err := os.Stat(path); err == nil {
 		usageErr("-record-scenario %s: file exists (a recording never overwrites)", path)
 	}
-	opts.Faults = plan
 	name := strings.TrimSuffix(filepath.Base(path), scenario.Ext)
 	sc, err := scenario.ForRun(name, app, cfg, opts)
 	if err != nil {
@@ -461,69 +531,50 @@ func recordable(path string, app perfect.App, cfg arch.Config, opts cedar.Option
 	return sc
 }
 
-// runFaulted runs the degraded-vs-baseline comparison for one fault
-// plan and prints the decomposition delta table. With recordPath, the
-// run is written there as a new scenario document declaring its
-// observed outcome.
-func runFaulted(app perfect.App, cfg arch.Config, opts cedar.Options, spec, recordPath string, exp exporter) {
-	plan, err := faults.Parse(spec)
+// record writes the recording with the run's observed outcome as its
+// expect: — deadlocks very much included: a schedule that wedges the
+// machine is exactly what the corpus exists to pin.
+func record(rec *scenario.Scenario, path string, runErr error) {
+	rec.Expect = scenario.Outcome(runErr)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err == nil {
+		_, err = f.Write(rec.Format())
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		usageErr("%v", err)
+		fmt.Fprintf(os.Stderr, "cedarsim: -record-scenario: %v\n", err)
+		os.Exit(1)
 	}
-	if err := plan.Validate(cfg); err != nil {
-		usageErr("%v", err)
-	}
-	var rec *scenario.Scenario
-	if recordPath != "" {
-		rec = recordable(recordPath, app, cfg, opts, plan)
-	}
+	fmt.Fprintf(os.Stderr, "cedarsim: recorded %s (expect: %s)\n", path, rec.Expectation())
+}
 
-	fmt.Printf("%s on %s (%d CEs), fault plan %s\n\n", app.Name, cfg.Name, cfg.CEs(), plan)
-	reports, err := cedar.FaultSweep(app, cfg, []faults.Plan{plan}, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cedarsim: baseline run failed: %v\n", err)
-		os.Exit(1)
+// printDegraded prints the fault activations of the degraded run and
+// its overhead-decomposition delta table against the healthy run on
+// the same machine, with base1p supplying the contention base.
+func printDegraded(run *cedar.Run, runErr error, base1p, healthy *cedar.Run, plan faults.Plan) {
+	cfg := run.Machine.Cfg
+	fmt.Printf("%s on %s (%d CEs), fault plan %s\n\n", run.Result.App, cfg.Name, cfg.CEs(), plan)
+	fmt.Println("Fault activations:")
+	for _, a := range run.Injector.Applied() {
+		fmt.Printf("  cycle %-12d %s\n", int64(a.At), a.Note)
 	}
-	fr := reports[0]
-	if fr.Run != nil {
-		// Export the degraded run: its trace shows the fault windows.
-		exp.write(fr.Run)
+	fmt.Println()
+	var rep *core.DegradedReport
+	if runErr == nil {
+		rep, runErr = core.CompareDegraded(base1p.Result, healthy.Result, run.Result, plan.String())
 	}
-	if fr.Run != nil && fr.Run.Injector != nil {
-		fmt.Println("Fault activations:")
-		for _, a := range fr.Run.Injector.Applied() {
-			fmt.Printf("  cycle %-12d %s\n", int64(a.At), a.Note)
-		}
-		fmt.Println()
-	}
-	if rec != nil {
-		// Record the degraded run — deadlocks very much included: a
-		// schedule that wedges the machine is exactly what the corpus
-		// exists to pin.
-		rec.Expect = scenario.Outcome(fr.Err)
-		f, err := os.OpenFile(recordPath, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err == nil {
-			_, err = f.Write(rec.Format())
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cedarsim: -record-scenario: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "cedarsim: recorded %s (expect: %s)\n", recordPath, rec.Expectation())
-	}
-	if fr.Err != nil {
+	if runErr != nil {
 		switch {
-		case errors.Is(fr.Err, sim.ErrDeadlock):
-			fmt.Fprintf(os.Stderr, "cedarsim: degraded run deadlocked: %v\n", fr.Err)
-		case errors.Is(fr.Err, sim.ErrCycleBudget):
-			fmt.Fprintf(os.Stderr, "cedarsim: degraded run exceeded cycle budget: %v\n", fr.Err)
+		case errors.Is(runErr, sim.ErrDeadlock):
+			fmt.Fprintf(os.Stderr, "cedarsim: degraded run deadlocked: %v\n", runErr)
+		case errors.Is(runErr, sim.ErrCycleBudget):
+			fmt.Fprintf(os.Stderr, "cedarsim: degraded run exceeded cycle budget: %v\n", runErr)
 		default:
-			fmt.Fprintf(os.Stderr, "cedarsim: degraded run failed: %v\n", fr.Err)
+			fmt.Fprintf(os.Stderr, "cedarsim: degraded run failed: %v\n", runErr)
 		}
 		os.Exit(1)
 	}
-	fmt.Print(core.FormatDegraded(fr.Report))
+	fmt.Print(core.FormatDegraded(rep))
 }

@@ -212,3 +212,108 @@ func TestHPMExportsDegradedRun(t *testing.T) {
 		t.Fatalf("no fault-inject events in the export: %v", s.EventCounts)
 	}
 }
+
+// faultPlans are the degraded FLO52 8proc runs the -fault tests set
+// against the healthy machine: a fail-stop, a slowed CE with a slowed
+// module, and a paging storm with a global kernel-lock stall.
+var faultPlans = []string{"ce:5@1e5", "ce:2x2@5e4,module:7x3@1e5", "storm:0@1e5,lock:-1@5e4+1e4"}
+
+// faultReport runs the -fault comparison for plan at the given
+// -parallel and returns its stdout.
+func faultReport(t *testing.T, plan, parallel string) string {
+	t.Helper()
+	code, stdout, stderr := cedarsim(t, "-app", "FLO52", "-config", "8proc", "-steps", "1",
+		"-fault", plan, "-parallel", parallel)
+	if code != 0 || !strings.Contains(stdout, "Degraded-mode comparison") {
+		t.Fatalf("-fault %s: exit %d, stderr %q, stdout:\n%s", plan, code, stderr, stdout)
+	}
+	return stdout
+}
+
+func TestFaultReportDeterministic(t *testing.T) {
+	for _, plan := range faultPlans {
+		if a, b := faultReport(t, plan, "1"), faultReport(t, plan, "1"); a != b {
+			t.Fatalf("-fault %s: reports differ between identical runs:\n%s\nvs\n%s", plan, a, b)
+		}
+	}
+}
+
+func TestFaultReportParallelByteIdentical(t *testing.T) {
+	for _, plan := range faultPlans {
+		if seq, par := faultReport(t, plan, "1"), faultReport(t, plan, "4"); seq != par {
+			t.Fatalf("-fault %s: report differs between -parallel 1 and 4:\n%s\nvs\n%s", plan, seq, par)
+		}
+	}
+}
+
+// -statfx exports and records the run it prints, and the artifacts
+// leave its stdout byte for byte what a plain -statfx prints.
+func TestStatfxExportsAndRecords(t *testing.T) {
+	dir := t.TempDir()
+	run := []string{"-statfx", "-app", "FLO52", "-ces", "8", "-steps", "1", "-fault", "ce:2@1e5"}
+	code, plain, stderr := cedarsim(t, run...)
+	if code != 0 {
+		t.Fatalf("plain -statfx: exit %d, stderr %q", code, stderr)
+	}
+	paths := []string{filepath.Join(dir, "t.json"), filepath.Join(dir, "h.json"), filepath.Join(dir, "r.scenario")}
+	code, stdout, stderr := cedarsim(t, append(run, "-trace", paths[0], "-hpm", paths[1], "-record-scenario", paths[2])...)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if stdout != plain {
+		t.Fatalf("artifacts changed -statfx stdout:\n%s\nvs\n%s", stdout, plain)
+	}
+	for _, p := range paths {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not written: %v", filepath.Base(p), err)
+		}
+	}
+}
+
+// -server and -scenario refuse, as a bad invocation, every flag they
+// would otherwise drop, naming it; -scenario still profiles.
+func TestRefusesIgnoredFlags(t *testing.T) {
+	dir := t.TempDir()
+	server := []string{"-server", "http://127.0.0.1:1", "-app", "FLO52", "-ces", "8"}
+	scen := []string{"-scenario", filepath.Join("..", "..", "testdata", "scaling")}
+	for _, tc := range []struct {
+		mode  []string
+		flag  string // the refused flag, named in the message
+		extra []string
+	}{
+		{server, "-chunk", []string{"-chunk", "4"}},
+		{server, "-tree", []string{"-tree", "4"}},
+		{server, "-trace", []string{"-trace", filepath.Join(dir, "t.json")}},
+		{server, "-profile", []string{"-profile", filepath.Join(dir, "p.folded")}},
+		{server, "-series", []string{"-series", filepath.Join(dir, "s.csv")}},
+		{server, "-metrics", []string{"-metrics", filepath.Join(dir, "m.json")}},
+		{server, "-hpm", []string{"-hpm", filepath.Join(dir, "h.json")}},
+		{server, "-record-scenario", []string{"-fault", "ce:1@1e5", "-record-scenario", filepath.Join(dir, "r.scenario")}},
+		{scen, "-app", []string{"-app", "MDG"}},
+		{scen, "-ces", []string{"-ces", "8"}},
+		{scen, "-steps", []string{"-steps", "1"}},
+		{scen, "-fault", []string{"-fault", "ce:1@1e5"}},
+		{scen, "-statfx", []string{"-statfx"}},
+		{scen, "-trace", []string{"-trace", filepath.Join(dir, "t.json")}},
+	} {
+		args := append(append([]string{}, tc.mode...), tc.extra...)
+		code, stdout, stderr := cedarsim(t, args...)
+		if code != 2 || !strings.Contains(stderr, tc.mode[0]+" ignores "+tc.flag+"\n") || stdout != "" {
+			t.Errorf("%v: exit %d, stderr %q; want 2 naming %s alone", args, code, stderr, tc.flag)
+		}
+	}
+	if code, _, stderr := cedarsim(t, "-scenario", "x.scenario", "-steps", "1", "-hpm", "h.json"); code != 2 ||
+		!strings.Contains(stderr, "-scenario ignores -hpm, -steps\n") {
+		t.Errorf("two ignored flags: exit %d, stderr %q; want 2 naming both", code, stderr)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("a refused invocation left files: %v %v", entries, err)
+	}
+	prof := filepath.Join(dir, "cpu.prof")
+	if code, _, stderr := cedarsim(t, append(scen, "-parallel", "2", "-cpuprofile", prof)...); code != 0 {
+		t.Fatalf("-scenario -cpuprofile: exit %d, stderr %q", code, stderr)
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Fatalf("-scenario -cpuprofile wrote no profile: %v", err)
+	}
+}

@@ -9,12 +9,14 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
 	cedar "repro"
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/perfect"
 )
@@ -34,22 +36,34 @@ func main() {
 		})
 	}
 
-	reports, err := cedar.FaultSweep(app, cfg, []faults.Plan{plan}, cedar.Options{})
-	if err != nil {
+	// The degraded run and its two healthy references — the same
+	// machine, and the 1-processor run that supplies the contention
+	// base — are independent simulations; run them through the engine.
+	var degraded, healthy, base1p *cedar.Run
+	var runErr, healthyErr, base1pErr error
+	engine.Do(0,
+		func() { degraded, runErr = cedar.SimulateRunErr(app, cfg, cedar.Options{Faults: plan}) },
+		func() { healthy, healthyErr = cedar.SimulateRunErr(app, cfg, cedar.Options{}) },
+		func() { base1p, base1pErr = cedar.SimulateRunErr(app, arch.Cedar1, cedar.Options{}) },
+	)
+	if err := errors.Join(healthyErr, base1pErr); err != nil {
 		fmt.Fprintln(os.Stderr, "degraded: baseline run failed:", err)
 		os.Exit(1)
 	}
-	fr := reports[0]
 
 	fmt.Println("Fault activations:")
-	for _, a := range fr.Run.Injector.Applied() {
+	for _, a := range degraded.Injector.Applied() {
 		fmt.Printf("  cycle %-10d %s\n", int64(a.At), a.Note)
 	}
 	fmt.Println()
 
-	if fr.Err != nil {
-		fmt.Fprintln(os.Stderr, "degraded: run failed:", fr.Err)
+	var rep *core.DegradedReport
+	if runErr == nil {
+		rep, runErr = core.CompareDegraded(base1p.Result, healthy.Result, degraded.Result, plan.String())
+	}
+	if runErr != nil {
+		fmt.Fprintln(os.Stderr, "degraded: run failed:", runErr)
 		os.Exit(1)
 	}
-	fmt.Print(core.FormatDegraded(fr.Report))
+	fmt.Print(core.FormatDegraded(rep))
 }

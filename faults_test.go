@@ -42,41 +42,6 @@ func TestFaultCEFailCompletes(t *testing.T) {
 	}
 }
 
-func TestFaultSweepDeterministic(t *testing.T) {
-	plans := []faults.Plan{
-		mustPlan(t, "ce:5@1e5"),
-		mustPlan(t, "ce:2x2@5e4,module:7x3@1e5"),
-		mustPlan(t, "storm:0@1e5,lock:-1@5e4+1e4"),
-	}
-	opts := Options{Steps: 1}
-	a, err := FaultSweep(perfect.FLO52(), arch.Cedar8, plans, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FaultSweep(perfect.FLO52(), arch.Cedar8, plans, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("sweep lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if (a[i].Err == nil) != (b[i].Err == nil) {
-			t.Fatalf("plan %d: error status differs between runs", i)
-		}
-		if a[i].Err != nil {
-			continue
-		}
-		if a[i].Run.Result.CT != b[i].Run.Result.CT {
-			t.Fatalf("plan %d: degraded CT differs: %d vs %d",
-				i, a[i].Run.Result.CT, b[i].Run.Result.CT)
-		}
-		if core.FormatDegraded(a[i].Report) != core.FormatDegraded(b[i].Report) {
-			t.Fatalf("plan %d: reports differ between identical sweeps", i)
-		}
-	}
-}
-
 // TestFaultDeadlockNamesBlockedProcs: killing every CE of the main
 // cluster mid-run orphans the helper clusters, which wait forever for
 // work. The run must come back with ErrDeadlock naming the blocked

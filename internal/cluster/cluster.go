@@ -268,10 +268,6 @@ func (ce *CE) Failed() bool { return ce.mach.ceFailed[ce.global] }
 // factor times as long. Factors <= 1 restore full speed.
 func (ce *CE) SetSlowFactor(factor float64) { ce.mach.ceSlow[ce.global] = factor }
 
-// SlowFactor returns the current clock degradation factor (0 or 1 =
-// healthy).
-func (ce *CE) SlowFactor() float64 { return ce.mach.ceSlow[ce.global] }
-
 // Charge records d cycles against cat without advancing time — used
 // when the wait already happened inside a blocking primitive.
 func (ce *CE) Charge(d sim.Duration, cat metrics.Category) {

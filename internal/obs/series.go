@@ -47,9 +47,6 @@ func NewCollector(k *sim.Kernel, o Options) *Collector {
 	return &Collector{k: k, interval: interval, capacity: SeriesCapacity}
 }
 
-// Interval returns the sampling period in cycles.
-func (c *Collector) Interval() sim.Duration { return c.interval }
-
 // AddProbe registers a probe. All probes must be registered before
 // Start.
 func (c *Collector) AddProbe(name string, fn func(now sim.Time) float64) {

@@ -34,7 +34,6 @@ package perfect
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -238,20 +237,4 @@ func LoadWorkload(path string) (App, error) {
 		return a, fmt.Errorf("%s: %w", path, err)
 	}
 	return a, nil
-}
-
-// WriteWorkload writes the app's canonical document, prefixed with an
-// optional #-comment block.
-func WriteWorkload(path string, a App, comment string) error {
-	var b strings.Builder
-	if comment != "" {
-		for _, l := range strings.Split(comment, "\n") {
-			fmt.Fprintf(&b, "# %s\n", l)
-		}
-	}
-	b.Write(PrintWorkload(a))
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
 }

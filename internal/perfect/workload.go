@@ -282,16 +282,6 @@ func (a App) TotalIterations() int {
 	return total * a.Steps
 }
 
-// PhaseInstances returns the total number of phase executions over
-// the run.
-func (a App) PhaseInstances() int {
-	n := 0
-	for _, p := range a.Phases {
-		n += p.repeat()
-	}
-	return n * a.Steps
-}
-
 // Total returns the phase's flat iteration count.
 func (p *Phase) Total() int {
 	o, in := p.Outer, p.Inner

@@ -370,16 +370,6 @@ func EncodeCapture(recs []Record) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// WriteCaptureFile writes the canonical capture atomically enough for
-// a CLI: full encode, then one WriteFile.
-func WriteCaptureFile(path string, recs []Record) error {
-	data, err := EncodeCapture(recs)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
 // ReadCapture parses a capture document.
 func ReadCapture(r io.Reader) ([]Record, error) {
 	var c capture

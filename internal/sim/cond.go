@@ -8,8 +8,6 @@ type Cond struct {
 	k       *Kernel
 	name    string
 	waiters []*Proc
-
-	signals uint64
 }
 
 // NewCond creates a condition variable.
@@ -22,9 +20,6 @@ func (c *Cond) Name() string { return c.name }
 
 // Waiters returns the number of processes currently waiting.
 func (c *Cond) Waiters() int { return len(c.waiters) }
-
-// Signals returns the number of Signal/Broadcast wakeups delivered.
-func (c *Cond) Signals() uint64 { return c.signals }
 
 // Wait blocks the process until Signal or Broadcast wakes it. It
 // returns the time spent waiting. As with any condition variable, the
@@ -79,7 +74,6 @@ func (c *Cond) Signal() bool {
 		if head.state != stateBlocked {
 			continue // aborted/dead waiter: drop and try the next
 		}
-		c.signals++
 		c.k.wake(head)
 		return true
 	}
@@ -94,7 +88,6 @@ func (c *Cond) Broadcast() int {
 		if w.state != stateBlocked {
 			continue
 		}
-		c.signals++
 		c.k.wake(w)
 		n++
 	}

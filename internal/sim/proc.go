@@ -45,10 +45,6 @@ type Proc struct {
 	// waitingOn names the primitive the process is currently blocked
 	// in, for deadlock diagnostics.
 	waitingOn string
-
-	// holdTotal accumulates all time spent in Hold, for tests and
-	// sanity checks.
-	holdTotal Duration
 }
 
 // Spawn creates a process running fn and schedules it to start at the
@@ -97,10 +93,6 @@ func (p *Proc) Now() Time { return p.k.now }
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.state == stateDone }
 
-// HoldTotal returns the total virtual time this process has spent in
-// Hold calls.
-func (p *Proc) HoldTotal() Duration { return p.holdTotal }
-
 // Aborted reports whether the process was terminated via Kernel.Abort
 // or Kernel.Shutdown.
 func (p *Proc) Aborted() bool { return p.aborted }
@@ -143,7 +135,6 @@ func (p *Proc) Hold(d Duration) {
 	if d == 0 {
 		return
 	}
-	p.holdTotal += d
 	at := p.k.now + d
 	if p.k.holdInPlace(p, at) {
 		return

@@ -39,9 +39,6 @@ func (r *Resource) Name() string { return r.name }
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes currently waiting.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // Acquires returns the total number of completed Acquire calls.
 func (r *Resource) Acquires() uint64 { return r.acquires }
 

@@ -251,12 +251,6 @@ func (o *OS) ClusterCritSect(ce *cluster.CE) {
 		sim.Duration(o.Cost.CritSectCluster), metrics.OSCrSectClus)
 }
 
-// GlobalCritSect enters and leaves a global critical section.
-func (o *OS) GlobalCritSect(ce *cluster.CE) {
-	o.lockedService(ce, o.globalLock,
-		sim.Duration(o.Cost.CritSectGlobal), metrics.OSCrSectGlbl)
-}
-
 func (o *OS) lockedService(ce *cluster.CE, lock *sim.Resource, cost sim.Duration, cat metrics.OSCategory) {
 	mon, g := o.M.Mon, ce.Global()
 	mon.Post(hpm.EvOSEnter, g, int64(cat))

@@ -12,9 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/perfect"
 )
 
@@ -49,41 +47,6 @@ func TestSweepsParallelByteIdentical(t *testing.T) {
 	par := renderSweeps(Sweeps(apps, Options{Steps: 1, Parallel: 4}))
 	if seq != par {
 		t.Fatalf("Sweeps output differs between sequential and parallel paths:\n%s\nvs\n%s", seq, par)
-	}
-}
-
-func TestFaultSweepParallelByteIdentical(t *testing.T) {
-	plans := []faults.Plan{
-		mustPlan(t, "ce:5@1e5"),
-		mustPlan(t, "ce:2x2@5e4,module:7x3@1e5"),
-		mustPlan(t, "storm:0@1e5,lock:-1@5e4+1e4"),
-	}
-	seq, err := FaultSweep(perfect.FLO52(), arch.Cedar8, plans, Options{Steps: 1, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := FaultSweep(perfect.FLO52(), arch.Cedar8, plans, Options{Steps: 1, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("sweep lengths differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if (seq[i].Err == nil) != (par[i].Err == nil) {
-			t.Fatalf("plan %d: error status differs between sequential and parallel", i)
-		}
-		if seq[i].Err != nil {
-			continue
-		}
-		if a, b := seq[i].Run.StatfxText(), par[i].Run.StatfxText(); a != b {
-			t.Fatalf("plan %d: accounting differs between sequential and parallel:\n%s\nvs\n%s", i, a, b)
-		}
-		if seq[i].Report != nil && par[i].Report != nil {
-			if a, b := core.FormatDegraded(seq[i].Report), core.FormatDegraded(par[i].Report); a != b {
-				t.Fatalf("plan %d: degraded report differs:\n%s\nvs\n%s", i, a, b)
-			}
-		}
 	}
 }
 
