@@ -14,8 +14,8 @@
 //	          -gm-modules N -stages N -degree N] [-list-configs]
 //	         [-fault ce:2@1e6,module:17@5e5]
 //	         [-record-scenario new.scenario]
-//	         [-trace out.json] [-profile out.folded] [-series out.csv|out.prom]
-//	         [-metrics out.prom|out.json|out.csv] [-hpm out.json|out.txt]
+//	         [-trace out.json] [-profile out.folded] [-series out.csv]
+//	         [-metrics out.prom|out.json|out.csv] [-hpm out.txt]
 //	         [-parallel N] [-statfx] [-server http://host:8344]
 //
 // Every local invocation takes one path: it makes the measured run,
@@ -38,7 +38,9 @@
 //
 // With -fault, the measured run is the degraded one, and the fault
 // activations and a baseline-vs-degraded overhead-decomposition delta
-// table are printed in place of the report. -record-scenario writes
+// table are printed in place of the report; that table needs the
+// baseline, so -fault refuses -no-baseline unless -statfx is set.
+// -record-scenario writes
 // the fault run — with -statfx too — as a new .scenario document
 // (scenario.ForRun: the app — inline when it is not a registry app —
 // config, steps, resolved seed, plan, and the observed outcome as
@@ -74,25 +76,27 @@
 // arms the cedarhpm monitor and writes the Chrome/Perfetto
 // trace-event file folded from it (load it at ui.perfetto.dev),
 // -series arms the time-series collector and writes the samples as
-// CSV, or as Prometheus text exposition when the path ends in .prom,
-// and -profile writes folded stacks weighted by virtual cycles (feed
-// to flamegraph.pl or inferno) from the CE accounts, arming nothing.
-// -metrics writes the run's full metric registry snapshot — the same
-// source of truth StatfxText and cedarserved's /metrics render — in the
-// format the extension selects (.prom, .json, or CSV); it arms nothing
-// either. -hpm arms the cedarhpm monitor and offloads its trace buffer,
-// as the paper's workstation did: a .json path gets per-event counts,
-// the barrier and helper-wait durations per CE, and the hardware
-// counters (module utilization, network ports, cluster caches, OS page
-// faults); any other path gets the raw records, one "at ce event aux"
-// line each. Every one of these exports the measured run — with -fault
-// the degraded one — and works with -statfx too, leaving its stdout
+// CSV, and -profile writes folded stacks weighted by virtual cycles
+// (feed to flamegraph.pl or inferno) from the CE accounts, arming
+// nothing. -metrics writes the run's full metric registry snapshot —
+// the one export path for a run's numbers, the same source of truth
+// StatfxText and cedarserved's /metrics render — in the format the
+// extension selects (.prom, .json, or CSV); it arms nothing either.
+// The snapshot holds the result decomposition, the hardware counters
+// (module utilization, network ports and the hottest port, cluster
+// caches, page faults) and, when the monitor is armed, the hpm event
+// counts and the barrier and helper-wait time per CE. -hpm arms the
+// cedarhpm monitor and offloads its trace buffer, as the paper's
+// workstation did: the raw records, one "at ce event aux" line each.
+// Every one of these exports the measured run — with -fault the
+// degraded one — and works with -statfx too, leaving its stdout
 // unchanged.
 // Whenever a bounded instrumentation buffer overflowed, a one-line
 // warning on stderr reports the total dropped-event count.
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -184,9 +188,9 @@ func main() {
 	profilePath := flag.String("profile", "", "write a folded-stack profile weighted by virtual cycles")
 	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the simulator process (wall-clock, not virtual cycles)")
 	memProfile := flag.String("memprofile", "", "write a runtime/pprof heap profile at exit")
-	seriesPath := flag.String("series", "", "write the sampled time series (CSV, or Prometheus text if *.prom)")
+	seriesPath := flag.String("series", "", "write the sampled time series as CSV")
 	metricsPath := flag.String("metrics", "", "write the run's metric registry snapshot (Prometheus text if *.prom, JSON if *.json, CSV otherwise)")
-	hpmPath := flag.String("hpm", "", "write the cedarhpm trace: a summary with hardware counters if *.json, the raw records otherwise")
+	hpmPath := flag.String("hpm", "", "write the raw cedarhpm trace records, one \"at ce event aux\" line each")
 	parallel := cli.ParallelFlag(flag.CommandLine, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
 	serverURL := flag.String("server", "", "submit the run to a cedarserved instance at this URL and print its canonical statfx result")
 	statfx := flag.Bool("statfx", false, "run locally and print only the canonical statfx accounting block (byte-diffable against a -server run)")
@@ -253,6 +257,14 @@ func main() {
 		return
 	}
 
+	// The degraded comparison always runs the 1-processor base and the
+	// healthy machine; -statfx runs neither.
+	if *faultSpec != "" && *noBase && !*statfx {
+		usageErr("-fault ignores -no-baseline")
+	}
+	if strings.HasSuffix(*seriesPath, ".prom") {
+		usageErr("-series writes CSV; -metrics %s writes the run's metrics as Prometheus text", *seriesPath)
+	}
 	var plan faults.Plan
 	if *faultSpec != "" {
 		if plan, err = faults.Parse(*faultSpec); err != nil {
@@ -450,11 +462,6 @@ func (e exporter) write(run *cedar.Run) {
 	}
 	if e.series != "" {
 		e.toFile(e.series, func(f *os.File) error {
-			if strings.HasSuffix(e.series, ".prom") {
-				return obs.WriteProm(f, run.Series, map[string]string{
-					"app": run.Result.App, "config": run.Machine.Cfg.Name,
-				})
-			}
 			return obs.WriteCSV(f, run.Series)
 		})
 	}
@@ -475,10 +482,11 @@ func (e exporter) write(run *cedar.Run) {
 	}
 	if e.hpm != "" {
 		e.toFile(e.hpm, func(f *os.File) error {
-			if strings.HasSuffix(e.hpm, ".json") {
-				return writeHPMJSON(f, run)
+			bw := bufio.NewWriter(f)
+			for _, rec := range run.Monitor.Trace() {
+				fmt.Fprintf(bw, "%d %d %s %d\n", rec.At, rec.CE, rec.Event, rec.Aux)
 			}
-			return writeHPMRecords(f, run)
+			return bw.Flush()
 		})
 	}
 	warnDropped(run)

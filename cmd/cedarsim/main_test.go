@@ -61,7 +61,7 @@ func cedarsim(t *testing.T, args ...string) (int, string, string) {
 func TestRecordScenarioRefusesCustomMachine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.scenario")
 	code, stdout, stderr := cedarsim(t, "-clusters", "2", "-ces-per-cluster", "4", "-steps", "1",
-		"-no-baseline", "-fault", "ce:1@76414", "-record-scenario", path)
+		"-fault", "ce:1@76414", "-record-scenario", path)
 	if code != 2 || !strings.Contains(stderr, "named configuration") {
 		t.Fatalf("exit %d, stderr %q; want 2 naming the need for a named configuration", code, stderr)
 	}
@@ -79,7 +79,7 @@ func TestRecordScenarioRefusesCustomMachine(t *testing.T) {
 func TestRecordScenarioInlinesGeneratedApp(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gen7.scenario")
 	record := []string{"-app", "gen:seed=7", "-config", "8proc", "-steps", "1",
-		"-no-baseline", "-fault", "ce:1@76414", "-record-scenario", path}
+		"-fault", "ce:1@76414", "-record-scenario", path}
 	if code, _, stderr := cedarsim(t, record...); code != 0 {
 		t.Fatalf("recording: exit %d, stderr %q", code, stderr)
 	}
@@ -138,49 +138,95 @@ func hpmRun(t *testing.T, plan string) *cedar.Run {
 	return run
 }
 
-// hpmJSON runs cedarsim with -hpm to a .json file and decodes it.
-func hpmJSON(t *testing.T, args ...string) hpmSummary {
+// metric is one entry of a -metrics JSON snapshot.
+type metric struct {
+	Value float64
+	Cells []struct {
+		Labels []string
+		Value  float64
+	}
+}
+
+// exportRun runs cedarsim with -metrics to a .json file and -hpm to a
+// .txt file, and returns the decoded snapshot by name and the trace
+// lines.
+func exportRun(t *testing.T, args ...string) (map[string]metric, []string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "hpm.json")
-	if code, _, stderr := cedarsim(t, append(args, "-hpm", path)...); code != 0 {
+	dir := t.TempDir()
+	mpath, hpath := filepath.Join(dir, "m.json"), filepath.Join(dir, "h.txt")
+	if code, _, stderr := cedarsim(t, append(args, "-metrics", mpath, "-hpm", hpath)...); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(mpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s hpmSummary
-	if err := json.Unmarshal(data, &s); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// The -hpm summary's event counts are the monitor's, and its hardware
-// counters cover every module and cluster.
-func TestHPMSummaryCounts(t *testing.T) {
-	s := hpmJSON(t, "-app", "FLO52", "-ces", "8", "-steps", "1", "-no-baseline")
-	run := hpmRun(t, "")
-	for ev := hpm.EventID(0); ev < hpm.NumEvents; ev++ {
-		if got, want := s.EventCounts[ev.String()], int64(run.Monitor.Count(ev)); got != want {
-			t.Errorf("event_counts[%s] = %d, monitor counted %d", ev, got, want)
+	var doc struct {
+		Metrics []struct {
+			Name string
+			metric
 		}
 	}
-	if s.Cycles != int64(run.Result.CT) || s.Records != len(run.Monitor.Trace()) || s.Dropped != 0 {
-		t.Errorf("cycles %d records %d dropped %d; want %d %d 0", s.Cycles, s.Records, s.Dropped, run.Result.CT, len(run.Monitor.Trace()))
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
 	}
-	if len(s.HW.ModuleUtilization) != arch.Cedar8.GMModules || len(s.HW.Clusters) != arch.Cedar8.Clusters {
-		t.Errorf("hw covers %d modules and %d clusters", len(s.HW.ModuleUtilization), len(s.HW.Clusters))
+	snap := map[string]metric{}
+	for _, m := range doc.Metrics {
+		snap[m.Name] = m.metric
 	}
-	if s.HW.Network.Reservations == 0 || s.HW.HottestPort.Name == "" || s.HW.OS.SeqFaults+s.HW.OS.ConcFaults == 0 {
-		t.Errorf("hardware counters left empty: %+v", s.HW)
+	trace, err := os.ReadFile(hpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, strings.Split(strings.TrimSuffix(string(trace), "\n"), "\n")
+}
+
+// eventCounts maps each hpm_events_total cell's event name to its
+// count.
+func eventCounts(snap map[string]metric) map[string]float64 {
+	out := map[string]float64{}
+	for _, c := range snap["hpm_events_total"].Cells {
+		out[c.Labels[0]] = c.Value
+	}
+	return out
+}
+
+// The run's cedarhpm summary is its -metrics snapshot: with -hpm it
+// carries the monitor's event counts and the size of the offloaded
+// trace, and its hardware counters cover every module and cluster.
+func TestHPMSummaryCounts(t *testing.T) {
+	snap, lines := exportRun(t, "-app", "FLO52", "-ces", "8", "-steps", "1", "-no-baseline")
+	run := hpmRun(t, "")
+	counts := eventCounts(snap)
+	for ev := hpm.EventID(0); ev < hpm.NumEvents; ev++ {
+		if got, want := counts[ev.String()], float64(run.Monitor.Count(ev)); got != want {
+			t.Errorf("hpm_events_total{%s} = %g, monitor counted %g", ev, got, want)
+		}
+	}
+	records := len(run.Monitor.Trace())
+	if snap["ct_cycles"].Value != float64(run.Result.CT) || snap["hpm_trace_records_total"].Value != float64(records) ||
+		len(lines) != records || snap["hpm_trace_dropped_total"].Value != 0 {
+		t.Errorf("ct %g records %g (%d lines) dropped %g; want %d %d 0", snap["ct_cycles"].Value,
+			snap["hpm_trace_records_total"].Value, len(lines), snap["hpm_trace_dropped_total"].Value, run.Result.CT, records)
+	}
+	if n := len(snap["gm_module_utilization"].Cells); n != arch.Cedar8.GMModules {
+		t.Errorf("gm_module_utilization has %d cells, want %d", n, arch.Cedar8.GMModules)
+	}
+	if n := len(snap["cache_hits_total"].Cells); n != arch.Cedar8.Clusters {
+		t.Errorf("cache_hits_total has %d cells, want %d", n, arch.Cedar8.Clusters)
+	}
+	hot := snap["net_hottest_port_delay_cycles"].Cells
+	if snap["net_reservations_total"].Value == 0 || len(hot) != 1 || hot[0].Labels[0] == "" ||
+		snap["faults_sequential_total"].Value+snap["faults_concurrent_total"].Value == 0 {
+		t.Errorf("hardware counters left empty: reservations %g, hottest port %v",
+			snap["net_reservations_total"].Value, hot)
 	}
 }
 
-// Any -hpm path other than .json gets the raw trace, one line per
-// record.
+// -hpm writes the raw trace, one line per record, whatever the
+// extension.
 func TestHPMRecordDump(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hpm.txt")
+	path := filepath.Join(t.TempDir(), "hpm.json")
 	if code, _, stderr := cedarsim(t, "-app", "FLO52", "-ces", "8", "-steps", "1", "-no-baseline", "-hpm", path); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
@@ -200,16 +246,19 @@ func TestHPMRecordDump(t *testing.T) {
 	}
 }
 
-// With -fault, -hpm exports the degraded run.
+// With -fault, -metrics and -hpm export the degraded run.
 func TestHPMExportsDegradedRun(t *testing.T) {
 	const plan = "ce:1@76414"
-	s := hpmJSON(t, "-app", "FLO52", "-ces", "8", "-steps", "1", "-fault", plan)
+	snap, lines := exportRun(t, "-app", "FLO52", "-ces", "8", "-steps", "1", "-fault", plan)
 	run := hpmRun(t, plan)
-	if s.Cycles != int64(run.Result.CT) || s.Cycles == int64(hpmRun(t, "").Result.CT) {
-		t.Fatalf("exported %d cycles; the degraded run took %d", s.Cycles, run.Result.CT)
+	if ct := snap["ct_cycles"].Value; ct != float64(run.Result.CT) || ct == float64(hpmRun(t, "").Result.CT) {
+		t.Fatalf("exported %g cycles; the degraded run took %d", ct, run.Result.CT)
 	}
-	if s.EventCounts[hpm.EvFaultInject.String()] == 0 {
-		t.Fatalf("no fault-inject events in the export: %v", s.EventCounts)
+	if eventCounts(snap)[hpm.EvFaultInject.String()] == 0 {
+		t.Fatalf("no fault-inject events in the export: %v", eventCounts(snap))
+	}
+	if len(lines) != len(run.Monitor.Trace()) {
+		t.Fatalf("%d trace lines; the degraded run recorded %d", len(lines), len(run.Monitor.Trace()))
 	}
 }
 
@@ -270,12 +319,14 @@ func TestStatfxExportsAndRecords(t *testing.T) {
 	}
 }
 
-// -server and -scenario refuse, as a bad invocation, every flag they
-// would otherwise drop, naming it; -scenario still profiles.
+// -server, -scenario and -fault refuse, as a bad invocation, every
+// flag they would otherwise drop, naming it; -scenario still profiles.
+// -series refuses a .prom path, pointing to -metrics.
 func TestRefusesIgnoredFlags(t *testing.T) {
 	dir := t.TempDir()
 	server := []string{"-server", "http://127.0.0.1:1", "-app", "FLO52", "-ces", "8"}
 	scen := []string{"-scenario", filepath.Join("..", "..", "testdata", "scaling")}
+	fault := []string{"-fault", "lock:0@50000+20000,ce:5@100000", "-app", "FLO52", "-ces", "16", "-steps", "1"}
 	for _, tc := range []struct {
 		mode  []string
 		flag  string // the refused flag, named in the message
@@ -295,6 +346,7 @@ func TestRefusesIgnoredFlags(t *testing.T) {
 		{scen, "-fault", []string{"-fault", "ce:1@1e5"}},
 		{scen, "-statfx", []string{"-statfx"}},
 		{scen, "-trace", []string{"-trace", filepath.Join(dir, "t.json")}},
+		{fault, "-no-baseline", []string{"-no-baseline", "-trace", filepath.Join(dir, "t.json")}},
 	} {
 		args := append(append([]string{}, tc.mode...), tc.extra...)
 		code, stdout, stderr := cedarsim(t, args...)
@@ -305,6 +357,11 @@ func TestRefusesIgnoredFlags(t *testing.T) {
 	if code, _, stderr := cedarsim(t, "-scenario", "x.scenario", "-steps", "1", "-hpm", "h.json"); code != 2 ||
 		!strings.Contains(stderr, "-scenario ignores -hpm, -steps\n") {
 		t.Errorf("two ignored flags: exit %d, stderr %q; want 2 naming both", code, stderr)
+	}
+	prom := filepath.Join(dir, "s.prom")
+	if code, stdout, stderr := cedarsim(t, "-app", "FLO52", "-ces", "8", "-steps", "1", "-series", prom); code != 2 ||
+		!strings.Contains(stderr, "-metrics "+prom) || stdout != "" {
+		t.Errorf("-series %s: exit %d, stderr %q; want 2 pointing to -metrics", prom, code, stderr)
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 		t.Fatalf("a refused invocation left files: %v %v", entries, err)

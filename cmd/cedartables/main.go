@@ -13,10 +13,14 @@
 //
 // Usage:
 //
-//	cedartables [-app FLO52,gen:seed=7,...] [-steps N] [-paper] [-parallel N]
+//	cedartables [-app FLO52,gen:seed=7,...] [-steps N] [-paper] [-csv] [-parallel N]
 //
 // -app takes a comma-separated list of workload sources; a gen: spec
 // keeps its own commas (its key=value parameters).
+//
+// The tables are folded from each run's result. The metric registry
+// of any one run is exported by cedarsim -metrics: for an app's 32-CE
+// run, cedarsim -app A -ces 32 -no-baseline -metrics A.json.
 //
 // The application × configuration grid is simulated through the
 // deterministic parallel engine: -parallel bounds the worker count
@@ -30,56 +34,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	cedar "repro"
-	"repro/internal/arch"
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/metricreg"
 	"repro/internal/perfect"
 )
-
-// writeRegistrySnapshots simulates each app on the 32-CE configuration
-// and writes its metric registry snapshot (ct, concurrency, the OS
-// breakdown distribution, per-CE accounts) as <app>_32proc.metrics.json
-// under dir.
-func writeRegistrySnapshots(dir string, apps []perfect.App, opts cedar.Options) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "cedartables: %v\n", err)
-		os.Exit(1)
-	}
-	for _, app := range apps {
-		run, err := cedar.SimulateRunErr(app, arch.Cedar32, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cedartables: %v\n", err)
-			os.Exit(1)
-		}
-		path := filepath.Join(dir, strings.ToLower(app.Name)+"_32proc.metrics.json")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cedartables: %v\n", err)
-			os.Exit(1)
-		}
-		werr := metricreg.WriteJSON(f, run.Metrics().Snapshot())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "cedartables: writing %s: %v\n", path, werr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "cedartables: wrote %s\n", path)
-	}
-}
 
 func main() {
 	appsFlag := flag.String("app", "", "comma-separated app sources: registry names, gen: specs, .workload files (default: all five paper apps)")
 	steps := cli.StepsFlag(flag.CommandLine, 0, "override timestep count (0 = app default)")
 	paper := flag.Bool("paper", false, "print the paper's published values after each table")
 	csv := flag.Bool("csv", false, "emit machine-readable CSV instead of formatted tables")
-	metricsDir := flag.String("metrics", "", "write each app's 32-CE run metric registry snapshot as JSON into this directory")
 	parallel := cli.ParallelFlag(flag.CommandLine, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
 	flag.Parse()
 
@@ -99,15 +66,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "simulating %s across configurations...\n", strings.Join(names, ", "))
 	sweeps := cedar.Sweeps(apps, opts)
-
-	if *metricsDir != "" {
-		// Re-run each app's 32-CE configuration with the same seed — the
-		// kernel is deterministic, so this reproduces the sweep's run —
-		// and export the full metric registry snapshot: the same source
-		// of truth the tables fold (registry files go to their own
-		// directory; table output above stays byte-identical).
-		writeRegistrySnapshots(*metricsDir, apps, opts)
-	}
 
 	if *csv {
 		var at32 []*core.Result

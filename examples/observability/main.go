@@ -6,9 +6,9 @@
 //
 //	cedarsim -app FLO52 -ces 16 -trace t.json -profile p.folded -series s.csv
 //
-// and the machine-readable cedarhpm summary from:
+// and the raw cedarhpm trace with every counter the run reports from:
 //
-//	cedarsim -app FLO52 -ces 16 -no-baseline -hpm h.json && jq .event_counts h.json
+//	cedarsim -app FLO52 -ces 16 -no-baseline -hpm h.txt -metrics m.json
 package main
 
 import (

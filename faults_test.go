@@ -141,7 +141,7 @@ func TestQuickFaultConservation(t *testing.T) {
 			// that records the schedule as a scenario document, ready
 			// for testdata/faultcorpus — no reconstruction from the
 			// quick-check log needed.
-			t.Errorf("plan %s: run failed: %v\nrecord with: cedarsim -app %s -config %s -steps %d -no-baseline -fault %s -record-scenario new.scenario",
+			t.Errorf("plan %s: run failed: %v\nrecord with: cedarsim -app %s -config %s -steps %d -fault %s -record-scenario new.scenario",
 				plan, err, app.Name, cfg.Name, opts.Steps, plan)
 			return false
 		}

@@ -200,6 +200,22 @@ func TestOSDetailAveragesPerCE(t *testing.T) {
 	}
 }
 
+// A cluster task's Figure-3 view is its lead CE's timeline alone.
+func TestClusterBreakdownUsesLead(t *testing.T) {
+	r := fake(arch.Cedar16, 1000)
+	lead := arch.Cedar16.CEsPerCluster
+	r.Accounts[lead].Add(metrics.CatHelperWait, 400)
+	r.Accounts[lead+3].Add(metrics.CatOSSystem, 900) // not the lead
+
+	b := r.ClusterBreakdown(1)
+	if math.Abs(b.User-0.4) > 1e-9 {
+		t.Fatalf("cluster task user = %v, want lead's 0.4", b.User)
+	}
+	if b.System != 0 {
+		t.Fatal("non-lead account leaked into the task view")
+	}
+}
+
 func TestOSShare(t *testing.T) {
 	r := fake(arch.Cedar4, 1000)
 	for _, a := range r.Accounts {

@@ -168,17 +168,6 @@ func (m *Monitor) Count(ev EventID) uint64 {
 	return m.counts[ev]
 }
 
-// Offload drains the trace buffer (the paper's end-of-run transfer to
-// the analysis workstation) and returns the drained records.
-func (m *Monitor) Offload() []Record {
-	if m == nil {
-		return nil
-	}
-	out := m.buf
-	m.buf = nil
-	return out
-}
-
 // PairDurations matches start/end event pairs per CE and returns the
 // total enclosed time per CE — the trace-analysis primitive used to
 // derive the user-time breakdown in Section 6.

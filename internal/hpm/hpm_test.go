@@ -33,9 +33,6 @@ func TestNilMonitorIsSafe(t *testing.T) {
 	if m.Trace() != nil || m.Dropped() != 0 || m.Count(EvLoopPost) != 0 {
 		t.Fatal("nil monitor returned data")
 	}
-	if m.Offload() != nil {
-		t.Fatal("nil offload returned data")
-	}
 }
 
 func TestBufferDrops(t *testing.T) {
@@ -52,19 +49,6 @@ func TestBufferDrops(t *testing.T) {
 	}
 	if m.Count(EvIterStart) != 5 {
 		t.Fatalf("count = %d (counts must survive drops)", m.Count(EvIterStart))
-	}
-}
-
-func TestOffload(t *testing.T) {
-	k := sim.NewKernel(1)
-	m := New(k, 10)
-	m.Post(EvCtxSwitch, 1, 0)
-	got := m.Offload()
-	if len(got) != 1 {
-		t.Fatalf("offloaded %d", len(got))
-	}
-	if len(m.Trace()) != 0 {
-		t.Fatal("buffer not drained")
 	}
 }
 

@@ -92,16 +92,6 @@ func (c Category) IsUser() bool {
 	return false
 }
 
-// IsParallelizationOverhead reports whether the category is one of the
-// Section-6 parallelization overheads (above the line in Figure 4).
-func (c Category) IsParallelizationOverhead() bool {
-	switch c {
-	case CatLoopSetup, CatPickIter, CatBarrierWait, CatHelperWait:
-		return true
-	}
-	return false
-}
-
 // IsActive reports whether a CE in this category counts as "active"
 // for the statfx concurrency measure: executing instructions, in user
 // or kernel space. Spin-waiting counts — a spinning CE executes its
@@ -181,18 +171,6 @@ func (a *Account) ActiveTotal() sim.Duration {
 	return t
 }
 
-// OverheadTotal returns the sum over parallelization-overhead
-// categories (paper Section 6).
-func (a *Account) OverheadTotal() sim.Duration {
-	var t sim.Duration
-	for c := Category(0); c < NumCategories; c++ {
-		if c.IsParallelizationOverhead() {
-			t += a.totals[c]
-		}
-	}
-	return t
-}
-
 // OSCategory identifies one row of the paper's Table 2 — the detailed
 // operating system activities.
 type OSCategory int
@@ -258,12 +236,4 @@ func (b *OSBreakdown) Total() sim.Duration {
 		t += v
 	}
 	return t
-}
-
-// Merge adds other into b.
-func (b *OSBreakdown) Merge(other *OSBreakdown) {
-	for i := range b.Time {
-		b.Time[i] += other.Time[i]
-		b.Count[i] += other.Count[i]
-	}
 }

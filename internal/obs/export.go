@@ -3,11 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/metricreg"
 )
 
 // WriteCSV writes the collector's buffered series as CSV: a cycles and
@@ -34,50 +32,6 @@ func WriteCSV(w io.Writer, c *Collector) error {
 		}
 		b.WriteByte('\n')
 		if _, err := io.WriteString(w, b.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// promName sanitizes a series name into a Prometheus metric name and
-// prefixes the cedar namespace. One sanitizer for the whole tree: the
-// registry's exporter owns it.
-func promName(name string) string { return metricreg.PromName(name) }
-
-// WriteProm writes the most recent sample of every series in the
-// Prometheus text exposition format (version 0.0.4), as gauges with
-// the given constant labels. The sample's virtual time is exported as
-// cedar_virtual_cycles so scrapes of successive snapshots stay
-// ordered.
-func WriteProm(w io.Writer, c *Collector, labels map[string]string) error {
-	at, vals, ok := c.Last()
-	if !ok {
-		return fmt.Errorf("obs: no samples to export")
-	}
-	var lb string
-	if len(labels) > 0 {
-		keys := make([]string, 0, len(labels))
-		for k := range labels {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		parts := make([]string, len(keys))
-		for i, k := range keys {
-			parts[i] = fmt.Sprintf("%s=%q", k, labels[k])
-		}
-		lb = "{" + strings.Join(parts, ",") + "}"
-	}
-	emit := func(name, help string, v float64) error {
-		m := promName(name)
-		_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s%s %g\n", m, help, m, m, lb, v)
-		return err
-	}
-	if err := emit("virtual_cycles", "virtual time of the exported sample, in cycles", float64(at)); err != nil {
-		return err
-	}
-	for i, name := range c.Names() {
-		if err := emit(name, "sampled simulator series (see internal/obs)", vals[i]); err != nil {
 			return err
 		}
 	}

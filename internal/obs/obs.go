@@ -10,7 +10,8 @@
 //   - pprof-style folded stacks weighted by virtual cycles, for
 //     flamegraphs of where the completion time goes;
 //   - ring-buffered time series (concurrency, qmon split, memory and
-//     network pressure), exported as CSV or Prometheus text.
+//     network pressure), exported as CSV; the same probes are metrics
+//     of the run's registry, which owns the Prometheus exposition.
 //
 // The one piece that runs during a simulation is the series
 // Collector, which samples probes from kernel events; a run without

@@ -181,17 +181,3 @@ func (c *Collector) Mean(name string) (float64, error) {
 	}
 	return total / float64(len(s)), nil
 }
-
-// Last returns the most recent sample of every probe, in registration
-// order, plus its time. ok is false when nothing has been sampled yet.
-func (c *Collector) Last() (at sim.Time, vals []float64, ok bool) {
-	if c == nil || c.n == 0 {
-		return 0, nil, false
-	}
-	slot := (c.head + c.n - 1) % c.capacity
-	vals = make([]float64, len(c.probes))
-	for p := range c.probes {
-		vals[p] = c.vals[p][slot]
-	}
-	return c.times[slot], vals, true
-}

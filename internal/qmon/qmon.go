@@ -10,7 +10,6 @@
 package qmon
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -48,37 +47,4 @@ func ForAccount(a *metrics.Account, ct sim.Time) Breakdown {
 		b.Idle = 0
 	}
 	return b
-}
-
-// ForCluster computes the task-level breakdown for one cluster: the
-// paper reports the breakdown "for the main task of the application"
-// per cluster, which the model takes as the cluster lead CE's
-// timeline (the lead participates in every phase of the task).
-func ForCluster(cl *cluster.Cluster, ct sim.Time) Breakdown {
-	return ForAccount(cl.Lead().Acct, ct)
-}
-
-// ForMachine averages the breakdown over every CE of the machine —
-// the machine-wide utilization view.
-func ForMachine(m *cluster.Machine, ct sim.Time) Breakdown {
-	var sum Breakdown
-	n := 0
-	for _, a := range m.Accounts() {
-		b := ForAccount(a, ct)
-		sum.User += b.User
-		sum.System += b.System
-		sum.Interrupt += b.Interrupt
-		sum.Spin += b.Spin
-		sum.Idle += b.Idle
-		n++
-	}
-	if n == 0 {
-		return Breakdown{}
-	}
-	sum.User /= float64(n)
-	sum.System /= float64(n)
-	sum.Interrupt /= float64(n)
-	sum.Spin /= float64(n)
-	sum.Idle /= float64(n)
-	return sum
 }

@@ -4,10 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/arch"
-	"repro/internal/cluster"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 func TestForAccountBreakdown(t *testing.T) {
@@ -50,34 +47,5 @@ func TestZeroCT(t *testing.T) {
 	b := ForAccount(a, 0)
 	if b.User != 0 || b.OSShare() != 0 {
 		t.Fatal("nonzero breakdown at zero CT")
-	}
-}
-
-func TestForClusterUsesLead(t *testing.T) {
-	k := sim.NewKernel(1)
-	m := cluster.NewMachine(k, arch.Cedar16, arch.DefaultCosts())
-	m.Clusters[1].Lead().Acct.Add(metrics.CatHelperWait, 400)
-	m.Clusters[1].CEs[3].Acct.Add(metrics.CatOSSystem, 900) // not the lead
-
-	b := ForCluster(m.Clusters[1], 1000)
-	if math.Abs(b.User-0.4) > 1e-9 {
-		t.Fatalf("cluster task user = %v, want lead's 0.4", b.User)
-	}
-	if b.System != 0 {
-		t.Fatal("non-lead account leaked into the task view")
-	}
-}
-
-func TestForMachineAverages(t *testing.T) {
-	k := sim.NewKernel(1)
-	m := cluster.NewMachine(k, arch.Cedar4, arch.DefaultCosts())
-	// One of four CEs fully busy in user code.
-	m.CE(2).Acct.Add(metrics.CatLoopIter, 1000)
-	b := ForMachine(m, 1000)
-	if math.Abs(b.User-0.25) > 1e-9 {
-		t.Fatalf("machine user = %v, want 0.25", b.User)
-	}
-	if math.Abs(b.Idle-0.75) > 1e-9 {
-		t.Fatalf("machine idle = %v, want 0.75", b.Idle)
 	}
 }

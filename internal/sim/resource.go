@@ -75,18 +75,6 @@ func (r *Resource) Acquire(p *Proc) Duration {
 	return waited
 }
 
-// TryAcquire takes one unit without blocking. It reports whether the
-// unit was obtained.
-func (r *Resource) TryAcquire(p *Proc) bool {
-	p.checkRunning("Resource.TryAcquire")
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.acquires++
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns one unit. If processes are waiting, the unit is
 // handed directly to the head of the queue, which resumes at the
 // current virtual time. Waiters aborted while queued are skipped: the

@@ -93,30 +93,6 @@ func TestResourceCapacity(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	k := NewKernel(1)
-	r := NewLock(k, "l")
-	var got []bool
-	k.Spawn("a", func(p *Proc) {
-		got = append(got, r.TryAcquire(p))
-		p.Hold(10)
-		r.Release()
-	})
-	k.Spawn("b", func(p *Proc) {
-		p.Hold(5)
-		got = append(got, r.TryAcquire(p)) // held by a
-		p.Hold(10)
-		got = append(got, r.TryAcquire(p)) // free at 15
-	})
-	k.RunAll()
-	want := []bool{true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TryAcquire results = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestReleaseBelowZeroPanics(t *testing.T) {
 	k := NewKernel(1)
 	r := NewLock(k, "l")

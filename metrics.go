@@ -13,7 +13,9 @@ import (
 // completion time, fault classification counters, exact and sampled
 // concurrency, the Table-2 OS breakdown as a univariate distribution,
 // every CE's per-category account as a bivariate distribution, the hpm
-// event counts, and the drop/overflow counters of each bounded buffer.
+// event counts, the drop/overflow counters of each bounded buffer, and
+// the hardware counters (populateHardware). It is the one path a run's
+// numbers are exported through.
 //
 // The registry is built lazily so an unobserved Simulate pays nothing
 // for it; StatfxText renders from the same registry, which is what
@@ -98,6 +100,64 @@ func (r *Run) populateMetrics() {
 		reg.Counter("obs_series_evicted_total",
 			"time-series samples evicted from the ring buffer", "samples").
 			Add(r.Series.Taken() - uint64(r.Series.Len()))
+	}
+	r.populateHardware()
+}
+
+// populateHardware registers the hardware counters the paper's
+// cedarhpm offload carried to the analysis workstation: global-memory
+// module utilization, the network port totals and the hottest port,
+// the per-cluster shared caches, and — when the monitor was armed —
+// the trace size and the barrier and helper-wait time per CE.
+func (r *Run) populateHardware() {
+	reg, m, ct := r.reg, r.Machine, r.Result.CT
+
+	mu := reg.Univariate("gm_module_utilization", "busy fraction of each global-memory module over CT",
+		"fraction", metricreg.Axis{Name: "module"})
+	for i, u := range m.GM.ModuleUtilization(ct) {
+		mu.Observe(int64(i), u)
+	}
+
+	net := m.GM.Net()
+	st := net.Stats()
+	reg.Counter("net_reservations_total", "network port reservations", "reservations").Add(st.Reservations)
+	reg.Counter("net_delayed_total", "network port reservations that queued", "reservations").Add(st.Delayed)
+	// An observed run registered this live probe already; this is then a
+	// no-op.
+	reg.CounterFunc("net_delay_cycles", "cumulative network queueing delay", "cycles", func() float64 {
+		return float64(net.Stats().DelayTotal)
+	})
+	port, delay := net.MaxPortDelay()
+	hp := reg.Univariate("net_hottest_port_delay_cycles", "queueing delay on the most delayed network port",
+		"cycles", metricreg.Axis{Name: "port", Label: func(int64) string { return port }})
+	if delay > 0 {
+		hp.Observe(0, float64(delay))
+	}
+
+	byCluster := metricreg.Axis{Name: "cluster"}
+	hits := reg.Univariate("cache_hits_total", "shared-cache hits per cluster", "accesses", byCluster)
+	misses := reg.Univariate("cache_misses_total", "shared-cache misses per cluster", "accesses", byCluster)
+	queued := reg.Univariate("cache_queued_cycles", "time queued for the shared cache per cluster", "cycles", byCluster)
+	for c, cl := range m.Clusters {
+		hits.Observe(int64(c), float64(cl.Cache.Hits()))
+		misses.Observe(int64(c), float64(cl.Cache.Misses()))
+		queued.Observe(int64(c), float64(cl.Cache.QueuedTotal()))
+	}
+
+	if r.Monitor == nil {
+		return
+	}
+	trace := r.Monitor.Trace()
+	reg.Counter("hpm_trace_records_total", "records held in the hpm trace buffer", "records").
+		Add(uint64(len(trace)))
+	byCE := metricreg.Axis{Name: "ce"}
+	barrier := hpm.PairDurations(trace, hpm.EvBarrierEnter, hpm.EvBarrierExit)
+	wait := hpm.PairDurations(trace, hpm.EvWaitStart, hpm.EvWaitEnd)
+	bc := reg.Univariate("hpm_barrier_cycles", "time between barrier enter and exit per CE, from the hpm trace", "cycles", byCE)
+	wc := reg.Univariate("hpm_helper_wait_cycles", "time helpers waited for work per CE, from the hpm trace", "cycles", byCE)
+	for i := 0; i < m.Cfg.CEs(); i++ {
+		bc.Observe(int64(i), float64(barrier[i]))
+		wc.Observe(int64(i), float64(wait[i]))
 	}
 }
 

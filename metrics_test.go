@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/faults"
+	"repro/internal/hpm"
 	"repro/internal/metricreg"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -97,6 +98,61 @@ func TestRunMetricsRegistry(t *testing.T) {
 	}
 	if _, ok := snap.Get("hpm_trace_dropped_total"); !ok {
 		t.Fatal("traced run has no hpm_trace_dropped_total")
+	}
+
+	// The hardware counters the cedarhpm offload carried.
+	m := run.Machine
+	mu, _ := snap.Get("gm_module_utilization")
+	if len(mu.Cells) != arch.Cedar8.GMModules {
+		t.Fatalf("gm_module_utilization cells = %d, want %d", len(mu.Cells), arch.Cedar8.GMModules)
+	}
+	for i, u := range m.GM.ModuleUtilization(run.Result.CT) {
+		if mu.Cells[i].Value != u {
+			t.Fatalf("gm_module_utilization{module=%d} = %g, want %g", i, mu.Cells[i].Value, u)
+		}
+	}
+	for _, name := range []string{"cache_hits_total", "cache_misses_total", "cache_queued_cycles"} {
+		if c, _ := snap.Get(name); len(c.Cells) != arch.Cedar8.Clusters {
+			t.Fatalf("%s cells = %d, want one per cluster (%d)", name, len(c.Cells), arch.Cedar8.Clusters)
+		}
+	}
+	for c, cl := range m.Clusters {
+		hits, _ := snap.Get("cache_hits_total")
+		if hits.Cells[c].Value != float64(cl.Cache.Hits()) {
+			t.Fatalf("cache_hits_total{cluster=%d} = %g, want %d", c, hits.Cells[c].Value, cl.Cache.Hits())
+		}
+	}
+	st := m.GM.Net().Stats()
+	if snap.Value("net_reservations_total") != float64(st.Reservations) ||
+		snap.Value("net_delayed_total") != float64(st.Delayed) ||
+		snap.Value("net_delay_cycles") != float64(st.DelayTotal) {
+		t.Fatalf("network totals %g/%g/%g, want %+v", snap.Value("net_reservations_total"),
+			snap.Value("net_delayed_total"), snap.Value("net_delay_cycles"), st)
+	}
+	port, delay := m.GM.Net().MaxPortDelay()
+	hp, _ := snap.Get("net_hottest_port_delay_cycles")
+	if delay == 0 || len(hp.Cells) != 1 || hp.Cells[0].Label[0] != port || hp.Cells[0].Value != float64(delay) {
+		t.Fatalf("hottest port cells %+v, want one %s=%d", hp.Cells, port, delay)
+	}
+	trace := run.Monitor.Trace()
+	if snap.Value("hpm_trace_records_total") != float64(len(trace)) {
+		t.Fatalf("hpm_trace_records_total = %g, want %d", snap.Value("hpm_trace_records_total"), len(trace))
+	}
+	for name, pair := range map[string][2]hpm.EventID{
+		"hpm_barrier_cycles":     {hpm.EvBarrierEnter, hpm.EvBarrierExit},
+		"hpm_helper_wait_cycles": {hpm.EvWaitStart, hpm.EvWaitEnd},
+	} {
+		want := hpm.PairDurations(trace, pair[0], pair[1])
+		got, _ := snap.Get(name)
+		// One cluster has no helpers to wait, but every CE meets barriers.
+		if len(got.Cells) != arch.Cedar8.CEs() || name == "hpm_barrier_cycles" && len(want) == 0 {
+			t.Fatalf("%s cells = %d for %d CEs (%d with pairs)", name, len(got.Cells), arch.Cedar8.CEs(), len(want))
+		}
+		for _, c := range got.Cells {
+			if c.Value != float64(want[int(c.Key[0])]) {
+				t.Fatalf("%s{ce=%d} = %g, want %d", name, c.Key[0], c.Value, want[int(c.Key[0])])
+			}
+		}
 	}
 
 	// The registry renders in every exporter without error.
