@@ -23,7 +23,7 @@ func (mt *Main) Runtime() *Runtime { return mt.rt }
 // Serial executes a serial code section on the main task's lead CE.
 func (mt *Main) Serial(f func(ec *ExecCtx)) {
 	rt := mt.rt
-	lead := mt.ec.CE
+	lead := mt.ec.ce
 	rt.stats.SerialSecs++
 	rt.M.Mon.Post(hpm.EvSerialStart, lead.Global(), 0)
 	f(mt.ec)
@@ -83,11 +83,13 @@ func (rt *Runtime) serializedBody(l *Loop, cat metrics.Category) func(*ExecCtx, 
 		if inner != nil {
 			inner(ec, i)
 		}
-		waited := lock.Acquire(ec.CE.Proc)
-		ec.CE.Charge(waited, cat)
+		// The lock needs the process: CE plays what inner recorded.
+		ce := ec.CE()
+		waited := lock.Acquire(ce.Proc)
+		ce.Charge(waited, cat)
 		func() {
 			defer lock.Release()
-			ec.CE.Spend(serial, cat)
+			ce.Spend(serial, cat)
 		}()
 	}
 }
@@ -346,7 +348,7 @@ func (rt *Runtime) execJob(ce *cluster.CE, job *clusterJob) {
 			job.done.Broadcast()
 		}
 	}()
-	ec := &ExecCtx{CE: ce, rt: rt, cat: job.cat}
+	ec := rt.bodyCtx(ce, job.cat)
 	for {
 		i, ok := job.next(ce)
 		if !ok {
@@ -354,6 +356,7 @@ func (rt *Runtime) execJob(ce *cluster.CE, job *clusterJob) {
 		}
 		rt.M.Mon.Post(hpm.EvIterStart, ce.Global(), int64(i))
 		job.body(ec, i)
+		ec.flush()
 		rt.M.Mon.Post(hpm.EvIterEnd, ce.Global(), int64(i))
 		rt.OS.Poll(ce)
 	}
@@ -366,6 +369,19 @@ func (rt *Runtime) execJob(ce *cluster.CE, job *clusterJob) {
 	} else {
 		ce.ConcBusOp(rt.Cost.ConcBusSync, job.cat)
 	}
+}
+
+// bodyCtx returns the CE's loop-body context, which records the body's
+// steps for a callback chain (see ExecCtx), set to charge cat. Each CE
+// reuses one context, so playing a chain allocates nothing.
+func (rt *Runtime) bodyCtx(ce *cluster.CE, cat metrics.Category) *ExecCtx {
+	ec := &rt.bodies[ce.Global()]
+	if ec.next == nil {
+		*ec = ExecCtx{ce: ce, rt: rt}
+		ec.next = ec.advance
+	}
+	ec.cat = cat
+	return ec
 }
 
 // ensureArrived lazily allocates the loop's per-CE arrival map.

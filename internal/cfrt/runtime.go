@@ -127,6 +127,7 @@ type Runtime struct {
 	shutdown    bool
 
 	rcs      []*rtCluster
+	bodies   []ExecCtx // per global CE id, see bodyCtx
 	mainDone sim.Time
 	started  bool
 
@@ -209,6 +210,7 @@ func New(m *cluster.Machine, o *xylem.OS) *Runtime {
 		xdoallLock:  sim.NewLock(k, "cfrt.xdoall"),
 		boardCond:   sim.NewCond(k, "cfrt.board"),
 		barrierCond: sim.NewCond(k, "cfrt.barrier"),
+		bodies:      make([]ExecCtx, m.Cfg.CEs()),
 	}
 	// Control words live in global memory; keep them on distinct
 	// modules-ish addresses (they are word-interleaved anyway).
@@ -349,7 +351,7 @@ func (rt *Runtime) mainDriver(program func(mt *Main)) {
 		rt.OS.GlobalSyscall(lead)
 	}
 
-	mt := &Main{rt: rt, ec: &ExecCtx{CE: lead, rt: rt, cat: metrics.CatSerial}}
+	mt := &Main{rt: rt, ec: &ExecCtx{ce: lead, rt: rt, cat: metrics.CatSerial}}
 	program(mt)
 
 	rt.mainDone = lead.Now()

@@ -193,6 +193,19 @@ type CE struct {
 	// the CE object itself only carries identity and wiring.
 	mach   *Machine
 	global int
+
+	// step is the activity the CE is spending time in (see FinishStep).
+	step step
+}
+
+// step is one timed CE activity: begun by a Start method, which marks
+// the CE busy in cat and returns d, and ended by FinishStep. stallEnd
+// asks FinishStep to post hpm.EvGMStallEnd for the access at addr.
+type step struct {
+	cat, prev metrics.Category
+	d         sim.Duration
+	addr      int64
+	stallEnd  bool
 }
 
 // Machine returns the machine the CE belongs to.
@@ -209,24 +222,56 @@ func (ce *CE) Now() sim.Time { return ce.Proc.Now() }
 // While the time passes, Busy reports cat (visible to sampling
 // monitors).
 func (ce *CE) Spend(d sim.Duration, cat metrics.Category) {
+	ce.hold(ce.StartSpend(d, cat))
+}
+
+// StartSpend starts Spend's step without holding: the CE is busy in
+// cat from now on, for the returned duration (0: nothing to do). The
+// caller must let exactly that much time pass and then call
+// FinishStep. Spend and GMAccessAs are a Start method, a Hold and
+// FinishStep; a callback chain (sim.Proc.Chain) runs the same steps
+// with FinishStep called from an event callback.
+func (ce *CE) StartSpend(d sim.Duration, cat metrics.Category) sim.Duration {
 	if s := ce.mach.ceSlow[ce.global]; s > 1 {
 		d = sim.Duration(float64(d)*s + 0.5)
 	}
-	ce.spendRaw(d, cat)
+	return ce.start(d, cat)
 }
 
-// spendRaw advances exactly d cycles with no clock degradation —
-// used for waits whose end time is fixed by an external resource.
-func (ce *CE) spendRaw(d sim.Duration, cat metrics.Category) {
+// start begins a step of exactly d cycles charged to cat, with no clock
+// degradation, and returns d; a step of no time is not begun and
+// returns 0.
+func (ce *CE) start(d sim.Duration, cat metrics.Category) sim.Duration {
 	if d <= 0 {
-		return
+		return 0
 	}
 	busy := ce.mach.busyCat
-	prev := busy[ce.global]
+	ce.step = step{cat: cat, prev: busy[ce.global], d: d}
 	busy[ce.global] = cat
-	ce.Proc.Hold(d)
-	busy[ce.global] = prev
-	ce.Acct.Add(cat, d)
+	return d
+}
+
+// hold runs the step begun by a Start method on the CE's process: it
+// holds for the step's d cycles and finishes it.
+func (ce *CE) hold(d sim.Duration) {
+	if d > 0 {
+		ce.Proc.Hold(d)
+		ce.FinishStep()
+	}
+}
+
+// FinishStep ends the step in progress: Busy reports the category the
+// CE had before the step, the step's time is charged to its category,
+// and a slow global-memory access posts its hpm.EvGMStallEnd. A CE
+// that fail-stops mid-step never finishes it, so its account freezes
+// at the step's start.
+func (ce *CE) FinishStep() {
+	s := &ce.step
+	ce.mach.busyCat[ce.global] = s.prev
+	ce.Acct.Add(s.cat, s.d)
+	if s.stallEnd {
+		ce.mach.Mon.Post(hpm.EvGMStallEnd, ce.global, s.addr)
+	}
 }
 
 // Busy returns the category the CE is spending time in right now, or
@@ -236,9 +281,7 @@ func (ce *CE) Busy() metrics.Category { return ce.mach.busyCat[ce.global] }
 // SpendUntil advances the CE to absolute time t, charged to cat. The
 // end time is externally fixed, so clock degradation does not apply.
 func (ce *CE) SpendUntil(t sim.Time, cat metrics.Category) {
-	if t > ce.Now() {
-		ce.spendRaw(t-ce.Now(), cat)
-	}
+	ce.hold(ce.start(t-ce.Now(), cat))
 }
 
 // Fail marks the CE fail-stopped and aborts its driver process: the
@@ -249,10 +292,11 @@ func (ce *CE) Fail() {
 		return
 	}
 	ce.mach.ceFailed[ce.global] = true
-	// A fail-stop can land mid-Spend: the abort unwinds out of Hold
-	// before spendRaw restores busyCat, which would leave the dead CE
-	// permanently "active" to sampling monitors (statfx would keep
-	// counting it toward concurrency). Park it explicitly.
+	// A fail-stop can land mid-step: the abort unwinds out of Hold, or
+	// out of a parked callback chain, before FinishStep restores
+	// busyCat, which would leave the dead CE permanently "active" to
+	// sampling monitors (statfx would keep counting it toward
+	// concurrency). Park it explicitly.
 	ce.mach.busyCat[ce.global] = metrics.CatIdle
 	m := ce.mach
 	m.failed++
@@ -280,44 +324,46 @@ func (ce *CE) Charge(d sim.Duration, cat metrics.Category) {
 // queueing alone reaches it.
 const SlowStall = 2_000
 
-// GMAccess performs a global memory access of the given word count at
-// addr and stalls the CE until the data returns. The stall is charged
-// to metrics.CatGMStall. It returns the total stall and the queueing
-// (contention) portion.
-func (ce *CE) GMAccess(addr int64, words int) (stall, queued sim.Duration) {
-	return ce.GMAccessAs(addr, words, metrics.CatGMStall)
+// GMAccessAs performs a global memory access of the given word count
+// at addr and stalls the CE until the data returns, charging the stall
+// to cat: metrics.CatGMStall for data, or e.g. CatPickIter for
+// iteration-pickup traffic. It returns the total stall and the
+// queueing (contention) portion.
+func (ce *CE) GMAccessAs(addr int64, words int, cat metrics.Category) (stall, queued sim.Duration) {
+	stall, queued = ce.StartGMAccess(addr, words, cat)
+	ce.hold(stall)
+	return stall, queued
 }
 
-// GMAccessAs is GMAccess but charges the stall to an explicit
-// category (e.g. CatPickIter for iteration-pickup traffic).
-func (ce *CE) GMAccessAs(addr int64, words int, cat metrics.Category) (stall, queued sim.Duration) {
-	m := ce.Machine()
+// StartGMAccess is GMAccessAs's step, started without holding (see
+// StartSpend): the access is booked now and the CE stalls for the
+// returned stall, charged to cat. It also returns the queueing part.
+func (ce *CE) StartGMAccess(addr int64, words int, cat metrics.Category) (stall, queued sim.Duration) {
+	m := ce.mach
 	now := ce.Now()
 	done, q := m.GM.Access(now, ce.ID, addr, words)
 	stall = done - now
-	if m.Mon == nil || stall < SlowStall {
-		ce.SpendUntil(done, cat)
-		return stall, q
+	ce.start(stall, cat)
+	if m.Mon != nil && stall >= SlowStall {
+		if q >= SlowStall {
+			m.Mon.Post(hpm.EvGMHot, ce.global, int64(m.GM.Module(addr)))
+		}
+		m.Mon.Post(hpm.EvGMStallStart, ce.global, addr)
+		ce.step.addr, ce.step.stallEnd = addr, true
 	}
-	if q >= SlowStall {
-		m.Mon.Post(hpm.EvGMHot, ce.global, int64(m.GM.Module(addr)))
-	}
-	m.Mon.Post(hpm.EvGMStallStart, ce.global, addr)
-	ce.SpendUntil(done, cat)
-	m.Mon.Post(hpm.EvGMStallEnd, ce.global, addr)
 	return stall, q
 }
 
-// CacheAccess references the cluster's shared cache for the given
-// word count with the workload's expected hit ratio, stalling the CE
-// until the banks deliver (including any queueing behind the cluster's
-// other CEs). The stall is charged to metrics.CatCacheStall.
-func (ce *CE) CacheAccess(words int, hitRatio float64) sim.Duration {
+// StartCacheAccess starts a reference to words of cluster memory
+// through the cluster's shared cache, with the workload's expected hit
+// ratio, without holding (see StartSpend): the CE stalls until the
+// banks deliver, including any queueing behind the cluster's other
+// CEs, and the stall, which it returns, is charged to
+// metrics.CatCacheStall.
+func (ce *CE) StartCacheAccess(words int, hitRatio float64) sim.Duration {
 	now := ce.Now()
 	done, _ := ce.Cluster.Cache.Access(now, words, hitRatio)
-	stall := done - now
-	ce.SpendUntil(done, metrics.CatCacheStall)
-	return stall
+	return ce.start(done-now, metrics.CatCacheStall)
 }
 
 // ConcBusOp performs a concurrency-control-bus transaction of the

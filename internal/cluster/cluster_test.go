@@ -86,7 +86,7 @@ func TestGMAccessChargesStall(t *testing.T) {
 	var stall sim.Duration
 	k.Spawn("ce", func(p *sim.Proc) {
 		ce.Proc = p
-		stall, _ = ce.GMAccess(0, 8)
+		stall, _ = ce.GMAccessAs(0, 8, metrics.CatGMStall)
 	})
 	k.RunAll()
 	if stall <= 0 {
@@ -105,7 +105,7 @@ func TestGMAccessContentionBetweenCEs(t *testing.T) {
 		k.Spawn("ce", func(p *sim.Proc) {
 			ce.Proc = p
 			for i := 0; i < 10; i++ {
-				_, q := ce.GMAccess(0, 32) // same region: guaranteed conflicts
+				_, q := ce.GMAccessAs(0, 32, metrics.CatGMStall) // same region: guaranteed conflicts
 				totalQ += q
 			}
 		})
@@ -139,7 +139,8 @@ func TestCacheAccessCharged(t *testing.T) {
 	ce := m.CE(1)
 	k.Spawn("ce", func(p *sim.Proc) {
 		ce.Proc = p
-		ce.CacheAccess(64, 0.5)
+		p.Hold(ce.StartCacheAccess(64, 0.5))
+		ce.FinishStep()
 	})
 	k.RunAll()
 	if ce.Acct.Get(metrics.CatCacheStall) == 0 {

@@ -31,8 +31,8 @@ type Memory struct {
 	// walks instead of one heap object per module.
 	modules *sim.CalendarStore
 	// runAt is reserveRun's per-slice time buffer: each slice's
-	// departure from stage 0, then its arrival at the module, then the
-	// end of its module slot. A run has at most GMModules slices.
+	// departure from stage 0, then its arrival at each forward stage
+	// booked stage-major. A run has at most GMModules slices.
 	runAt []sim.Time
 
 	// Scratch buffers for the degraded walk (walkSorted), allocated
@@ -280,10 +280,11 @@ func (m *Memory) walkRanges(ce arch.CEID, sl spread, inject sim.Time) sim.Time {
 // reserveRun books forward stages 1..k-1 and the modules for n slices
 // from slice i, served by the consecutive home modules from mod, all
 // leaving stage 0 at a0. It returns when the last module finishes.
-// The run is booked stage-major: every slice through each forward
-// stage, then every slice at its module. Each port and module still
-// receives this access's bookings in slice order, so the result equals
-// a per-slice walk through the stages.
+// network.Pair.ReserveFwdRun books the run: on a healthy memory the
+// inner stages stage-major, then the last stage and the modules in one
+// fused pass. Each port and module still receives this access's
+// bookings in slice order, so the result equals a per-slice walk
+// through the stages.
 func (m *Memory) reserveRun(sl spread, mod, i, n int, a0 sim.Time) sim.Time {
 	if n == 0 {
 		return 0
@@ -293,10 +294,9 @@ func (m *Memory) reserveRun(sl spread, mod, i, n int, a0 sim.Time) sim.Time {
 		times[j] = a0
 	}
 	nLong := min(max(sl.extra-i, 0), n)
-	m.net.ReserveFwdRun(mod, times, sl.per, nLong)
 	short := sim.Duration(m.cost.ModuleLatency + int64(sl.per)*m.cost.ModuleCyclesPerWord)
 	long := short + sim.Duration(m.cost.ModuleCyclesPerWord)
-	return m.modules.ReserveRun(0, mod, 1, times, short, long, nLong, m.inflate)
+	return m.net.ReserveFwdRun(mod, times, sl.per, nLong, m.modules, short, long, m.inflate)
 }
 
 // walkSorted is walkRanges for a memory with modules offline, where a

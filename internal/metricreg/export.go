@@ -49,11 +49,12 @@ func renderLabels(labels map[string]string) string {
 	return b.String()
 }
 
-// promType maps a registry type onto the Prometheus vocabulary:
-// distributions render one sample per cell, each a monotone
-// accumulation, so they expose as counters.
-func promType(t Type) string {
-	if t == TypeGauge {
+// promType maps a registry metric onto the Prometheus vocabulary:
+// gauges and level distributions (Desc.Level) expose as gauges; every
+// other distribution renders one sample per cell, each a monotone
+// accumulation, so it exposes as a counter.
+func promType(d Desc) string {
+	if d.Type == TypeGauge || d.Level {
 		return "gauge"
 	}
 	return "counter"
@@ -70,7 +71,7 @@ func WriteProm(w io.Writer, s Snapshot, labels map[string]string) error {
 	for _, m := range s {
 		name := PromName(m.Name)
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-			name, m.Help, name, promType(m.Type)); err != nil {
+			name, m.Help, name, promType(m.Desc)); err != nil {
 			return err
 		}
 		if m.Type.scalar() {

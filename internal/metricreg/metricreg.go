@@ -86,6 +86,10 @@ type Desc struct {
 	Help string // one-line human description
 	Unit string // "cycles", "events", "jobs", "bytes", "seconds", ...
 	Type Type
+	// Level marks a distribution whose cells are levels that can move
+	// both ways (averages, fractions) rather than accumulations; see
+	// UnivariateLevel.
+	Level bool
 }
 
 // Axis names one key dimension of a distribution. Label, when set,
@@ -191,6 +195,14 @@ func (r *Registry) GaugeFunc(name, help, unit string, fn func() float64) {
 // the given axis.
 func (r *Registry) Univariate(name, help, unit string, key Axis) Univariate {
 	return Univariate{r.register(Desc{Name: name, Help: help, Unit: unit, Type: TypeUnivariate},
+		[2]Axis{key, {}}, nil)}
+}
+
+// UnivariateLevel is Univariate for cells that are levels rather than
+// accumulations, such as an average or a busy fraction: the Prometheus
+// exporter types them as gauges.
+func (r *Registry) UnivariateLevel(name, help, unit string, key Axis) Univariate {
+	return Univariate{r.register(Desc{Name: name, Help: help, Unit: unit, Type: TypeUnivariate, Level: true},
 		[2]Axis{key, {}}, nil)}
 }
 

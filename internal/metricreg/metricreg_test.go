@@ -130,6 +130,31 @@ func parseProm(t *testing.T, text string) map[string]float64 {
 	return out
 }
 
+// TestWritePromTypes: Prometheus types follow what a metric's values
+// are. Counters and accumulating distributions render "counter"; gauges
+// and level distributions (averages, fractions) render "gauge", so a
+// scraper never applies rate() to a level.
+func TestWritePromTypes(t *testing.T) {
+	r := New()
+	r.Counter("n_total", "a count", "events").Add(3)
+	r.Gauge("depth", "a level", "jobs").Set(2)
+	r.Univariate("time_cycles", "time per key", "cycles", Axis{Name: "k"}).Observe(1, 10)
+	r.UnivariateLevel("busy_fraction", "busy fraction per key", "fraction", Axis{Name: "k"}).Observe(1, 0.5)
+	r.Bivariate("pair_cycles", "time per key pair", "cycles", Axis{Name: "x"}, Axis{Name: "y"}).Observe(1, 2, 4)
+	var b strings.Builder
+	if err := WriteProm(&b, r.Snapshot(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"n_total": "counter", "depth": "gauge", "time_cycles": "counter",
+		"busy_fraction": "gauge", "pair_cycles": "counter",
+	} {
+		if line := "# TYPE " + PromName(name) + " " + want + "\n"; !strings.Contains(b.String(), line) {
+			t.Errorf("missing %q in:\n%s", line, b.String())
+		}
+	}
+}
+
 // TestExporterParity is the registry's core guarantee: every metric
 // registered once appears in the Prometheus, JSON, and CSV exports
 // with identical values at snapshot time.

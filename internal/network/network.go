@@ -290,20 +290,35 @@ func (p *Pair) ReserveFwdSubtree(module int, at sim.Time, words int) (arrive sim
 }
 
 // ReserveFwdRun carries a run of module slices through forward stages
-// 1..k-1: slice j is bound for module mod+j, left stage 0 at times[j],
-// and carries words+1 words when j < nLong and words otherwise. On
-// return times[j] is when slice j has fully arrived at its module's
-// input. The run is booked stage by stage, one ReserveRun per stage,
-// which gives every port the same bookings in the same slice order as
-// a ReserveFwdSubtree call per slice: a slice's request time at a stage
-// depends only on its own arrival from the stage before, and different
-// stages share no port.
-func (p *Pair) ReserveFwdRun(mod int, times []sim.Time, words, nLong int) {
+// 1..k-1 and books each slice at its module: slice j is bound for
+// module mod+j, left stage 0 at times[j], carries words+1 words when
+// j < nLong and words otherwise, and then occupies entry mod+j of
+// modules for modLong or modShort cycles, stretched by inflate as
+// sim.CalendarStore.ReserveRun stretches (nil: no module inflated). It
+// returns when the last module finishes, and uses times as scratch.
+//
+// Every port and module gets the same bookings in the same slice order
+// as a ReserveFwdSubtree walk and a module Reserve per slice: a slice's
+// request time at a stage depends only on its own arrival from the
+// stage before, and different stages share no port. Stages 1..k-2 are
+// booked stage-major, one ReserveRun per stage. The last stage has one
+// port per module (its divisor is 1 for any k), so when no forward port
+// is degraded and no module inflated, it and the modules are booked in
+// one fused pass (ReserveRunThen) that keeps each slice's arrival at
+// its module in a register. Otherwise the last stage is booked like
+// the others, then the modules.
+func (p *Pair) ReserveFwdRun(mod int, times []sim.Time, words, nLong int, modules *sim.CalendarStore, modShort, modLong sim.Duration, inflate []float64) sim.Time {
 	n := p.Forward
 	short := sim.Duration(int64(max(words, 1)) * n.cost.PortCyclesPerWord)
 	long := sim.Duration(int64(max(words+1, 1)) * n.cost.PortCyclesPerWord)
 	lat := sim.Duration(n.cost.StageLatency)
-	for s := 1; s < n.cfg.NetStages; s++ {
+	k := n.cfg.NetStages
+	fused := n.degrade == nil && inflate == nil && k >= 2
+	staged := k
+	if fused {
+		staged = k - 1
+	}
+	for s := 1; s < staged; s++ {
 		var stretch []float64
 		if n.degrade != nil {
 			stretch = n.degrade[s*n.width : (s+1)*n.width]
@@ -313,6 +328,10 @@ func (p *Pair) ReserveFwdRun(mod int, times []sim.Time, words, nLong int) {
 			times[j] += lat
 		}
 	}
+	if fused {
+		return n.store.ReserveRunThen(staged*n.width, mod, times, short, long, lat, modules, modShort, modLong, nLong)
+	}
+	return modules.ReserveRun(0, mod, 1, times, modShort, modLong, nLong, inflate)
 }
 
 // ReserveRetGroup carries a group's reply burst through return stages

@@ -307,44 +307,71 @@ func TestQuickTransitMonotone(t *testing.T) {
 }
 
 // TestReserveFwdRunMatchesPerSlice: booking a run of module slices
-// stage by stage leaves every forward port, and every slice's arrival
-// time, exactly as one ReserveFwdSubtree walk per slice does — over
-// every family member, with degraded ports on every forward stage after
-// stage 0 and runs that start inside a shared inner-stage port.
+// through the forward stages into the modules leaves every forward
+// port, every module and the last module's finish exactly as one
+// ReserveFwdSubtree walk and one module Reserve per slice do — over
+// every family member and runs that start inside a shared inner-stage
+// port, on a healthy network (the fused last-stage pass), with
+// degraded ports on every forward stage after stage 0, and with
+// inflated modules.
 func TestReserveFwdRunMatchesPerSlice(t *testing.T) {
 	cost := arch.DefaultCosts()
 	for _, cfg := range arch.Families() {
-		got, want := NewPair(cfg, cost), NewPair(cfg, cost)
-		for s := 1; s < cfg.NetStages; s++ {
-			for _, p := range []*Pair{got, want} {
-				p.Forward.DegradePort(s, 0, 4)
-				p.Forward.DegradePort(s, 1, 1.3)
-			}
-		}
-		rnd := rand.New(rand.NewSource(11))
-		times := make([]sim.Time, cfg.GMModules)
-		for i := 0; i < 300; i++ {
-			mod := rnd.Intn(cfg.GMModules)
-			n := 1 + rnd.Intn(cfg.GMModules-mod)
-			words, nLong := 1+rnd.Intn(4), rnd.Intn(n+1)
-			at := sim.Time(rnd.Intn(40 * (i + 1)))
-			run := times[:n]
-			for j := range run {
-				run[j] = at
-			}
-			got.ReserveFwdRun(mod, run, words, nLong)
-			for j, arrive := range run {
-				w := words
-				if j < nLong {
-					w++
-				}
-				if ref, _ := want.ReserveFwdSubtree(mod+j, at, w); arrive != ref {
-					t.Fatalf("%s run %d slice %d: arrives %d, per-slice walk %d", cfg.Name, i, j, arrive, ref)
+		for _, c := range []struct {
+			name             string
+			degrade, inflate bool
+		}{{"healthy", false, false}, {"ports", true, false}, {"inflated", false, true}} {
+			got, want := NewPair(cfg, cost), NewPair(cfg, cost)
+			gotMods, wantMods := sim.NewCalendarStore(cfg.GMModules), sim.NewCalendarStore(cfg.GMModules)
+			if c.degrade {
+				for s := 1; s < cfg.NetStages; s++ {
+					for _, p := range []*Pair{got, want} {
+						p.Forward.DegradePort(s, 0, 4)
+						p.Forward.DegradePort(s, 1, 1.3)
+					}
 				}
 			}
-		}
-		if !reflect.DeepEqual(got.Forward, want.Forward) {
-			t.Fatalf("%s: forward port calendars differ", cfg.Name)
+			var inflate []float64
+			if c.inflate {
+				inflate = make([]float64, cfg.GMModules)
+				inflate[0], inflate[cfg.GMModules/2] = 2.5, 1.3
+			}
+			rnd := rand.New(rand.NewSource(11))
+			times := make([]sim.Time, cfg.GMModules)
+			for i := 0; i < 300; i++ {
+				mod := rnd.Intn(cfg.GMModules)
+				n := 1 + rnd.Intn(cfg.GMModules-mod)
+				words, nLong := 1+rnd.Intn(4), rnd.Intn(n+1)
+				modShort := sim.Duration(4 + rnd.Intn(4))
+				at := sim.Time(rnd.Intn(40 * (i + 1)))
+				run := times[:n]
+				for j := range run {
+					run[j] = at
+				}
+				last := got.ReserveFwdRun(mod, run, words, nLong, gotMods, modShort, modShort+1, inflate)
+				var wantLast sim.Time
+				for j := 0; j < n; j++ {
+					w, busy := words, modShort
+					if j < nLong {
+						w, busy = w+1, busy+1
+					}
+					if inflate != nil && inflate[mod+j] > 1 {
+						busy = sim.Duration(float64(busy)*inflate[mod+j] + 0.5)
+					}
+					arrive, _ := want.ReserveFwdSubtree(mod+j, at, w)
+					_, end := wantMods.Reserve(mod+j, arrive, busy)
+					wantLast = max(wantLast, end)
+				}
+				if last != wantLast {
+					t.Fatalf("%s %s run %d: last module finishes at %d, per-slice walk %d", cfg.Name, c.name, i, last, wantLast)
+				}
+			}
+			if !reflect.DeepEqual(got.Forward, want.Forward) {
+				t.Fatalf("%s %s: forward port calendars differ", cfg.Name, c.name)
+			}
+			if !reflect.DeepEqual(gotMods, wantMods) {
+				t.Fatalf("%s %s: module calendars differ", cfg.Name, c.name)
+			}
 		}
 	}
 }

@@ -86,24 +86,29 @@ func BenchmarkCalendarReserve(b *testing.B) {
 }
 
 // BenchmarkCalendarReserveRun measures run booking: one op books a
-// 32-slice run, one entry per slice, as a healthy memory books one
-// group's modules. It must stay 0 allocs/op; compare its ns/op with 32
-// BenchmarkCalendarReserve ops.
+// 32-slice run through a port store and then a module store, one entry
+// per slice on each, as a healthy memory books one group's last forward
+// stage and modules (ReserveRunThen). Request times and the run's start
+// vary pseudo-randomly, so whether a slice queues is as hard to predict
+// as under real contention. It must stay 0 allocs/op; compare its
+// ns/op with 64 BenchmarkCalendarReserve ops.
 func BenchmarkCalendarReserveRun(b *testing.B) {
-	c := NewCalendarStore(64)
+	ports, modules := NewCalendarStore(64), NewCalendarStore(64)
 	times := make([]Time, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var at Time
+	x := uint32(1)
 	for i := 0; i < b.N; i++ {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
 		for j := range times {
 			times[j] = at
 		}
-		c.ReserveRun(0, i%32, 1, times, 3, 4, i%7, nil)
+		last := ports.ReserveRunThen(0, int(x%32), times, 3, 4, 1, modules, 5, 6, int(x>>8)%7)
 		// Alternate contended and idle arrivals.
-		if i%2 == 0 {
-			at = times[len(times)-1] + 2
-		}
+		at = last - Time(x>>16)%24
 	}
 }
 

@@ -82,15 +82,6 @@ func (s *CalendarStore) ReserveRun(base, first, div int, times []Time, short, lo
 		panic(fmt.Sprintf("sim: calendar store run at entry %d negative busy %d/%d", base, short, long))
 	}
 	s.reservations += uint64(len(times))
-	if div == 1 && stretch == nil {
-		// One entry per slice and no stretch: a healthy module bank or
-		// final forward stage, the common case, in a loop with few
-		// enough live values to stay in registers.
-		e := base + first
-		delayed, last := bookRun(s.freeAt[e:], s.busyTotal[e:], s.delayTotal[e:], times, short, long, nLong)
-		s.delayed += delayed
-		return last
-	}
 	var delayed uint64
 	idx, rem := first/div, first%div
 	for j, at := range times {
@@ -123,33 +114,63 @@ func (s *CalendarStore) ReserveRun(base, first, div int, times []Time, short, lo
 	return last
 }
 
-// bookRun is ReserveRun for one entry per slice with no stretch: slice
-// j books freeAt[j], busyTotal[j] and delayTotal[j]. It returns how
-// many slices found their entry busy and the latest end.
-func bookRun(freeAt []Time, busyTotal, delayTotal []Duration, times []Time, short, long Duration, nLong int) (delayed uint64, last Time) {
+// ReserveRunThen books a run of len(times) slices through two stores in
+// series, one entry per slice on each and no stretch, in one pass:
+// slice j books entry base+first+j of s at request time times[j], then
+// entry first+j of next at the end of that slot plus lat. Slices
+// j < nLong are busy for long and nextLong cycles, the rest for short
+// and nextShort. The bookings are those of ReserveRun on s (div 1, nil
+// stretch), lat added to every end, then ReserveRun on next; the pass
+// just keeps each slice's time between the two in a register instead
+// of writing it back to times, which it leaves unchanged. It returns
+// the latest end on next, or 0 for an empty run.
+func (s *CalendarStore) ReserveRunThen(base, first int, times []Time, short, long, lat Duration, next *CalendarStore, nextShort, nextLong Duration, nLong int) (last Time) {
+	if short < 0 || long < 0 || nextShort < 0 || nextLong < 0 {
+		panic(fmt.Sprintf("sim: calendar store run at entry %d negative busy %d/%d then %d/%d",
+			base+first, short, long, nextShort, nextLong))
+	}
 	n := len(times)
 	if n == 0 {
-		return 0, 0
+		return 0
 	}
-	freeAt, busyTotal, delayTotal = freeAt[:n], busyTotal[:n], delayTotal[:n]
+	s.reservations += uint64(n)
+	next.reservations += uint64(n)
+	// Reslice every array to the run, so the loop indexes without
+	// bounds checks.
+	e := base + first
+	free, busyTot, delayTot := s.freeAt[e:e+n], s.busyTotal[e:e+n], s.delayTotal[e:e+n]
+	nFree, nBusyTot, nDelayTot := next.freeAt[first:first+n], next.busyTotal[first:first+n], next.delayTotal[first:first+n]
+	var delayed, nDelayed uint64
 	for j, at := range times {
-		busy := short
+		busy, nBusy := short, nextShort
 		if j < nLong {
-			busy = long
+			busy, nBusy = long, nextLong
 		}
 		start := at
-		if f := freeAt[j]; f > at {
+		if f := free[j]; f > at {
 			start = f
 			delayed++
-			delayTotal[j] += f - at
+			delayTot[j] += f - at
 		}
 		end := start + busy
-		freeAt[j] = end
-		busyTotal[j] += busy
-		times[j] = end
+		free[j] = end
+		busyTot[j] += busy
+
+		at = end + lat
+		start = at
+		if f := nFree[j]; f > at {
+			start = f
+			nDelayed++
+			nDelayTot[j] += f - at
+		}
+		end = start + nBusy
+		nFree[j] = end
+		nBusyTot[j] += nBusy
 		last = max(last, end)
 	}
-	return delayed, last
+	s.delayed += delayed
+	next.delayed += nDelayed
+	return last
 }
 
 // FreeAt returns the time resource i next becomes free.

@@ -8,15 +8,21 @@
 // Every process body is an iter.Pull coroutine, and RunErr is the one
 // dispatch loop. It runs on the caller's goroutine and resumes a
 // process by switching into its coroutine, which switches back when
-// the process yields: two coroutine switches per process wake, with no
-// Go scheduler, lock or cross-CPU wake-up on the path. The exception
-// is a Hold whose own wake is the next event the loop would dispatch:
-// the kernel fires that wake in place (see holdInPlace) and the
-// process simply continues, with no switch at all. Callbacks, stop
-// conditions and the interrupt check all run in that loop, on the
-// caller's goroutine. Because coroutine switches never enter the
-// scheduler, the loop yields the thread to other goroutines at a fixed
-// cadence (see schedEvery).
+// the process yields: two coroutine switches per resume, with no Go
+// scheduler, lock or cross-CPU wake-up on the path. Two paths advance
+// a process with fewer. A Hold whose own wake is the next event the
+// loop would dispatch fires that wake in place (see holdInPlace) and
+// the process simply continues, with no switch at all. And a run of
+// steps that cannot block, such as a loop body's compute and memory
+// stalls, plays as a callback chain (see Proc.Chain): each step ends
+// in a callback event at the time its Hold's wake would fire, and the
+// process parks once and is resumed by the chain's last link, so the
+// chain costs one resume however many steps it has. Either way the
+// events, their order and the clock are those of plain Holds.
+// Callbacks, stop conditions and the interrupt check all run in that
+// loop, on the caller's goroutine. Because coroutine switches never
+// enter the scheduler, the loop yields the thread to other goroutines
+// at a fixed cadence (see schedEvery).
 //
 // Virtual time is counted in integer cycles (Time). The kernel makes
 // no reference to wall-clock time, so measurements taken inside a
@@ -214,8 +220,9 @@ func (k *Kernel) EventsFired() uint64 { return k.dispatched }
 
 // Switches returns the number of coroutine resumes so far: process
 // starts and wakes that switched into a process's coroutine. A wake
-// fired in place by Hold (see holdInPlace) counts as an event but not
-// as a switch.
+// fired in place by Hold (see holdInPlace) and a callback-chain link
+// that does not resume its process (see Proc.Chain) count as events
+// but not as switches.
 func (k *Kernel) Switches() uint64 { return k.switches }
 
 // PendingEvents returns the number of events currently queued (both
@@ -558,17 +565,17 @@ func (k *Kernel) RunErr(until Time) (uint64, error) {
 
 // holdInPlace fires p's wake at time at in place, as the dispatch loop
 // would fire it next, and reports whether it did. It is called by the
-// running process p from Hold instead of scheduling the wake and
-// switching out of its coroutine only to be switched straight back in.
-// It refuses, and Hold takes the loop path, unless RunErr is on the
-// stack, p is not aborted, the loop would dispatch the wake now rather
-// than stop or pause (the horizon, the cycle budget, an interrupt check
-// or Gosched due at the next dispatch count), and no pending event
-// fires at or before at: an equal-time event has a lower sequence
-// number, so it runs first. Firing does exactly what the loop does for
-// the wake: it counts the ending event, spends the wake's sequence
-// number and moves the clock, so event order, EventsFired and every
-// stop are the same either way.
+// running process p from Hold or Chain instead of scheduling the wake
+// (or the chain's link) and switching out of its coroutine only to be
+// switched straight back in. It refuses, and the caller takes the loop
+// path, unless RunErr is on the stack, p is not aborted, the loop would
+// dispatch the wake now rather than stop or pause (the horizon, the
+// cycle budget, an interrupt check or Gosched due at the next dispatch
+// count), and no pending event fires at or before at: an equal-time
+// event has a lower sequence number, so it runs first. Firing does
+// exactly what the loop does for the wake: it counts the ending event,
+// spends the wake's sequence number and moves the clock, so event
+// order, EventsFired and every stop are the same either way.
 func (k *Kernel) holdInPlace(p *Proc, at Time) bool {
 	if p.aborted || at > k.until || (k.maxCycles > 0 && at > k.maxCycles) {
 		return false

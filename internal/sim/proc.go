@@ -45,6 +45,12 @@ type Proc struct {
 	// waitingOn names the primitive the process is currently blocked
 	// in, for deadlock diagnostics.
 	waitingOn string
+
+	// chainNext is the step function of the chain the process is
+	// parked on, and chainLink the callback, bound once, that plays
+	// one link of it (see Chain).
+	chainNext func() Duration
+	chainLink func()
 }
 
 // Spawn creates a process running fn and schedules it to start at the
@@ -142,6 +148,58 @@ func (p *Proc) Hold(d Duration) {
 	p.state = stateScheduled
 	p.k.scheduleProc(at, p)
 	p.yield()
+}
+
+// Chain plays a run of steps that cannot block as a chain of event
+// callbacks instead of process wakes. next ends the step in progress,
+// if any, starts the following one and returns its duration; it
+// returns 0 when no step is left or the next one needs the process
+// (it may block, or it reads what only the process may). Chain calls
+// next at once. Each step that takes time ends in one event, at the
+// time and sequence point where Hold would have scheduled the
+// process's wake: fired in place when it is the next event (see
+// holdInPlace), otherwise as a callback scheduled while the process
+// parks. That callback calls next from the dispatch loop, and the one
+// that gets 0 resumes the process inside its own event. So the process
+// parks at most once per chain, and EventsFired, event order and every
+// clock reading are those of the same steps run as Holds. A parked
+// process counts as runnable for the watchdog. A process aborted while
+// parked is resumed by the next callback before it calls next, and
+// unwinds with ErrAborted as it would out of Hold.
+func (p *Proc) Chain(next func() Duration) {
+	p.checkRunning("Chain")
+	k := p.k
+	for {
+		d := next()
+		if d <= 0 {
+			return
+		}
+		at := k.now + d
+		if k.holdInPlace(p, at) {
+			continue
+		}
+		if p.chainLink == nil {
+			p.chainLink = p.link
+		}
+		p.chainNext = next
+		p.state = stateScheduled
+		k.Schedule(at, p.chainLink)
+		p.yield()
+		return
+	}
+}
+
+// link plays one link of the chain p is parked on (see Chain).
+func (p *Proc) link() {
+	k := p.k
+	if !p.aborted {
+		k.lastProgress = k.now
+		if d := p.chainNext(); d > 0 {
+			k.Schedule(k.now+d, p.chainLink)
+			return
+		}
+	}
+	k.resume(p)
 }
 
 // HoldUntil advances the process to absolute time t (no-op if t is not

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -64,6 +65,23 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 				t.Fatal("RunErr returned no error for a process panic")
 			}
 			k.Shutdown()
+		}},
+		{"shutdown with a process parked on a callback chain", func(t *testing.T) {
+			k := NewKernel(1)
+			pingPong(k)
+			links := 0
+			k.Spawn("chained", func(p *Proc) {
+				p.Chain(func() Duration { links++; return 10 })
+				t.Error("an endless chain resumed its process")
+			})
+			k.Run(100)
+			if links < 5 {
+				t.Fatalf("chain played %d links by t=100, want >= 5", links)
+			}
+			k.Shutdown()
+			if k.LiveProcs() != 0 {
+				t.Fatalf("live procs after Shutdown = %d, want 0", k.LiveProcs())
+			}
 		}},
 		{"interrupt, then shutdown", func(t *testing.T) {
 			k := NewKernel(1)
@@ -277,4 +295,123 @@ func TestAbortedHoldStillUnwinds(t *testing.T) {
 	if k.LiveProcs() != 0 {
 		t.Fatalf("live procs = %d, want 0", k.LiveProcs())
 	}
+}
+
+// chainTrace runs a process that takes steps of the given lengths
+// beside pingPong traffic and a callback at every step boundary, as
+// Holds or as one Chain, and returns what every callback saw (its time
+// and the events fired before it), the final clock, the events fired
+// and the switches made.
+func chainTrace(steps []Duration, chain bool) (seen []Time, now Time, fired, switches uint64) {
+	k := NewKernel(1)
+	pingPong(k)
+	var at Time
+	for _, d := range steps {
+		at += d
+		k.Schedule(at, func() { seen = append(seen, k.Now(), Time(k.EventsFired())) })
+	}
+	k.Spawn("stepper", func(p *Proc) {
+		if !chain {
+			for _, d := range steps {
+				p.Hold(d)
+			}
+		} else {
+			i := 0
+			p.Chain(func() Duration {
+				if i == len(steps) {
+					return 0
+				}
+				i++
+				return steps[i-1]
+			})
+		}
+		seen = append(seen, -p.Now(), Time(k.EventsFired()))
+	})
+	k.Run(at + 5)
+	k.Shutdown()
+	return seen, k.Now(), k.EventsFired(), k.Switches()
+}
+
+// TestChainMatchesHolds: a chain of steps fires the same events at the
+// same times and in the same order as the same steps taken as Holds,
+// and resumes its process at the same point, with fewer switches.
+func TestChainMatchesHolds(t *testing.T) {
+	steps := []Duration{3, 1, 7, 2, 2, 9}
+	hSeen, hNow, hFired, hSwitches := chainTrace(steps, false)
+	cSeen, cNow, cFired, cSwitches := chainTrace(steps, true)
+	if !reflect.DeepEqual(hSeen, cSeen) || hNow != cNow || hFired != cFired {
+		t.Fatalf("chain saw %v, now %d, %d events; holds saw %v, now %d, %d events", cSeen, cNow, cFired, hSeen, hNow, hFired)
+	}
+	if cSwitches+uint64(len(steps))-1 != hSwitches {
+		t.Fatalf("chain made %d switches, holds %d: want %d fewer", cSwitches, hSwitches, len(steps)-1)
+	}
+}
+
+// TestChainFiresInPlace: a lone process's chain fires its links in
+// place, as lone Holds do, so it never parks.
+func TestChainFiresInPlace(t *testing.T) {
+	k := NewKernel(1)
+	n := 0
+	k.Spawn("lone", func(p *Proc) {
+		p.Chain(func() Duration {
+			if n++; n > 10 {
+				return 0
+			}
+			return 5
+		})
+	})
+	if fired := k.RunAll(); fired != 11 || k.Now() != 50 || k.Switches() != 1 {
+		t.Fatalf("fired %d at %d with %d switches, want 11 at 50 with 1", fired, k.Now(), k.Switches())
+	}
+}
+
+// TestAbortedChainUnwindsBeforeNextStep: a process aborted while parked
+// on a chain is resumed by the chain's next link, at the end of the
+// step in progress, without that link calling the step function, and
+// unwinds through its deferred cleanups.
+func TestAbortedChainUnwindsBeforeNextStep(t *testing.T) {
+	k := NewKernel(1)
+	pingPong(k)
+	calls := 0
+	var unwoundAt Time = -1
+	victim := k.Spawn("victim", func(p *Proc) {
+		defer func() { unwoundAt = p.Now() }()
+		p.Chain(func() Duration { calls++; return 10 })
+	})
+	k.Schedule(15, func() { k.Abort(victim) })
+	k.Run(100)
+	if calls != 2 || unwoundAt != 20 || !victim.Done() {
+		t.Fatalf("step function called %d times, unwound at %d (done %v); want 2 calls, unwound at 20", calls, unwoundAt, victim.Done())
+	}
+	k.Shutdown()
+}
+
+// TestChainAllocs: once the kernel is warm, playing chains allocates
+// nothing: the link is bound once per process and event nodes are
+// recycled.
+func TestChainAllocs(t *testing.T) {
+	k := NewKernel(1)
+	pingPong(k)
+	steps := 0
+	next := func() Duration {
+		if steps++; steps%4 == 0 {
+			return 0
+		}
+		return 3
+	}
+	k.Spawn("chained", func(p *Proc) {
+		for {
+			p.Chain(next)
+		}
+	})
+	until := Time(1000)
+	k.Run(until)
+	allocs := testing.AllocsPerRun(100, func() {
+		until += 100
+		k.Run(until)
+	})
+	if allocs != 0 {
+		t.Fatalf("playing chains allocates %v per run of 100 cycles, want 0", allocs)
+	}
+	k.Shutdown()
 }

@@ -348,6 +348,69 @@ func TestQuickCalendarReserveRunMatchesReserve(t *testing.T) {
 	}
 }
 
+// calendarRunThen is one random ReserveRunThen: two stores that earlier
+// bookings left partly busy, and a run through both.
+type calendarRunThen struct {
+	Base, First, Slices uint8
+	Entries             uint8
+	Warm                []struct {
+		Next            bool
+		Entry, At, Busy uint8
+	}
+	At                  []uint16
+	Short, Long, Lat    uint8
+	NextShort, NextLong uint8
+	NLong               uint8
+}
+
+// apply books r through ReserveRunThen when fused is true, and
+// otherwise through ReserveRun on the first store, lat added to every
+// end, then ReserveRun on the second. It returns both stores, the
+// request times as the call left them and the latest end.
+func (r calendarRunThen) apply(fused bool) (s, next *CalendarStore, times []Time, last Time) {
+	n := int(r.Entries%16) + 1
+	base := int(r.Base % 8)
+	s, next = NewCalendarStore(base+n), NewCalendarStore(n)
+	for _, w := range r.Warm {
+		if w.Next {
+			next.Reserve(int(w.Entry)%n, Time(w.At), Duration(w.Busy))
+		} else {
+			s.Reserve(int(w.Entry)%(base+n), Time(w.At), Duration(w.Busy))
+		}
+	}
+	first := int(r.First) % n
+	times = make([]Time, min(int(r.Slices)%(n-first+1), len(r.At)))
+	for j := range times {
+		times[j] = Time(r.At[j])
+	}
+	short, long, lat := Duration(r.Short%9), Duration(r.Long%9), Duration(r.Lat%5)
+	nextShort, nextLong := Duration(r.NextShort%9), Duration(r.NextLong%9)
+	nLong := int(r.NLong) % (len(times) + 1)
+	if fused {
+		return s, next, times, s.ReserveRunThen(base, first, times, short, long, lat, next, nextShort, nextLong, nLong)
+	}
+	at := append([]Time(nil), times...)
+	s.ReserveRun(base, first, 1, at, short, long, nLong, nil)
+	for j := range at {
+		at[j] += lat
+	}
+	return s, next, times, next.ReserveRun(0, first, 1, at, nextShort, nextLong, nLong, nil)
+}
+
+// Property: ReserveRunThen leaves both stores, their totals and the
+// latest end exactly as the two ReserveRun calls it fuses, and leaves
+// the request times unchanged.
+func TestQuickCalendarReserveRunThenMatchesTwoRuns(t *testing.T) {
+	f := func(r calendarRunThen) bool {
+		s1, n1, t1, l1 := r.apply(true)
+		s2, n2, t2, l2 := r.apply(false)
+		return reflect.DeepEqual(s1, s2) && reflect.DeepEqual(n1, n2) && reflect.DeepEqual(t1, t2) && l1 == l2
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCalendarReserveRunAllocs: booking a run allocates nothing.
 func TestCalendarReserveRunAllocs(t *testing.T) {
 	c := NewCalendarStore(64)
@@ -361,10 +424,11 @@ func TestCalendarReserveRunAllocs(t *testing.T) {
 		}
 		c.ReserveRun(32, 3, 2, times, 4, 5, 7, stretch)
 		c.ReserveRun(0, 0, 1, times, 4, 5, 7, nil)
+		c.ReserveRunThen(32, 0, times, 4, 5, 1, c, 4, 5, 7)
 		at += 3
 	})
 	if allocs != 0 {
-		t.Fatalf("ReserveRun allocates %v per run, want 0", allocs)
+		t.Fatalf("ReserveRun and ReserveRunThen allocate %v per run, want 0", allocs)
 	}
 }
 

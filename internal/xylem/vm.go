@@ -125,6 +125,20 @@ func (r *Region) Touch(ce *cluster.CE, offset, words int64) sim.Duration {
 	return total
 }
 
+// Mapped reports whether every page of the span [offset, offset+words)
+// is mapped in the CE's cluster task, so that Touch would take its fast
+// path: no fault, no time, nothing changed.
+func (r *Region) Mapped(ce *cluster.CE, offset, words int64) bool {
+	pages := r.state[ce.ID.Cluster]
+	last := (offset + max(words, 1) - 1) / r.pageWords
+	for pg := offset / r.pageWords; pg <= last; pg++ {
+		if pages[pg%int64(len(pages))] != pageMapped {
+			return false
+		}
+	}
+	return true
+}
+
 // fault services a fault on page p of cluster cl's mapping.
 func (r *Region) fault(ce *cluster.CE, cl, p int) sim.Duration {
 	o := r.os

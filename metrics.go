@@ -63,7 +63,7 @@ func (r *Run) populateMetrics() {
 	reg.Gauge("concurrency_sampled", "machine concurrency sampled by the statfx monitor", "ces").
 		Set(res.SampledConcurrency)
 
-	cc := reg.Univariate("concurrency_cluster",
+	cc := reg.UnivariateLevel("concurrency_cluster",
 		"exact per-cluster average concurrency, integrated from accounts", "ces",
 		metricreg.Axis{Name: "cluster"})
 	for c, v := range res.Concurrency {
@@ -112,7 +112,7 @@ func (r *Run) populateMetrics() {
 func (r *Run) populateHardware() {
 	reg, m, ct := r.reg, r.Machine, r.Result.CT
 
-	mu := reg.Univariate("gm_module_utilization", "busy fraction of each global-memory module over CT",
+	mu := reg.UnivariateLevel("gm_module_utilization", "busy fraction of each global-memory module over CT",
 		"fraction", metricreg.Axis{Name: "module"})
 	for i, u := range m.GM.ModuleUtilization(ct) {
 		mu.Observe(int64(i), u)

@@ -163,6 +163,14 @@ func TestRunMetricsRegistry(t *testing.T) {
 	if !strings.Contains(b.String(), "cedar_ct_cycles ") {
 		t.Fatalf("prom export missing ct_cycles:\n%s", b.String())
 	}
+	// Averages and fractions are gauges; accumulations stay counters.
+	for name, typ := range map[string]string{
+		"concurrency_cluster": "gauge", "gm_module_utilization": "gauge", "os_time_cycles": "counter",
+	} {
+		if line := "# TYPE cedar_" + name + " " + typ + "\n"; !strings.Contains(b.String(), line) {
+			t.Errorf("prom export lacks %q", line)
+		}
+	}
 }
 
 // TestObservedRunSharesRegistryWithSeries: with Observe on, the live
