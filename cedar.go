@@ -43,9 +43,10 @@ type Options struct {
 	// Seed overrides the deterministic seed derived from the app and
 	// configuration when non-zero.
 	Seed int64
-	// SamplerInterval is the statfx sampling period in cycles;
-	// defaults to 10000 (0.5 ms) when zero. Negative disables the
-	// sampler.
+	// SamplerInterval is the period in cycles of the statfx sampler,
+	// the run's one periodic monitor: it samples concurrency and, on
+	// an observed run, the series rows. Zero uses the default, 10,000
+	// cycles (0.5 ms); negative is an error.
 	SamplerInterval sim.Duration
 	// TraceCapacity arms the cedarhpm monitor with a trace buffer of
 	// the given capacity in records when > 0. The monitor is the run's
@@ -68,12 +69,12 @@ type Options struct {
 	// virtual time would pass it (0: unlimited). A guard rail for
 	// fault plans that slow the machine pathologically.
 	MaxCycles sim.Time
-	// Observe arms the time-series collector, sampling concurrency,
-	// the qmon split, and memory/network backlog into Run.Series. Nil
-	// leaves it off (the zero-cost path); the zero obs.Options value
-	// gives defaults. Spans come from the monitor (TraceCapacity), not
+	// Observe arms the time-series ring: every statfx tick appends
+	// concurrency, the Figure-3 user/system/interrupt/spin split, and
+	// memory/network backlog to Run.Series. False leaves it off (the
+	// zero-cost path). Spans come from the monitor (TraceCapacity), not
 	// from Observe.
-	Observe *obs.Options
+	Observe bool
 	// Parallel bounds how many independent simulations Sweeps runs
 	// concurrently. Zero uses GOMAXPROCS; 1 forces the sequential
 	// path. Parallelism is wall-clock only: every simulation owns its
@@ -87,6 +88,10 @@ type Options struct {
 	// pay for it.
 	cancelFrom context.Context
 }
+
+// defaultSamplerInterval is the statfx sampling period when
+// Options.SamplerInterval is zero: 0.5 ms of virtual time.
+const defaultSamplerInterval = 10_000
 
 // defaultWatchdog is how often, in cycles (0.5 s of virtual time), the
 // kernel checks for a wedged simulation — every live process blocked,
@@ -154,6 +159,9 @@ func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error
 	if err := opts.Faults.Validate(cfg); err != nil {
 		return nil, err
 	}
+	if opts.SamplerInterval < 0 {
+		return nil, fmt.Errorf("cedar: Options.SamplerInterval %d is negative", opts.SamplerInterval)
+	}
 	if opts.Steps > 0 {
 		app = app.WithSteps(opts.Steps)
 	}
@@ -183,17 +191,13 @@ func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error
 
 	var series *obs.Collector
 	var liveReg *metricreg.Registry
-	if opts.Observe != nil {
-		series = obs.NewCollector(k, *opts.Observe)
+	if opts.Observe {
 		liveReg = metricreg.New()
 		registerProbes(liveReg, m)
-		// The collector samples the registry's live scalar metrics: one
+		// The series rows read the registry's live scalar metrics: one
 		// registration feeds the time series and every exporter alike,
 		// in registration order (the series CSV column order).
-		for _, rd := range liveReg.ScalarReaders() {
-			series.AddProbe(rd.Desc.Name, func(now sim.Time) float64 { return rd.Read() })
-		}
-		series.Start()
+		series = obs.NewCollector(liveReg.ScalarReaders())
 	}
 
 	rt := cfrt.New(m, o)
@@ -206,29 +210,16 @@ func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error
 		inj.Arm(opts.Faults)
 	}
 
-	var sampler *statfx.Sampler
-	if opts.SamplerInterval >= 0 {
-		interval := opts.SamplerInterval
-		if interval == 0 {
-			interval = 10_000
-		}
-		sampler = statfx.NewSampler(m, interval)
+	interval := opts.SamplerInterval
+	if interval == 0 {
+		interval = defaultSamplerInterval
 	}
-	if sampler != nil || series != nil {
-		rt.OnFinish = func() {
-			if sampler != nil {
-				sampler.Stop()
-			}
-			series.Stop() // nil-safe
-		}
-	}
+	sampler := statfx.NewSampler(m, interval, series)
+	rt.OnFinish = sampler.Stop
 
 	region := o.NewRegion(app.Name+".data", app.DataWords)
 	_, err := rt.RunErr(app.Program(region))
-	if sampler != nil {
-		sampler.Stop() // idempotent; error paths never reached OnFinish
-	}
-	series.Stop()
+	sampler.Stop() // idempotent; error paths never reached OnFinish
 
 	res := core.Collect(app.Name, 1, rt, sampler)
 	run := &Run{Result: res, Machine: m, OS: o, RT: rt, Monitor: m.Mon, Injector: inj,
@@ -238,12 +229,12 @@ func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error
 
 // registerProbes registers the standard live probes as registry gauge
 // functions: machine and per-cluster concurrency (the statfx signal),
-// the qmon user/system/interrupt/spin split as CE counts, global-memory
-// module utilization and backlog, network port backlog (the hot-spot
-// signal), and simulation liveness counters. Each reads the machine at
-// the kernel's current virtual time, so sampling them from the series
-// collector is equivalent to the old direct probes — but the same
-// registration also puts them in every exporter.
+// the Figure-3 user/system/interrupt/spin split as CE counts,
+// global-memory module utilization and backlog, network port backlog
+// (the hot-spot signal), and simulation liveness counters. Each reads
+// the machine at the kernel's current virtual time, so the statfx tick
+// samples them into the series ring, and the same registration also
+// puts them in every exporter.
 func registerProbes(reg *metricreg.Registry, m *cluster.Machine) {
 	now := m.Kernel.Now
 	countCEs := func(pred func(*cluster.CE) bool) float64 {
@@ -266,8 +257,8 @@ func registerProbes(reg *metricreg.Registry, m *cluster.Machine) {
 				return float64(m.ClusterActiveCEs(ci))
 			})
 	}
-	// The qmon split, sampled as how many CEs are in each execution
-	// mode at the instant (Figure 3's user/system/interrupt/spin).
+	// The Figure-3 split, sampled as how many CEs are in each
+	// execution mode at the instant (user/system/interrupt/spin).
 	reg.GaugeFunc("ces_user", "CEs executing user code", "ces", func() float64 {
 		return countCEs(func(ce *cluster.CE) bool { return ce.Busy().IsUser() })
 	})

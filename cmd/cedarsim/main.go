@@ -441,7 +441,7 @@ func (e exporter) arm(opts *cedar.Options) {
 		opts.TraceCapacity = 1 << 22
 	}
 	if e.series != "" {
-		opts.Observe = &obs.Options{}
+		opts.Observe = true
 	}
 }
 

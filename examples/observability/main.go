@@ -1,6 +1,7 @@
 // Example observability: run FLO52 on the 2-cluster Cedar with the
-// cedarhpm monitor and the series collector armed, export all three
-// artifact formats, and print a short digest of what they contain.
+// cedarhpm monitor and the series ring armed (the statfx sampler's
+// tick appends one row per sample), export all three artifact formats,
+// and print a short digest of what they contain.
 //
 // The same artifacts come from the CLI:
 //
@@ -26,7 +27,7 @@ func main() {
 	run, err := cedar.SimulateRunErr(perfect.FLO52(), arch.Cedar16, cedar.Options{
 		Steps:         1,
 		TraceCapacity: 1 << 20,
-		Observe:       &obs.Options{},
+		Observe:       true,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -42,8 +42,8 @@ type Machine struct {
 
 	// Hot per-CE state, flattened into machine-owned struct-of-arrays
 	// indexed by global CE id. The event loop reads and writes these on
-	// every Spend, and the concurrency samplers scan them every
-	// sampling tick; keeping them in dense arrays (rather than fields
+	// every Spend, and the statfx sampler scans them every sampling
+	// tick (the series probes of an observed run on the same tick); keeping them in dense arrays (rather than fields
 	// of heap-scattered CE objects) is what makes sampling a
 	// 1024-4096-CE machine a linear cache-friendly walk.
 	busyCat  []metrics.Category // what each CE is doing right now

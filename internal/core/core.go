@@ -25,7 +25,6 @@ import (
 	"repro/internal/cfrt"
 	"repro/internal/gmem"
 	"repro/internal/metrics"
-	"repro/internal/qmon"
 	"repro/internal/sim"
 	"repro/internal/statfx"
 )
@@ -81,9 +80,7 @@ func Collect(app string, scale float64, rt *cfrt.Runtime, sampler *statfx.Sample
 		r.MCWall = append(r.MCWall, rt.ClusterMCWall(c))
 	}
 	r.Concurrency = statfx.Exact(m, ct)
-	if sampler != nil {
-		r.SampledConcurrency = sampler.MachineConcurrency()
-	}
+	r.SampledConcurrency = sampler.MachineConcurrency()
 	return r
 }
 
@@ -114,11 +111,53 @@ func (r *Result) Speedup(base *Result) float64 {
 	return float64(base.CT) / float64(r.CT)
 }
 
+// Breakdown is the Figure-3 view of one cluster task (or of the whole
+// machine): fractions of completion time, as "Q", the software
+// measurement facility of the paper's Section 5, reports them.
+//
+// User time follows the paper's definition: it "includes the actual
+// busy time, stall times due to global memory accesses or cache
+// refills, the time spent spinning on user-level synchronization locks
+// or waiting at the barriers" — i.e. runtime-library spinning is user
+// time here, and is only separated out by the Section-6 breakdown.
+type Breakdown struct {
+	User      float64
+	System    float64
+	Interrupt float64
+	Spin      float64 // kernel lock spin
+	Idle      float64
+}
+
+// OSShare returns the total operating-system share (system + interrupt
+// + spin), the quantity the paper tracks as "5-21% of the completion
+// time".
+func (b Breakdown) OSShare() float64 { return b.System + b.Interrupt + b.Spin }
+
+// forAccount computes the breakdown of a single CE's account over
+// completion time ct.
+func forAccount(a *metrics.Account, ct sim.Time) Breakdown {
+	if ct <= 0 {
+		return Breakdown{}
+	}
+	f := func(d sim.Duration) float64 { return float64(d) / float64(ct) }
+	b := Breakdown{
+		User:      f(a.UserTotal()),
+		System:    f(a.Get(metrics.CatOSSystem)),
+		Interrupt: f(a.Get(metrics.CatOSInterrupt)),
+		Spin:      f(a.Get(metrics.CatOSSpin)),
+	}
+	b.Idle = 1 - b.User - b.System - b.Interrupt - b.Spin
+	if b.Idle < 0 {
+		b.Idle = 0
+	}
+	return b
+}
+
 // ClusterBreakdown returns the Figure-3 view for cluster c's task
 // (the cluster lead CE's timeline).
-func (r *Result) ClusterBreakdown(c int) qmon.Breakdown {
+func (r *Result) ClusterBreakdown(c int) Breakdown {
 	lead := c * r.Cfg.CEsPerCluster
-	return qmon.ForAccount(r.Accounts[lead], r.CT)
+	return forAccount(r.Accounts[lead], r.CT)
 }
 
 // OSShare returns the machine-average operating system share of the
@@ -127,8 +166,7 @@ func (r *Result) ClusterBreakdown(c int) qmon.Breakdown {
 func (r *Result) OSShare() float64 {
 	var sum float64
 	for _, a := range r.Accounts {
-		b := qmon.ForAccount(a, r.CT)
-		sum += b.OSShare()
+		sum += forAccount(a, r.CT).OSShare()
 	}
 	return sum / float64(len(r.Accounts))
 }

@@ -1,5 +1,5 @@
 // Package metricreg is the central metric directory: every measurement
-// the reproduction exposes — statfx concurrency, qmon breakdown rows,
+// the reproduction exposes — statfx concurrency, Figure-3 breakdown rows,
 // hpm event counts, the OS activity table, the sweep service's
 // operational counters — registers here exactly once, with a name, a
 // help string, a unit, and a type, and is then included in every
@@ -413,8 +413,8 @@ func (s Snapshot) Scalars() map[string]float64 {
 }
 
 // ScalarReader is a live read hook for one scalar metric — the bridge
-// that lets the obs time-series collector sample registry metrics
-// during a run.
+// that lets the statfx tick sample registry metrics into the obs
+// series ring during a run.
 type ScalarReader struct {
 	Desc Desc
 	Read func() float64

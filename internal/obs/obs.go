@@ -9,12 +9,13 @@
 //     JSON;
 //   - pprof-style folded stacks weighted by virtual cycles, for
 //     flamegraphs of where the completion time goes;
-//   - ring-buffered time series (concurrency, qmon split, memory and
-//     network pressure), exported as CSV; the same probes are metrics
-//     of the run's registry, which owns the Prometheus exposition.
+//   - ring-buffered time series (concurrency, the Figure-3
+//     user/system/interrupt/spin split, memory and network pressure),
+//     exported as CSV; each series is a scalar metric of the run's
+//     registry, which owns the Prometheus exposition.
 //
-// The one piece that runs during a simulation is the series
-// Collector, which samples probes from kernel events; a run without
+// The series Collector is a passive ring: the statfx sampler's tick
+// appends its rows during an observed run, and a run without
 // Options.Observe never creates one.
 package obs
 
@@ -50,17 +51,6 @@ type Instant struct {
 
 // TrackMachine is the track for machine-scoped spans (loops, faults).
 const TrackMachine = -1
-
-// Options configure the time-series collector for a run.
-type Options struct {
-	// SeriesInterval is the time-series sampling period in cycles; 0
-	// uses DefaultSeriesInterval, negative disables series collection.
-	SeriesInterval sim.Duration
-}
-
-// DefaultSeriesInterval is the sampling period when
-// Options.SeriesInterval is zero: 0.5 ms of virtual time.
-const DefaultSeriesInterval = 10_000
 
 // SeriesCapacity bounds each series ring buffer in samples. When the
 // ring fills, the oldest samples are dropped.

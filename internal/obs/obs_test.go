@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/hpm"
+	"repro/internal/metricreg"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -189,14 +190,21 @@ func TestClampSpans(t *testing.T) {
 	}
 }
 
+// readers builds one registry scalar reader per name over fn(name).
+func readers(fn func(name string) float64, names ...string) []metricreg.ScalarReader {
+	out := make([]metricreg.ScalarReader, len(names))
+	for i, n := range names {
+		out[i] = metricreg.ScalarReader{Desc: metricreg.Desc{Name: n}, Read: func() float64 { return fn(n) }}
+	}
+	return out
+}
+
 func TestCollectorRingAndSeries(t *testing.T) {
-	k := sim.NewKernel(1)
-	c := NewCollector(k, Options{SeriesInterval: 10})
-	c.capacity = 4
-	c.AddProbe("now", func(now sim.Time) float64 { return float64(now) })
-	c.Start()
-	k.Run(100) // samples at 10,20,...,100
-	c.Stop()
+	var now sim.Time
+	c := newCollector(readers(func(string) float64 { return float64(now) }, "now"), 4)
+	for now = 10; now <= 100; now += 10 {
+		c.Sample(now)
+	}
 
 	if c.Taken() != 10 {
 		t.Fatalf("taken = %d, want 10", c.Taken())
@@ -223,19 +231,6 @@ func TestCollectorRingAndSeries(t *testing.T) {
 	m, err := c.Mean("now")
 	if err != nil || m != 85 {
 		t.Fatalf("Mean = %v (%v), want 85", m, err)
-	}
-}
-
-func TestCollectorStopEndsSampling(t *testing.T) {
-	k := sim.NewKernel(1)
-	c := NewCollector(k, Options{SeriesInterval: 10})
-	c.AddProbe("one", func(sim.Time) float64 { return 1 })
-	c.Start()
-	k.Run(30)
-	c.Stop()
-	k.Run(200)
-	if c.Len() != 3 {
-		t.Fatalf("len = %d after Stop, want 3", c.Len())
 	}
 }
 
@@ -334,13 +329,11 @@ func TestWriteTraceValidJSON(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	k := sim.NewKernel(1)
-	c := NewCollector(k, Options{SeriesInterval: 5})
-	c.AddProbe("concurrency", func(sim.Time) float64 { return 3 })
-	c.AddProbe("gm util (mean)", func(sim.Time) float64 { return 0.5 })
-	c.Start()
-	k.Run(20)
-	c.Stop()
+	vals := map[string]float64{"concurrency": 3, "gm util (mean)": 0.5}
+	c := NewCollector(readers(func(n string) float64 { return vals[n] }, "concurrency", "gm util (mean)"))
+	for now := sim.Time(5); now <= 20; now += 5 {
+		c.Sample(now)
+	}
 
 	var csv bytes.Buffer
 	if err := WriteCSV(&csv, c); err != nil {

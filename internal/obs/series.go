@@ -3,105 +3,60 @@ package obs
 import (
 	"fmt"
 
+	"repro/internal/metricreg"
 	"repro/internal/sim"
 )
 
-// Probe is one time-series signal: a named function sampled at the
-// collector's interval. Probes must be pure reads of simulation state —
-// the collector runs them from kernel events, and a probe that mutated
-// state would perturb the run it is observing.
-type Probe struct {
-	Name string
-	Fn   func(now sim.Time) float64
-}
-
-// Collector periodically samples a set of probes into ring-buffered
-// series, the way the statfx monitor samples concurrency on the real
-// machine. When the ring fills, the oldest samples are dropped, so a
-// long run keeps its most recent window at full resolution.
+// Collector is a ring of time-series rows: the sample time plus one
+// reading of each registry scalar, in registration order. It keeps no
+// clock of its own; the statfx sampler's tick calls Sample, so the
+// series and the sampled concurrency come from the same instants.
+// The ring grows with the run up to its capacity; after that the
+// oldest rows are dropped, so a long run keeps its most recent window
+// at full resolution.
 type Collector struct {
-	k        *sim.Kernel
-	interval sim.Duration
+	readers  []metricreg.ScalarReader
 	capacity int
 
-	probes []Probe
-
 	times []sim.Time  // ring buffer of sample times
-	vals  [][]float64 // vals[p] is probe p's ring buffer
-	head  int         // index of the oldest sample
-	n     int         // samples currently buffered
+	vals  [][]float64 // vals[p] is reader p's ring buffer
+	head  int         // index of the oldest sample once the ring is full
 
-	taken   uint64 // total samples taken (including evicted)
-	started bool
-	stopped bool
+	taken uint64 // total samples taken (including evicted)
 }
 
-// NewCollector creates a collector sampling every o.SeriesInterval
-// cycles into rings of SeriesCapacity samples per series. It does not
-// start sampling until Start.
-func NewCollector(k *sim.Kernel, o Options) *Collector {
-	interval := o.SeriesInterval
-	if interval == 0 {
-		interval = DefaultSeriesInterval
-	}
-	return &Collector{k: k, interval: interval, capacity: SeriesCapacity}
+// NewCollector creates a collector with one series per reader and
+// rings of at most SeriesCapacity samples. Readers must be pure reads
+// of simulation state: a reader that mutated state would perturb the
+// run it is observing.
+func NewCollector(readers []metricreg.ScalarReader) *Collector {
+	return newCollector(readers, SeriesCapacity)
 }
 
-// AddProbe registers a probe. All probes must be registered before
-// Start.
-func (c *Collector) AddProbe(name string, fn func(now sim.Time) float64) {
-	if c.started {
-		panic("obs: AddProbe after Start")
-	}
-	c.probes = append(c.probes, Probe{Name: name, Fn: fn})
+func newCollector(readers []metricreg.ScalarReader, capacity int) *Collector {
+	return &Collector{readers: readers, capacity: capacity, vals: make([][]float64, len(readers))}
 }
 
-// Start begins sampling. A collector with a non-positive interval or
-// no probes never samples.
-func (c *Collector) Start() {
-	if c == nil || c.started || c.interval <= 0 || len(c.probes) == 0 {
-		return
-	}
-	c.started = true
-	c.times = make([]sim.Time, c.capacity)
-	c.vals = make([][]float64, len(c.probes))
-	for i := range c.vals {
-		c.vals[i] = make([]float64, c.capacity)
-	}
-	c.schedule()
-}
-
-func (c *Collector) schedule() {
-	c.k.After(c.interval, func() {
-		if c.stopped {
-			return
-		}
-		c.sample()
-		c.schedule()
-	})
-}
-
-func (c *Collector) sample() {
-	now := c.k.Now()
-	slot := (c.head + c.n) % c.capacity
-	if c.n == c.capacity {
-		c.head = (c.head + 1) % c.capacity // evict the oldest
-	} else {
-		c.n++
-	}
-	c.times[slot] = now
-	for p, pr := range c.probes {
-		c.vals[p][slot] = pr.Fn(now)
-	}
-	c.taken++
-}
-
-// Stop ends sampling. Idempotent.
-func (c *Collector) Stop() {
+// Sample appends one row read at virtual time now, evicting the oldest
+// row when the ring is full. A nil collector records nothing.
+func (c *Collector) Sample(now sim.Time) {
 	if c == nil {
 		return
 	}
-	c.stopped = true
+	c.taken++
+	if len(c.times) < c.capacity {
+		c.times = append(c.times, now)
+		for p, rd := range c.readers {
+			c.vals[p] = append(c.vals[p], rd.Read())
+		}
+		return
+	}
+	slot := c.head
+	c.head = (c.head + 1) % c.capacity // evict the oldest
+	c.times[slot] = now
+	for p, rd := range c.readers {
+		c.vals[p][slot] = rd.Read()
+	}
 }
 
 // Len returns the number of buffered samples.
@@ -109,7 +64,7 @@ func (c *Collector) Len() int {
 	if c == nil {
 		return 0
 	}
-	return c.n
+	return len(c.times)
 }
 
 // Taken returns the total number of samples taken, including any that
@@ -121,14 +76,14 @@ func (c *Collector) Taken() uint64 {
 	return c.taken
 }
 
-// Names returns the probe names in registration order.
+// Names returns the series names in registration order.
 func (c *Collector) Names() []string {
 	if c == nil {
 		return nil
 	}
-	out := make([]string, len(c.probes))
-	for i, p := range c.probes {
-		out[i] = p.Name
+	out := make([]string, len(c.readers))
+	for i, rd := range c.readers {
+		out[i] = rd.Desc.Name
 	}
 	return out
 }
@@ -138,26 +93,26 @@ func (c *Collector) Times() []sim.Time {
 	if c == nil {
 		return nil
 	}
-	out := make([]sim.Time, c.n)
-	for i := 0; i < c.n; i++ {
-		out[i] = c.times[(c.head+i)%c.capacity]
+	out := make([]sim.Time, len(c.times))
+	for i := range out {
+		out[i] = c.times[(c.head+i)%len(c.times)]
 	}
 	return out
 }
 
-// Series returns the buffered samples of the named probe in
-// chronological order, or an error if no such probe exists.
+// Series returns the buffered samples of the named series in
+// chronological order, or an error if no such series exists.
 func (c *Collector) Series(name string) ([]float64, error) {
 	if c == nil {
 		return nil, fmt.Errorf("obs: nil collector")
 	}
-	for p, pr := range c.probes {
-		if pr.Name != name {
+	for p, rd := range c.readers {
+		if rd.Desc.Name != name {
 			continue
 		}
-		out := make([]float64, c.n)
-		for i := 0; i < c.n; i++ {
-			out[i] = c.vals[p][(c.head+i)%c.capacity]
+		out := make([]float64, len(c.times))
+		for i := range out {
+			out[i] = c.vals[p][(c.head+i)%len(c.times)]
 		}
 		return out, nil
 	}

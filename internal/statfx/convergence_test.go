@@ -55,7 +55,7 @@ func TestSamplerConvergesToExact(t *testing.T) {
 	for i, interval := range intervals {
 		k := sim.NewKernel(42)
 		m := cluster.NewMachine(k, arch.Cedar16, arch.DefaultCosts())
-		s := NewSampler(m, interval)
+		s := NewSampler(m, interval, nil)
 		runPattern(k, m, total)
 		s.Stop()
 		e := ExactMachine(m, total)
@@ -92,7 +92,7 @@ func TestSamplerConvergesToExact(t *testing.T) {
 func TestSamplerUnderCEFailStop(t *testing.T) {
 	k := sim.NewKernel(7)
 	m := cluster.NewMachine(k, arch.Cedar4, arch.DefaultCosts())
-	s := NewSampler(m, 1_000)
+	s := NewSampler(m, 1_000, nil)
 	for g := 0; g < 4; g++ {
 		ce := m.CE(g)
 		k.Spawn("ce", func(p *sim.Proc) {

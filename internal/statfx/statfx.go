@@ -10,13 +10,16 @@
 //     (executing user code, stalled on memory, or dispatching
 //     iterations — but not spinning for work or barriers, not in the
 //     OS, and not idle), the way a software monitor samples the real
-//     machine.
+//     machine. It is the simulator's one periodic monitor: on an
+//     observed run the same tick also appends a row to the series
+//     ring (obs.Collector).
 //   - Exact integrates the same quantity from the per-CE accounts,
 //     which the simulation can do without sampling error.
 package statfx
 
 import (
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -24,6 +27,7 @@ import (
 type Sampler struct {
 	m        *cluster.Machine
 	interval sim.Duration
+	series   *obs.Collector // nil unless the run is observed
 	stopped  bool
 
 	samples uint64
@@ -31,11 +35,13 @@ type Sampler struct {
 }
 
 // NewSampler creates a sampler with the given sampling interval and
-// starts it.
-func NewSampler(m *cluster.Machine, interval sim.Duration) *Sampler {
+// starts it. Each tick also appends one row to series when it is not
+// nil.
+func NewSampler(m *cluster.Machine, interval sim.Duration, series *obs.Collector) *Sampler {
 	s := &Sampler{
 		m:        m,
 		interval: interval,
+		series:   series,
 		sums:     make([]uint64, len(m.Clusters)),
 	}
 	s.schedule()
@@ -54,11 +60,12 @@ func (s *Sampler) schedule() {
 		for ci := range s.sums {
 			s.sums[ci] += uint64(s.m.ClusterActiveCEs(ci))
 		}
+		s.series.Sample(s.m.Kernel.Now())
 		s.schedule()
 	})
 }
 
-// Stop ends sampling.
+// Stop ends sampling, the series rows included. Idempotent.
 func (s *Sampler) Stop() { s.stopped = true }
 
 // Samples returns the number of samples taken.

@@ -12,7 +12,7 @@ import (
 func TestSamplerCountsActiveCEs(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := cluster.NewMachine(k, arch.Cedar8, arch.DefaultCosts())
-	s := NewSampler(m, 100)
+	s := NewSampler(m, 100, nil)
 	// Two CEs busy for 10k cycles, the rest idle.
 	for g := 0; g < 2; g++ {
 		ce := m.CE(g)
@@ -36,7 +36,7 @@ func TestSamplerCountsActiveCEs(t *testing.T) {
 func TestSamplerStops(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := cluster.NewMachine(k, arch.Cedar4, arch.DefaultCosts())
-	s := NewSampler(m, 50)
+	s := NewSampler(m, 50, nil)
 	k.Run(1000)
 	s.Stop()
 	n := s.Samples()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/hpm"
 	"repro/internal/metricreg"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/perfect"
 )
 
@@ -180,7 +179,7 @@ func TestRunMetricsRegistry(t *testing.T) {
 func TestObservedRunSharesRegistryWithSeries(t *testing.T) {
 	app, _ := perfect.ByName("FLO52")
 	run := mustRun(t, app, arch.Cedar8, Options{Steps: 2,
-		Observe: &obs.Options{SeriesInterval: 500}})
+		SamplerInterval: 500, Observe: true})
 	names := run.Series.Names()
 	if len(names) == 0 || names[0] != "concurrency" {
 		t.Fatalf("series names = %v", names)

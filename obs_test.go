@@ -20,19 +20,25 @@ func observedRun(t *testing.T) *Run {
 	return mustRun(t, perfect.FLO52(), arch.Cedar16, Options{
 		Steps:         1,
 		TraceCapacity: 1 << 20,
-		Observe:       &obs.Options{},
+		Observe:       true,
 	})
 }
 
-// TestObservationDoesNotPerturbSimulation: probes are pure reads and
-// span recording happens outside virtual time, so an observed run must
-// complete in exactly the same number of cycles as an unobserved one.
+// TestObservationDoesNotPerturbSimulation: probes are pure reads taken
+// on the statfx tick the run has anyway, and span recording happens
+// outside virtual time, so an observed run must do exactly the work of
+// an unobserved one: the same cycles, events and process switches.
 func TestObservationDoesNotPerturbSimulation(t *testing.T) {
-	plain := Simulate(perfect.FLO52(), arch.Cedar16, Options{Steps: 1})
+	plain := mustRun(t, perfect.FLO52(), arch.Cedar16, Options{Steps: 1})
 	seen := observedRun(t)
-	if plain.CT != seen.Result.CT {
+	if plain.Result.CT != seen.Result.CT {
 		t.Fatalf("observation changed the run: CT %d (plain) vs %d (observed)",
-			plain.CT, seen.Result.CT)
+			plain.Result.CT, seen.Result.CT)
+	}
+	pk, sk := plain.Machine.Kernel, seen.Machine.Kernel
+	if pk.EventsFired() != sk.EventsFired() || pk.Switches() != sk.Switches() {
+		t.Fatalf("observation changed the work: %d events, %d switches (plain) vs %d, %d (observed)",
+			pk.EventsFired(), pk.Switches(), sk.EventsFired(), sk.Switches())
 	}
 }
 
@@ -126,27 +132,24 @@ func TestFoldedProfileBudget(t *testing.T) {
 	}
 }
 
-// TestSeriesMatchesStatfx: the collector's sampled concurrency series
-// must agree with the statfx monitors — near-exactly with the Sampler
-// (same signal, same cadence) and within sampling error of Exact. Both
-// samplers run at a fine 500-cycle cadence: at the default 10k-cycle
-// grid a 1-step run yields under 40 samples, too few for the sampled
-// mean to track the integrated value (the convergence property
+// TestSeriesMatchesStatfx: the series' concurrency column must agree
+// with the statfx monitors — exactly with the Sampler (the same ticks
+// fill both) and within sampling error of Exact. The sampler runs at a
+// fine 500-cycle cadence: at the default 10k-cycle grid a 1-step run
+// yields under 40 samples, too few for the sampled mean to track the
+// integrated value (the convergence property
 // TestSamplerConvergesToExact characterizes).
 func TestSeriesMatchesStatfx(t *testing.T) {
 	run := mustRun(t, perfect.FLO52(), arch.Cedar16, Options{
 		Steps:           1,
 		SamplerInterval: 500,
-		Observe:         &obs.Options{SeriesInterval: 500},
+		Observe:         true,
 	})
 	mean, err := run.Series.Mean("concurrency")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same predicate, same cadence as the statfx Sampler: the two must
-	// agree to within a couple of percent (their grids are phase-
-	// shifted by one interval, no more).
-	if sampled := run.Result.SampledConcurrency; math.Abs(mean-sampled) > 0.02*sampled {
+	if sampled := run.Result.SampledConcurrency; math.Abs(mean-sampled) > 1e-9*sampled {
 		t.Fatalf("series mean %v vs statfx sampled %v", mean, sampled)
 	}
 	// Against the account-integrated value the sampled mean sits below:
@@ -191,6 +194,15 @@ func TestSeriesMatchesStatfx(t *testing.T) {
 	}
 }
 
+// TestNegativeSamplerIntervalRejected: a negative period is refused
+// before the run, with an error naming the field.
+func TestNegativeSamplerIntervalRejected(t *testing.T) {
+	_, err := SimulateRunErr(perfect.FLO52(), arch.Cedar4, Options{Steps: 1, SamplerInterval: -1})
+	if err == nil || !strings.Contains(err.Error(), "SamplerInterval") {
+		t.Fatalf("negative SamplerInterval: err = %v, want one naming the field", err)
+	}
+}
+
 // TestUnobservedRunArmsNothing: the zero-cost path — without
 // TraceCapacity and Observe a run has no monitor and no collector,
 // and TraceBundle still works, with nothing to fold.
@@ -212,7 +224,7 @@ func TestUnobservedRunArmsNothing(t *testing.T) {
 func TestObservedFaultRunRecordsFaultSpans(t *testing.T) {
 	run, err := SimulateRunErr(perfect.FLO52(), arch.Cedar16, Options{
 		Steps:   1,
-		Observe: &obs.Options{},
+		Observe: true,
 		Faults:  mustPlan(t, "lock:0@50000+20000,ce:5@100000"),
 	})
 	if err != nil {
