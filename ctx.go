@@ -9,13 +9,14 @@ import (
 )
 
 // interruptEvery is how many kernel events pass between context checks
-// in a ctx-aware run: frequent enough that cancellation lands within
-// microseconds of wall-clock, rare enough to be invisible in the event
-// loop's profile.
-const interruptEvery = 1024
+// in a ctx-aware run. The kernel yields its thread at each check (see
+// sim.Kernel.SetInterrupt), so this is also how long a run keeps other
+// goroutines, such as a server's HTTP handlers, waiting on one P: a few
+// microseconds, while a cancel lands at the very next check.
+const interruptEvery = 64
 
 // SimulateRunCtx is SimulateRunErr with cooperative cancellation: the
-// kernel checks ctx between events (every few hundred dispatches), and
+// kernel checks ctx between events (every interruptEvery dispatches), and
 // a canceled or expired context stops the run with an error matching
 // both sim.ErrCanceled and ctx.Err() (errors.Is). A context that never
 // fires cannot perturb the simulation — the check runs between events,

@@ -56,18 +56,26 @@ func TestSimulateRunCtxDeadline(t *testing.T) {
 }
 
 // An uncanceled context cannot perturb results: the ctx path is
-// byte-identical to the plain path, per configuration.
+// byte-identical to the plain path, per configuration, and fires the
+// same events. The context can be canceled, so the run installs the
+// interrupt check and yields at it; only Switches may differ, since a
+// wake due at a check goes through the dispatch loop.
 func TestSweepConfigsCtxIdentical(t *testing.T) {
 	app := perfect.FLO52()
 	opts := Options{Steps: 2}
 	for _, cfg := range []arch.Config{arch.Cedar1, arch.Cedar4, arch.Cedar8} {
 		plain := mustRun(t, app, cfg, opts)
-		viaCtx, err := SimulateRunCtx(context.Background(), app, cfg, opts)
+		ctx, cancel := context.WithCancel(context.Background())
+		viaCtx, err := SimulateRunCtx(ctx, app, cfg, opts)
+		cancel()
 		if err != nil {
 			t.Fatalf("SimulateRunCtx: %v", err)
 		}
 		if a, b := plain.StatfxText(), viaCtx.StatfxText(); a != b {
 			t.Fatalf("%s: ctx path diverged:\n%s\nvs\n%s", cfg.Name, a, b)
+		}
+		if a, b := plain.Machine.Kernel.EventsFired(), viaCtx.Machine.Kernel.EventsFired(); a != b {
+			t.Fatalf("%s: EventsFired %d plain, %d through the ctx path", cfg.Name, a, b)
 		}
 	}
 }

@@ -16,23 +16,23 @@ import (
 // the GM-stall category, cluster memory stalls to the cache-stall
 // category, and page faults wherever the OS model puts them.
 //
-// A loop body's Compute, Global and ClusterMem calls cannot block
-// unless a page faults, so in a loop body they are recorded as steps
-// at the body's start and played after it returns as one callback
-// chain (sim.Proc.Chain): the CE's process parks once per iteration
-// instead of switching once per step. Every other method (Poll, Now,
-// Rand, CE) first plays what was recorded, so the body sees the time,
-// random draws and process it would see if each call ran at once.
+// Compute, Global and ClusterMem cannot block unless a page faults, so
+// they are recorded as steps and played after the body or section
+// returns as one callback chain (sim.Proc.Chain): the CE's process
+// parks once per iteration instead of switching once per step, and a
+// Global whose pages are not all mapped runs on the process, where it
+// may fault. Every other method (Poll, Now, Rand, CE) first plays what
+// was recorded, so the body sees the time, random draws and process it
+// would see if each call ran at once.
 type ExecCtx struct {
 	ce  *cluster.CE
 	rt  *Runtime
 	cat metrics.Category
 
-	// Set on the loop-body context execJob reuses for one CE (see
-	// Runtime.bodyCtx), and nil or zero elsewhere: next is advance,
-	// bound once so that no chain allocates; steps are the recorded
-	// steps, pos the next one to play, and inStep reports that the one
-	// before it is still in progress.
+	// next is advance, bound once so that no chain allocates (see
+	// Runtime.bodyCtx); steps are the recorded steps, pos the next one
+	// to play, and inStep reports that the one before it is still in
+	// progress.
 	next   func() sim.Duration
 	steps  []bodyStep
 	pos    int
@@ -76,20 +76,20 @@ func (ec *ExecCtx) CE() *cluster.CE {
 // Compute spends cycles of pure computation (vector pipelines,
 // register arithmetic).
 func (ec *ExecCtx) Compute(cycles int64) {
-	ec.do(bodyStep{kind: stepCompute, n: cycles})
+	ec.steps = append(ec.steps, bodyStep{kind: stepCompute, n: cycles})
 }
 
 // Global references words 8-byte words of the region at the given word
 // offset: the pages are touched (faulting on first touch) and the data
 // moves through the network and global memory, stalling the CE.
 func (ec *ExecCtx) Global(r *xylem.Region, offset int64, words int) {
-	ec.do(bodyStep{kind: stepGlobal, words: words, n: offset, region: r})
+	ec.steps = append(ec.steps, bodyStep{kind: stepGlobal, words: words, n: offset, region: r})
 }
 
 // ClusterMem references words of cluster memory through the shared
 // cache with the given expected hit ratio.
 func (ec *ExecCtx) ClusterMem(words int, hitRatio float64) {
-	ec.do(bodyStep{kind: stepCache, words: words, hit: hitRatio})
+	ec.steps = append(ec.steps, bodyStep{kind: stepCache, words: words, hit: hitRatio})
 }
 
 // Poll gives the OS a preemption point (interrupt and context-switch
@@ -112,17 +112,9 @@ func (ec *ExecCtx) Now() sim.Time {
 	return ec.ce.Now()
 }
 
-// do records s in a loop body and runs it on the process otherwise.
-func (ec *ExecCtx) do(s bodyStep) {
-	if ec.next != nil {
-		ec.steps = append(ec.steps, s)
-		return
-	}
-	ec.run(&s)
-}
-
-// run executes s on the CE's process: a Global first touches its pages,
-// faulting as needed, then the step holds for its time.
+// run executes s on the CE's process, for a step the chain hands back
+// (see flush): a Global first touches its pages, faulting as needed,
+// then the step holds for its time.
 func (ec *ExecCtx) run(s *bodyStep) {
 	if s.kind == stepGlobal {
 		s.region.Touch(ec.ce, s.n, int64(s.words))

@@ -13,20 +13,22 @@ import (
 // All methods must be called from the main task (the program function
 // passed to Runtime.Run).
 type Main struct {
-	rt *Runtime
-	ec *ExecCtx
+	rt   *Runtime
+	lead *cluster.CE
 }
 
 // Runtime returns the runtime the main task runs on.
 func (mt *Main) Runtime() *Runtime { return mt.rt }
 
-// Serial executes a serial code section on the main task's lead CE.
+// Serial executes a serial code section on the main task's lead CE,
+// through the lead's body context like a loop body.
 func (mt *Main) Serial(f func(ec *ExecCtx)) {
-	rt := mt.rt
-	lead := mt.ec.ce
+	rt, lead := mt.rt, mt.lead
 	rt.stats.SerialSecs++
 	rt.M.Mon.Post(hpm.EvSerialStart, lead.Global(), 0)
-	f(mt.ec)
+	ec := rt.bodyCtx(lead, metrics.CatSerial)
+	f(ec)
+	ec.flush()
 	rt.OS.Poll(lead)
 	rt.M.Mon.Post(hpm.EvSerialEnd, lead.Global(), 0)
 }
@@ -371,9 +373,10 @@ func (rt *Runtime) execJob(ce *cluster.CE, job *clusterJob) {
 	}
 }
 
-// bodyCtx returns the CE's loop-body context, which records the body's
-// steps for a callback chain (see ExecCtx), set to charge cat. Each CE
-// reuses one context, so playing a chain allocates nothing.
+// bodyCtx returns the CE's body context, which records a loop body's
+// or serial section's steps for a callback chain (see ExecCtx), set to
+// charge cat. Each CE reuses one context, so playing a chain allocates
+// nothing.
 func (rt *Runtime) bodyCtx(ce *cluster.CE, cat metrics.Category) *ExecCtx {
 	ec := &rt.bodies[ce.Global()]
 	if ec.next == nil {

@@ -351,8 +351,7 @@ func (rt *Runtime) mainDriver(program func(mt *Main)) {
 		rt.OS.GlobalSyscall(lead)
 	}
 
-	mt := &Main{rt: rt, ec: &ExecCtx{ce: lead, rt: rt, cat: metrics.CatSerial}}
-	program(mt)
+	program(&Main{rt: rt, lead: lead})
 
 	rt.mainDone = lead.Now()
 	rt.shutdown = true

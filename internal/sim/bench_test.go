@@ -4,13 +4,11 @@ import "testing"
 
 // BenchmarkKernelScheduleHold measures the kernel's hot path for a
 // lone process advancing virtual time one Hold at a time. Its own wake
-// is always the next event, so the kernel fires it in place: a peek at
-// the empty queue and no coroutine switch. Only every schedEvery-th
-// Hold goes through the dispatch loop (one pooled event node, one
-// calendar push/pop and two coroutine switches), so the loop can call
-// Gosched. The allocation report is the contract — steady-state
-// Schedule/Hold must be 0 allocs/op — and the events/sec metric is the
-// kernel's raw dispatch throughput.
+// is always the next event and no interrupt check is installed, so the
+// kernel fires every wake in place: a peek at the empty queue and no
+// coroutine switch. The allocation report is the contract — steady-
+// state Schedule/Hold must be 0 allocs/op — and the events/sec metric
+// is the kernel's raw dispatch throughput.
 func BenchmarkKernelScheduleHold(b *testing.B) {
 	k := NewKernel(1)
 	k.Spawn("bench", func(p *Proc) {

@@ -20,9 +20,11 @@
 // chain costs one resume however many steps it has. Either way the
 // events, their order and the clock are those of plain Holds.
 // Callbacks, stop conditions and the interrupt check all run in that
-// loop, on the caller's goroutine. Because coroutine switches never
-// enter the scheduler, the loop yields the thread to other goroutines
-// at a fixed cadence (see schedEvery).
+// loop, on the caller's goroutine. Coroutine switches never enter the
+// Go scheduler, so the interrupt check is the loop's one outward call:
+// at each check the loop first yields the thread to other goroutines
+// (see SetInterrupt). A run with no check installed cannot be stopped
+// from outside, so it keeps its thread until it returns.
 //
 // Virtual time is counted in integer cycles (Time). The kernel makes
 // no reference to wall-clock time, so measurements taken inside a
@@ -78,13 +80,6 @@ const calHorizon = 512
 
 // calMask maps a fire time to its bucket index.
 const calMask = calHorizon - 1
-
-// schedEvery is the dispatch cadence, in events, at which RunErr calls
-// runtime.Gosched. Coroutine switches never reach the Go scheduler, so
-// without it a long run would hold its thread until async preemption
-// (about 10 ms) and starve other goroutines, such as a serving
-// process's HTTP handlers. A power of two, so the check is a mask.
-const schedEvery = 64
 
 // Sentinel values of eventNode.pos that mean "not in the heap".
 const (
@@ -179,7 +174,6 @@ type Kernel struct {
 	running *Proc
 	procs   []*Proc
 	live    int // procs spawned and not yet finished
-	fatal   error
 	rng     *rand.Rand
 
 	dispatched uint64 // events fired, for introspection/tests
@@ -195,7 +189,11 @@ type Kernel struct {
 	watchdogEvery Duration
 	watchdogArmed bool
 	lastProgress  Time // last time any process actually executed
-	err           error
+
+	// stop is the error that ends the RunErr in progress after the
+	// current dispatch: a process panic or a watchdog-detected
+	// deadlock. The two never happen in the same dispatch.
+	stop error
 
 	// External interrupt check (see SetInterrupt).
 	interrupt      func() error
@@ -222,7 +220,8 @@ func (k *Kernel) EventsFired() uint64 { return k.dispatched }
 // starts and wakes that switched into a process's coroutine. A wake
 // fired in place by Hold (see holdInPlace) and a callback-chain link
 // that does not resume its process (see Proc.Chain) count as events
-// but not as switches.
+// but not as switches. The count depends on the interrupt cadence
+// (see SetInterrupt): a wake due at a check goes through the loop.
 func (k *Kernel) Switches() uint64 { return k.switches }
 
 // PendingEvents returns the number of events currently queued (both
@@ -519,6 +518,8 @@ func (k *Kernel) RunErr(until Time) (uint64, error) {
 			break
 		}
 		if k.interrupt != nil && k.dispatched%k.interruptEvery == 0 {
+			// Yield first: a cancel set meanwhile is seen at once.
+			runtime.Gosched()
 			if cause := k.interrupt(); cause != nil {
 				return k.dispatched - start, &CanceledError{At: k.now, Cause: cause}
 			}
@@ -546,17 +547,8 @@ func (k *Kernel) RunErr(until Time) (uint64, error) {
 			fn()
 		}
 		k.dispatched++
-		if k.dispatched&(schedEvery-1) == 0 {
-			runtime.Gosched()
-		}
-		if k.fatal != nil {
-			err := k.fatal
-			k.fatal = nil
-			return k.dispatched - start, err
-		}
-		if k.err != nil {
-			err := k.err
-			k.err = nil
+		if err := k.stop; err != nil {
+			k.stop = nil
 			return k.dispatched - start, err
 		}
 	}
@@ -570,8 +562,8 @@ func (k *Kernel) RunErr(until Time) (uint64, error) {
 // switched straight back in. It refuses, and the caller takes the loop
 // path, unless RunErr is on the stack, p is not aborted, the loop would
 // dispatch the wake now rather than stop or pause (the horizon, the
-// cycle budget, an interrupt check or Gosched due at the next dispatch
-// count), and no pending event fires at or before at: an equal-time
+// cycle budget, or an interrupt check due at the next dispatch count),
+// and no pending event fires at or before at: an equal-time
 // event has a lower sequence number, so it runs first. Firing does
 // exactly what the loop does for the wake: it counts the ending event,
 // spends the wake's sequence number and moves the clock, so event
@@ -581,7 +573,7 @@ func (k *Kernel) holdInPlace(p *Proc, at Time) bool {
 		return false
 	}
 	n := k.dispatched + 1
-	if n&(schedEvery-1) == 0 || (k.interrupt != nil && n%k.interruptEvery == 0) {
+	if k.interrupt != nil && n%k.interruptEvery == 0 {
 		return false
 	}
 	if next := k.peek(); next != nil && next.at <= at {
@@ -617,18 +609,19 @@ func (k *Kernel) SetMaxCycles(max Time) { k.maxCycles = max }
 
 // SetInterrupt installs an external stop check: RunErr calls check
 // before dispatch whenever the dispatched-event count is a multiple of
-// every (so roughly once per `every` events — cheap enough to leave
-// enabled on the hot path), and a non-nil return stops the run with a
+// every (so once per `every` events — cheap enough to leave enabled on
+// the hot path), and a non-nil return stops the run with a
 // *CanceledError wrapping it. This is how wall-clock concerns —
 // context cancellation, per-job deadlines in a serving process — reach
-// a kernel that otherwise only knows virtual time. The check never
-// fires mid-event, so a run that is not interrupted is byte-identical
-// to one with no check installed. A nil check disables interruption;
-// every == 0 uses a default of 1024.
+// a kernel that otherwise only knows virtual time. Just before each
+// check RunErr yields its thread to other goroutines (runtime.Gosched),
+// so every also bounds how long a run keeps the thread from whoever
+// would cancel it. The check never fires mid-event, so a run that is
+// not interrupted is byte-identical to one with no check installed
+// (only Switches differs: a wake due at a check is not fired in
+// place). A nil check disables interruption; a non-nil one needs
+// every > 0.
 func (k *Kernel) SetInterrupt(every uint64, check func() error) {
-	if every == 0 {
-		every = 1024
-	}
 	k.interrupt = check
 	k.interruptEvery = every
 }
@@ -652,7 +645,7 @@ func (k *Kernel) armWatchdog() {
 	k.After(k.watchdogEvery, func() {
 		k.watchdogArmed = false
 		if k.live > 0 && k.allLiveBlocked() && k.now-k.lastProgress >= k.watchdogEvery {
-			k.err = k.deadlockError()
+			k.stop = k.deadlockError()
 			return
 		}
 		if k.live > 0 {

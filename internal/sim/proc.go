@@ -70,8 +70,8 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 			r := recover()
 			p.state = stateDone
 			k.live--
-			if r != nil && r != ErrAborted && k.fatal == nil {
-				k.fatal = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+			if r != nil && r != ErrAborted && k.stop == nil {
+				k.stop = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}
 		}()
 		if !p.aborted {

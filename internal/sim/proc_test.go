@@ -114,12 +114,15 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestRunErrLetsOtherGoroutinesRun: coroutine switches never enter the
-// Go scheduler, so RunErr must yield its thread on its own. On one P,
-// a goroutine started just before the run has to get the CPU within a
-// few hundred events, not only when async preemption fires.
+// Go scheduler, so a run that can be interrupted must yield its thread
+// at its interrupt check. On one P, with a check every 64 events that
+// never fires, a goroutine started just before the run has to get the
+// CPU within a few checks, not only when async preemption fires.
 func TestRunErrLetsOtherGoroutinesRun(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const every = 64
 	k := NewKernel(1)
+	k.SetInterrupt(every, func() error { return nil })
 	var flag atomic.Bool
 	var seenAt uint64
 	for i := 0; i < 2; i++ {
@@ -143,30 +146,41 @@ func TestRunErrLetsOtherGoroutinesRun(t *testing.T) {
 	if _, err := k.RunErr(1 << 20); err != nil {
 		t.Fatalf("RunErr: %v", err)
 	}
-	if seenAt == 0 || seenAt > 4*schedEvery {
-		t.Fatalf("a process saw the other goroutine's flag after %d events, want within %d", seenAt, 4*schedEvery)
+	if seenAt == 0 || seenAt > 4*every {
+		t.Fatalf("a process saw the other goroutine's flag after %d events, want within %d", seenAt, 4*every)
 	}
 }
 
 // TestLoneHoldFiresInPlace: a process alone in the kernel is always
 // the next event after its own Hold, so after its start it never
-// switches, except where the loop must run anyway to call Gosched.
+// switches, except where the loop must run anyway to call the
+// interrupt check.
 func TestLoneHoldFiresInPlace(t *testing.T) {
-	for _, n := range []int{schedEvery - 1, 1000} {
-		k := NewKernel(1)
-		k.Spawn("lone", func(p *Proc) {
-			for i := 0; i < n; i++ {
-				p.Hold(1)
+	const every = 64
+	for _, interrupt := range []bool{false, true} {
+		for _, n := range []int{every - 1, 1000} {
+			k := NewKernel(1)
+			if interrupt {
+				k.SetInterrupt(every, func() error { return nil })
 			}
-		})
-		fired := k.RunAll()
-		if fired != uint64(n+1) || k.EventsFired() != fired || k.Now() != Time(n) {
-			t.Fatalf("n=%d: fired %d (kernel %d) at %d, want %d at %d", n, fired, k.EventsFired(), k.Now(), n+1, n)
-		}
-		// One switch starts the process; the Gosched cadence takes
-		// every schedEvery-th Hold back through the loop.
-		if want := uint64(1 + n/schedEvery); k.Switches() != want {
-			t.Fatalf("n=%d: %d switches, want %d", n, k.Switches(), want)
+			k.Spawn("lone", func(p *Proc) {
+				for i := 0; i < n; i++ {
+					p.Hold(1)
+				}
+			})
+			fired := k.RunAll()
+			if fired != uint64(n+1) || k.EventsFired() != fired || k.Now() != Time(n) {
+				t.Fatalf("n=%d: fired %d (kernel %d) at %d, want %d at %d", n, fired, k.EventsFired(), k.Now(), n+1, n)
+			}
+			// One switch starts the process; with a check installed,
+			// every 64th Hold goes back through the loop to meet it.
+			want := uint64(1)
+			if interrupt {
+				want += uint64(n / every)
+			}
+			if k.Switches() != want {
+				t.Fatalf("n=%d, interrupt %v: %d switches, want %d", n, interrupt, k.Switches(), want)
+			}
 		}
 	}
 }
