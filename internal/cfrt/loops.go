@@ -60,14 +60,9 @@ func (mt *Main) MCLoop(l *Loop) {
 	lead.Spend(sim.Duration(rt.Cost.LoopSetup), metrics.CatMCLoop)
 
 	t0 := lead.Now()
-	body := l.Body
+	job := &clusterJob{cat: metrics.CatMCLoop, body: l.Body, count: l.Total()}
 	if l.SerialCycles > 0 {
-		body = rt.serializedBody(l, metrics.CatMCLoop)
-	}
-	job := &clusterJob{
-		cat:  metrics.CatMCLoop,
-		body: body,
-		next: busNext(rc.cl, 0, l.Total()),
+		job.body, job.procBody = rt.serializedBody(l, metrics.CatMCLoop), true
 	}
 	rt.runJob(rc, job)
 	rc.MCWall += lead.Now() - t0
@@ -180,12 +175,7 @@ func (rt *Runtime) runSdoallTask(rc *rtCluster, al *activeLoop) {
 		}
 
 		// Inner CDOALL across this cluster's CEs.
-		job := &clusterJob{
-			cat:  metrics.CatLoopIter,
-			body: l.Body,
-			next: busNext(rc.cl, o*inner, inner),
-		}
-		rt.runJob(rc, job)
+		rt.runJob(rc, &clusterJob{cat: metrics.CatLoopIter, body: l.Body, start: o * inner, count: inner})
 		rt.OS.Poll(lead)
 	}
 }
@@ -194,74 +184,11 @@ func (rt *Runtime) runSdoallTask(rc *rtCluster, al *activeLoop) {
 // CEs of the cluster; every CE competes for flat iterations through
 // the global iteration lock.
 func (rt *Runtime) runXdoallTask(rc *rtCluster, al *activeLoop) {
-	job := &clusterJob{
-		cat:  metrics.CatLoopIter,
-		body: al.loop.Body,
-		next: rt.xdoallNext(al),
-		al:   al,
-	}
-	rt.runJob(rc, job)
+	rt.runJob(rc, &clusterJob{cat: metrics.CatLoopIter, body: al.loop.Body, al: al})
 }
 
-// xdoallNext builds the flat self-scheduling iterator: each pickup is
-// an individual test-and-set on the global iteration lock, the source
-// of the construct's contention. With Runtime.XdoallChunk > 1 each
-// pickup claims a chunk of iterations, amortizing the lock traffic —
-// the classic mitigation for the distribution overhead Section 6
-// measures (at the cost of tail imbalance).
-func (rt *Runtime) xdoallNext(al *activeLoop) func(ce *cluster.CE) (int, bool) {
-	total := al.loop.Total()
-	chunk := rt.XdoallChunk
-	if chunk < 1 {
-		chunk = 1
-	}
-	claimed := make(map[int][2]int) // per-CE [next, end) of the held chunk
-	return func(ce *cluster.CE) (int, bool) {
-		g := ce.Global()
-		if c := claimed[g]; c[0] < c[1] {
-			// Serve from the chunk already claimed: local bookkeeping
-			// only, no global traffic.
-			i := c[0]
-			claimed[g] = [2]int{i + 1, c[1]}
-			ce.Spend(sim.Duration(rt.Cost.IterDispatchLocal), metrics.CatPickIter)
-			return i, true
-		}
-		rt.M.Mon.Post(hpm.EvPickStart, g, int64(al.gen))
-		// The critical section around the loop index is held only for
-		// the local bookkeeping: the competing test-and-set requests
-		// themselves pipeline through the network and serialize at the
-		// index word's memory module, which is where the construct's
-		// contention lives.
-		waited := rt.xdoallLock.Acquire(ce.Proc)
-		ce.Charge(waited, metrics.CatPickIter)
-		var i int
-		func() {
-			// Release via defer: a fail-stop mid-window must not
-			// leave the iteration lock held forever.
-			defer rt.xdoallLock.Release()
-			// The serialized window: the test-and-set is owned from
-			// the module's grant until the index update commits.
-			ce.Spend(sim.Duration(rt.Cost.IterDispatchLocal+rt.Cost.XdoallPickSerial),
-				metrics.CatPickIter)
-			i = al.flatNext
-			al.flatNext += chunk
-		}()
-		// The winning test-and-set round trip, real global memory
-		// traffic on the lock word's module.
-		ce.GMAccessAs(rt.xdoallAddr, 1, metrics.CatPickIter)
-		rt.stats.XdoallPicks++
-		rt.M.Mon.Post(hpm.EvPickEnd, g, int64(al.gen))
-		if i >= total {
-			return 0, false
-		}
-		end := i + chunk
-		if end > total {
-			end = total
-		}
-		claimed[g] = [2]int{i + 1, end}
-		return i, true
-	}
-}
+// chunk is how many XDOALL iterations one pickup claims.
+func (rt *Runtime) chunk() int { return max(rt.XdoallChunk, 1) }
 
 // clusterJob is the unit of work a cluster lead dispatches to its CEs
 // over the concurrency bus.
@@ -269,8 +196,19 @@ type clusterJob struct {
 	gen  uint64
 	cat  metrics.Category
 	body func(ec *ExecCtx, i int)
-	next func(ce *cluster.CE) (int, bool)
-	al   *activeLoop // the cross-cluster loop this job belongs to, if any
+	// procBody reports that the body needs its process (a CDOACROSS
+	// body takes the doacross lock), so the job runs on the process.
+	procBody bool
+	// barrier reports that the job ends in a barrier through global
+	// memory (an XDOALL on an unclustered machine) rather than a
+	// concurrency-bus sync.
+	barrier bool
+
+	// The iterations: [start, start+count) handed out over the
+	// concurrency bus, next being the next to go; or, when al is set,
+	// the XDOALL's flat iterations through its global iteration lock.
+	start, count, next int
+	al                 *activeLoop // the cross-cluster XDOALL, if any
 
 	finished []bool // per local CE index; fail-stopped CEs count as done
 	done     *sim.Cond
@@ -289,38 +227,15 @@ func jobComplete(cl *cluster.Cluster, job *clusterJob) bool {
 	return true
 }
 
-// busNext distributes iterations [start, start+count) dynamically: an
-// idle CE takes the next iteration through a short concurrency-bus
-// transaction. This is the FX/8's hardware self-scheduling — it
-// balances uneven iteration times and absorbs per-CE stalls (page
-// faults, memory queueing) without any network traffic, and its
-// per-iteration cost is a couple of bus cycles, which is why the paper
-// does not characterize cluster-level CDOALL distribution as an
-// overhead.
-func busNext(cl *cluster.Cluster, start, count int) func(ce *cluster.CE) (int, bool) {
-	next := 0
-	return func(ce *cluster.CE) (int, bool) {
-		if next >= count {
-			return 0, false
-		}
-		i := next
-		next++
-		// The bus grant: a tiny serialized window per dispatch.
-		now := ce.Now()
-		_, end := cl.Machine.ConcBus.Reserve(cl.ID, now, 2)
-		ce.SpendUntil(end, metrics.CatLoopIter)
-		return start + i, true
-	}
-}
-
 // runJob dispatches job on the cluster (lead participates) and waits
 // for the cluster-internal synchronization to complete.
 func (rt *Runtime) runJob(rc *rtCluster, job *clusterJob) {
 	lead := rc.cl.Lead()
 	rc.jobGen++
 	job.gen = rc.jobGen
+	job.barrier = rt.M.Cfg.Unclustered && job.al != nil
 	job.finished = make([]bool, len(rc.cl.CEs))
-	job.done = sim.NewCond(rt.M.Kernel, fmt.Sprintf("cfrt.job.c%d", rc.cl.ID))
+	job.done = rc.jobDone
 	rc.job = job
 
 	// Spread the loop via the concurrency control bus.
@@ -337,9 +252,25 @@ func (rt *Runtime) runJob(rc *rtCluster, job *clusterJob) {
 	}
 }
 
+// chainJobs selects how a CE runs its share of a cluster job whose
+// body needs no process: as one callback chain (true), or on the
+// process, holding for each step (false). Both run the same events in
+// the same order; only the number of process switches differs. New
+// copies it into the runtime, so a simulation still running in another
+// goroutine never reads it. It is a test seam for whole-run
+// differential checks and is never false in a normal run.
+var chainJobs = true
+
 // execJob is every CE's participation in a cluster job: pull
 // iterations until none remain, then synchronize on the concurrency
-// bus (or through global memory on an unclustered machine).
+// bus (or through global memory on an unclustered machine). The whole
+// share runs as one callback chain (see ExecCtx.advance): pickup, the
+// body's steps, the iteration's end, the next pickup, and at last the
+// concurrency-bus sync. The process is resumed only where it must
+// block or is needed: a Global faults, the XDOALL iteration lock is
+// held, OS work is pending at an iteration end, the loop ends in a
+// barrier, or the job is done. A job whose body needs its process
+// (procBody) runs on the process, holding for each pickup step.
 func (rt *Runtime) execJob(ce *cluster.CE, job *clusterJob) {
 	// Mark this CE's share finished via defer: it holds on fail-stop
 	// unwind too (a dead CE counts as done), so the cluster's lead is
@@ -351,25 +282,77 @@ func (rt *Runtime) execJob(ce *cluster.CE, job *clusterJob) {
 		}
 	}()
 	ec := rt.bodyCtx(ce, job.cat)
-	for {
-		i, ok := job.next(ce)
-		if !ok {
-			break
+	ec.job, ec.claim, ec.claimEnd = job, 0, 0
+	// A fail-stop unwinds out of whatever the CE was parked in, the
+	// chain included. One parked in its pickup window must not take
+	// the XDOALL iteration lock down with it.
+	defer func() {
+		if ec.locked {
+			ec.locked = false
+			rt.xdoallLock.Release()
 		}
-		rt.M.Mon.Post(hpm.EvIterStart, ce.Global(), int64(i))
-		job.body(ec, i)
+		ec.job, ec.phase = nil, phaseSteps
+		ec.steps, ec.pos, ec.inStep, ec.touched = ec.steps[:0], 0, false, false
+	}()
+	if rt.chainJobs && !job.procBody {
+		ec.phase = phasePick
+		for {
+			ce.Proc.Chain(ec.next)
+			switch ec.phase {
+			case phaseBody: // a Global that may fault
+				ec.touch()
+			case phaseLock:
+				ec.acquire()
+			case phasePoll:
+				rt.OS.Poll(ce)
+				ec.phase = phasePick
+			case phaseSync:
+				rt.barrier(ce, job.al)
+				return
+			default: // phaseDone
+				return
+			}
+		}
+	}
+	for ec.pickOnProc() {
+		rt.M.Mon.Post(hpm.EvIterStart, ce.Global(), int64(ec.iter))
+		job.body(ec, ec.iter)
 		ec.flush()
-		rt.M.Mon.Post(hpm.EvIterEnd, ce.Global(), int64(i))
+		rt.M.Mon.Post(hpm.EvIterEnd, ce.Global(), int64(ec.iter))
 		rt.OS.Poll(ce)
 	}
-	if rt.M.Cfg.Unclustered && job.al != nil {
-		if rt.TreeFanout > 1 {
-			rt.treeBarrier(ce, job.al)
-		} else {
-			rt.flatBarrier(ce, job.al)
-		}
+	if job.barrier {
+		rt.barrier(ce, job.al)
 	} else {
 		ce.ConcBusOp(rt.Cost.ConcBusSync, job.cat)
+	}
+}
+
+// pickOnProc picks up the CE's next iteration on its process, holding
+// for each step of the pickup, and reports whether one was left.
+func (ec *ExecCtx) pickOnProc() bool {
+	ec.phase = phasePick
+	for {
+		if d := ec.pick(); d > 0 {
+			ec.ce.Proc.Hold(d)
+			ec.ce.FinishStep()
+		} else if ec.phase == phaseLock {
+			ec.acquire()
+		} else {
+			ok := ec.phase == phaseIter
+			ec.phase = phaseSteps
+			return ok
+		}
+	}
+}
+
+// barrier synchronizes the CE at the end of an unclustered XDOALL:
+// through a combining tree when TreeFanout > 1, else the flat count.
+func (rt *Runtime) barrier(ce *cluster.CE, al *activeLoop) {
+	if rt.TreeFanout > 1 {
+		rt.treeBarrier(ce, al)
+	} else {
+		rt.flatBarrier(ce, al)
 	}
 }
 

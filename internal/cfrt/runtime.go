@@ -26,6 +26,17 @@
 // Every cycle spent in these protocols is charged to the
 // metrics.Category the paper's Figure 4 breakdown uses, so the
 // Section 6 parallelization overheads fall out of the accounts.
+//
+// Each CE's share of a cluster job runs as one kernel callback chain
+// (sim.Proc.Chain, see ExecCtx and execJob): pick up an iteration,
+// play the body's recorded steps, post the iteration's end, pick up
+// the next, and at last synchronize on the concurrency bus, all in the
+// events and order the same protocol would take on the CE's process.
+// The process is resumed only where it must block or is needed: a page
+// fault, an XDOALL iteration lock another CE holds, OS work pending at
+// an iteration end, an unclustered loop's barrier, and the job's end.
+// Helper and main tasks, serial sections, barriers and CDOACROSS
+// bodies run on the process.
 package cfrt
 
 import (
@@ -85,7 +96,9 @@ type Loop struct {
 	// iteration.
 	Inner int
 	// Body executes one iteration, charging its time through the
-	// ExecCtx.
+	// ExecCtx. It may run inside a kernel callback rather than on the
+	// CE's process (see ExecCtx), so it may call Rand, Now and CE only
+	// before its first Compute, Global or ClusterMem.
 	Body func(ec *ExecCtx, i int)
 	// SerialCycles, for CDOACROSS loops, is the serialized work per
 	// iteration (executed under the serialization lock).
@@ -126,10 +139,11 @@ type Runtime struct {
 	cur         *activeLoop
 	shutdown    bool
 
-	rcs      []*rtCluster
-	bodies   []ExecCtx // per global CE id, see bodyCtx
-	mainDone sim.Time
-	started  bool
+	rcs       []*rtCluster
+	bodies    []ExecCtx // per global CE id, see bodyCtx
+	mainDone  sim.Time
+	started   bool
+	chainJobs bool // see the package variable chainJobs
 
 	// loopNames maps each posted loop's generation to its source name;
 	// nil unless the machine's monitor was armed at New (see LoopName).
@@ -172,6 +186,7 @@ type Stats struct {
 type rtCluster struct {
 	cl       *cluster.Cluster
 	workCond *sim.Cond
+	jobDone  *sim.Cond // every job's done (see clusterJob)
 	job      *clusterJob
 	jobGen   uint64
 
@@ -211,6 +226,7 @@ func New(m *cluster.Machine, o *xylem.OS) *Runtime {
 		boardCond:   sim.NewCond(k, "cfrt.board"),
 		barrierCond: sim.NewCond(k, "cfrt.barrier"),
 		bodies:      make([]ExecCtx, m.Cfg.CEs()),
+		chainJobs:   chainJobs,
 	}
 	// Control words live in global memory; keep them on distinct
 	// modules-ish addresses (they are word-interleaved anyway).
@@ -225,6 +241,7 @@ func New(m *cluster.Machine, o *xylem.OS) *Runtime {
 		rt.rcs = append(rt.rcs, &rtCluster{
 			cl:       cl,
 			workCond: sim.NewCond(k, fmt.Sprintf("cfrt.work.c%d", cl.ID)),
+			jobDone:  sim.NewCond(k, fmt.Sprintf("cfrt.job.c%d", cl.ID)),
 		})
 	}
 	return rt

@@ -281,7 +281,14 @@ func (ce *CE) Busy() metrics.Category { return ce.mach.busyCat[ce.global] }
 // SpendUntil advances the CE to absolute time t, charged to cat. The
 // end time is externally fixed, so clock degradation does not apply.
 func (ce *CE) SpendUntil(t sim.Time, cat metrics.Category) {
-	ce.hold(ce.start(t-ce.Now(), cat))
+	ce.hold(ce.StartSpendUntil(t, cat))
+}
+
+// StartSpendUntil is SpendUntil's step, started without holding (see
+// StartSpend): the CE is busy in cat until t, and the returned
+// duration is the time left until then.
+func (ce *CE) StartSpendUntil(t sim.Time, cat metrics.Category) sim.Duration {
+	return ce.start(t-ce.Now(), cat)
 }
 
 // Fail marks the CE fail-stopped and aborts its driver process: the
@@ -370,7 +377,13 @@ func (ce *CE) StartCacheAccess(words int, hitRatio float64) sim.Duration {
 // given cost, waiting for the bus if another transaction is in flight,
 // and charges the elapsed time to cat.
 func (ce *CE) ConcBusOp(cost int64, cat metrics.Category) {
-	now := ce.Now()
-	_, end := ce.mach.ConcBus.Reserve(ce.Cluster.ID, now, sim.Duration(cost))
-	ce.SpendUntil(end, cat)
+	ce.hold(ce.StartConcBusOp(cost, cat))
+}
+
+// StartConcBusOp is ConcBusOp's step, started without holding (see
+// StartSpend): the transaction is booked on the bus now, and the CE is
+// busy in cat for the returned duration, until it completes.
+func (ce *CE) StartConcBusOp(cost int64, cat metrics.Category) sim.Duration {
+	_, end := ce.mach.ConcBus.Reserve(ce.Cluster.ID, ce.Now(), sim.Duration(cost))
+	return ce.StartSpendUntil(end, cat)
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Cond is a condition variable for simulation processes. Unlike
 // sync.Cond there is no associated lock: the simulation is
 // single-threaded in virtual time, so checking a predicate and calling
@@ -7,6 +9,7 @@ package sim
 type Cond struct {
 	k       *Kernel
 	name    string
+	namer   fmt.Stringer // formats the name on demand, if set
 	waiters []*Proc
 }
 
@@ -15,8 +18,20 @@ func NewCond(k *Kernel, name string) *Cond {
 	return &Cond{k: k, name: name}
 }
 
+// NewCondNamer creates a condition variable whose diagnostic name is
+// name.String(), formatted only when a diagnostic reads it: a cond made
+// on a hot path (one per page fault) then costs no formatting.
+func NewCondNamer(k *Kernel, name fmt.Stringer) *Cond {
+	return &Cond{k: k, namer: name}
+}
+
 // Name returns the condition's diagnostic name.
-func (c *Cond) Name() string { return c.name }
+func (c *Cond) Name() string {
+	if c.namer != nil {
+		return c.namer.String()
+	}
+	return c.name
+}
 
 // Waiters returns the number of processes currently waiting.
 func (c *Cond) Waiters() int { return len(c.waiters) }
@@ -28,7 +43,7 @@ func (c *Cond) Wait(p *Proc) Duration {
 	p.checkRunning("Cond.Wait")
 	start := c.k.now
 	c.waiters = append(c.waiters, p)
-	p.blockOn("cond:" + c.name)
+	p.blockOn("cond:", c)
 	return c.k.now - start
 }
 
@@ -56,7 +71,7 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) (Duration, bool) {
 			}
 		}
 	})
-	p.blockOn("cond:" + c.name)
+	p.blockOn("cond:", c)
 	if !timedOut {
 		ev.Cancel()
 	}

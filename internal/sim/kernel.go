@@ -195,9 +195,14 @@ type Kernel struct {
 	// deadlock. The two never happen in the same dispatch.
 	stop error
 
-	// External interrupt check (see SetInterrupt).
+	// External interrupt check (see SetInterrupt). checkIn counts the
+	// dispatches left until the dispatched count is next a multiple of
+	// interruptEvery, in [1, interruptEvery]: it equals interruptEvery
+	// exactly when the count is a multiple, so neither the loop nor
+	// holdInPlace divides to find the cadence.
 	interrupt      func() error
 	interruptEvery uint64
+	checkIn        uint64
 }
 
 // NewKernel returns a kernel with its virtual clock at zero and a
@@ -517,7 +522,7 @@ func (k *Kernel) RunErr(until Time) (uint64, error) {
 		if next == nil {
 			break
 		}
-		if k.interrupt != nil && k.dispatched%k.interruptEvery == 0 {
+		if k.interrupt != nil && k.checkIn == k.interruptEvery {
 			// Yield first: a cancel set meanwhile is seen at once.
 			runtime.Gosched()
 			if cause := k.interrupt(); cause != nil {
@@ -546,7 +551,7 @@ func (k *Kernel) RunErr(until Time) (uint64, error) {
 		} else {
 			fn()
 		}
-		k.dispatched++
+		k.count()
 		if err := k.stop; err != nil {
 			k.stop = nil
 			return k.dispatched - start, err
@@ -572,18 +577,25 @@ func (k *Kernel) holdInPlace(p *Proc, at Time) bool {
 	if p.aborted || at > k.until || (k.maxCycles > 0 && at > k.maxCycles) {
 		return false
 	}
-	n := k.dispatched + 1
-	if k.interrupt != nil && n%k.interruptEvery == 0 {
-		return false
+	if k.interrupt != nil && k.checkIn == 1 {
+		return false // the count after this wake meets a check
 	}
 	if next := k.peek(); next != nil && next.at <= at {
 		return false
 	}
-	k.dispatched = n
+	k.count()
 	k.seq++
 	k.now = at
 	k.lastProgress = at
 	return true
+}
+
+// count counts one dispatched event, and steps the interrupt cadence.
+func (k *Kernel) count() {
+	k.dispatched++
+	if k.checkIn--; k.checkIn == 0 {
+		k.checkIn = k.interruptEvery
+	}
 }
 
 // RunAll runs until no events remain.
@@ -620,10 +632,15 @@ func (k *Kernel) SetMaxCycles(max Time) { k.maxCycles = max }
 // not interrupted is byte-identical to one with no check installed
 // (only Switches differs: a wake due at a check is not fired in
 // place). A nil check disables interruption; a non-nil one needs
-// every > 0.
+// every > 0. The cadence is a countdown SetInterrupt sets from the
+// dispatched count, so the loop finds a check due without dividing.
 func (k *Kernel) SetInterrupt(every uint64, check func() error) {
 	k.interrupt = check
 	k.interruptEvery = every
+	k.checkIn = 0
+	if check != nil {
+		k.checkIn = every - k.dispatched%every
+	}
 }
 
 // SetWatchdog enables deadlock detection with the given check

@@ -388,6 +388,43 @@ func TestScheduleHoldSteadyStateZeroAllocs(t *testing.T) {
 	k.Shutdown()
 }
 
+// TestBlockingZeroAllocs: a warmed-up Cond Wait/Signal round trip, and
+// a contended lock handed from one process to the other, allocate
+// nothing. Blocking records what the process waits on for deadlock
+// diagnostics; the name is joined only when a diagnostic reads it.
+func TestBlockingZeroAllocs(t *testing.T) {
+	k := NewKernel(1)
+	c := NewCond(k, "round-trip")
+	lock := NewLock(k, "handoff")
+	k.Spawn("waiter", func(p *Proc) {
+		for {
+			c.Wait(p)
+			lock.Acquire(p)
+			lock.Release()
+		}
+	})
+	k.Spawn("signaler", func(p *Proc) {
+		for {
+			lock.Acquire(p)
+			c.Signal()
+			p.Hold(1)
+			lock.Release()
+			p.Hold(1)
+		}
+	})
+	k.Run(64) // warm up: mint the pooled nodes, grow the wait queues
+	allocs := testing.AllocsPerRun(200, func() {
+		k.Run(k.Now() + 2)
+	})
+	if allocs != 0 {
+		t.Fatalf("a Cond and lock round trip allocates %.1f, want 0", allocs)
+	}
+	if got := lock.Contended(); got == 0 {
+		t.Fatal("the lock was never contended; the test does not block on it")
+	}
+	k.Shutdown()
+}
+
 func TestHoldUntilOutsideProcessPanics(t *testing.T) {
 	k := NewKernel(1)
 	var proc *Proc

@@ -42,9 +42,12 @@ type Proc struct {
 	stop    func()
 	suspend func(struct{}) bool
 
-	// waitingOn names the primitive the process is currently blocked
-	// in, for deadlock diagnostics.
-	waitingOn string
+	// waitOn is the primitive the process is currently blocked in, and
+	// waitKind its diagnostic prefix ("cond:" or "lock:"). WaitingOn
+	// joins them only when a diagnostic reads them, so blocking
+	// allocates nothing.
+	waitKind string
+	waitOn   interface{ Name() string }
 
 	// chainNext is the step function of the chain the process is
 	// parked on, and chainLink the callback, bound once, that plays
@@ -106,18 +109,18 @@ func (p *Proc) Aborted() bool { return p.aborted }
 // WaitingOn returns the diagnostic name of the primitive the process
 // is currently blocked in (empty if not blocked).
 func (p *Proc) WaitingOn() string {
-	if p.state != stateBlocked {
+	if p.state != stateBlocked || p.waitOn == nil {
 		return ""
 	}
-	return p.waitingOn
+	return p.waitKind + p.waitOn.Name()
 }
 
 // blockOn parks the process like block, recording what it waits on for
-// deadlock diagnostics.
-func (p *Proc) blockOn(what string) {
-	p.waitingOn = what
+// deadlock diagnostics: the primitive on, named kind+on.Name().
+func (p *Proc) blockOn(kind string, on interface{ Name() string }) {
+	p.waitKind, p.waitOn = kind, on
 	p.block()
-	p.waitingOn = ""
+	p.waitKind, p.waitOn = "", nil
 }
 
 // checkRunning panics unless p is the currently executing process.

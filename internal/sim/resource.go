@@ -56,23 +56,36 @@ func (r *Resource) MaxWaiters() int { return r.maxWaiters }
 // the time spent waiting.
 func (r *Resource) Acquire(p *Proc) Duration {
 	p.checkRunning("Resource.Acquire")
-	r.acquires++
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.inUse++
+	if r.TryAcquire() {
 		return 0
 	}
+	r.acquires++
 	r.contended++
 	start := r.k.now
 	r.waiters = append(r.waiters, p)
 	if len(r.waiters) > r.maxWaiters {
 		r.maxWaiters = len(r.waiters)
 	}
-	p.blockOn("lock:" + r.name)
+	p.blockOn("lock:", r)
 	// We were woken by Release, which already transferred the unit to
 	// us (inUse stays incremented on handoff).
 	waited := r.k.now - start
 	r.waitTotal += waited
 	return waited
+}
+
+// TryAcquire takes one unit if Acquire would take it without blocking
+// and reports whether it did. It needs no process, so a callback (a
+// link of a sim.Proc.Chain) can take a free lock; a false return leaves
+// the resource and its statistics untouched, and the caller's process
+// then calls Acquire to queue.
+func (r *Resource) TryAcquire() bool {
+	if r.inUse >= r.capacity || len(r.waiters) > 0 {
+		return false
+	}
+	r.acquires++
+	r.inUse++
+	return true
 }
 
 // Release returns one unit. If processes are waiting, the unit is

@@ -39,6 +39,18 @@ const (
 type faultState struct {
 	done    *sim.Cond
 	joiners int
+
+	// The service's identity, for its cond's name (see String).
+	r            *Region
+	cl, p, owner int
+}
+
+// String names the service's cond so a watchdog report is diagnosable
+// from the error alone: a stranded waiter names exactly which service
+// wedged and which CE owned it. It is formatted only when a diagnostic
+// reads it.
+func (fs *faultState) String() string {
+	return fmt.Sprintf("pgflt:%s.c%d.p%d(owner=ce%d)", fs.r.Name, fs.cl, fs.p, fs.owner)
 }
 
 // NewRegion allocates a data region of the given size (in 8-byte
@@ -197,12 +209,8 @@ func (r *Region) fault(ce *cluster.CE, cl, p int) sim.Duration {
 	default: // pageUnmapped
 		o.M.Mon.Post(hpm.EvPgFltStart, ce.Global(), int64(p))
 		r.state[cl][p] = pageFaulting
-		// The cond's name carries the region, page, and owner so a
-		// watchdog report is diagnosable from the error alone: a
-		// stranded waiter names exactly which service wedged and which
-		// CE owned it.
-		fs := &faultState{done: sim.NewCond(o.M.Kernel,
-			fmt.Sprintf("pgflt:%s.c%d.p%d(owner=ce%d)", r.Name, cl, p, ce.Global()))}
+		fs := &faultState{r: r, cl: cl, p: p, owner: ce.Global()}
+		fs.done = sim.NewCondNamer(o.M.Kernel, fs)
 		r.inflight[key] = fs
 		// The rollback-and-wake path. Deferred so it runs on the normal
 		// return AND when the owner fail-stops anywhere in the service:

@@ -194,6 +194,12 @@ func (o *OS) enqueue(ce *cluster.CE, pc pendingCharge) {
 	o.pending[g] = append(o.pending[g], pc)
 }
 
+// Pending reports whether interrupt or context-switch work waits for
+// the CE's next Poll. It changes nothing, so a caller that cannot run
+// Poll (a callback chain) can ask whether it must hand the CE back to
+// its process first.
+func (o *OS) Pending(ce *cluster.CE) bool { return len(o.pending[ce.Global()]) > 0 }
+
 // Poll delivers any pending interrupt/context-switch work to the CE.
 // The runtime calls it at preemption points (loop iteration
 // boundaries, spin-loop polls). It returns the time consumed.
