@@ -87,6 +87,33 @@ func TestFaultMaxCyclesBudget(t *testing.T) {
 	}
 }
 
+// TestFaultDeadLeadClusterAbsentAtBarrier fail-stops CE 8, a helper
+// lead on the unclustered 32flat machine, before it dispatches its
+// cluster's share of an XDOALL. Its seven live workers never get the
+// share, so the loop-end barrier, flat or combining tree, must count
+// them absent as it counts a failed CE, and the run must complete well
+// inside a budget that a hang would exhaust.
+func TestFaultDeadLeadClusterAbsentAtBarrier(t *testing.T) {
+	app, err := (perfect.Resolver{}).Resolve("gen:seed=-12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, ok := arch.FamilyByName("32flat")
+	if !ok {
+		t.Fatal("no 32flat family member")
+	}
+	for _, fanout := range []int{0, 2} {
+		opts := Options{Steps: 1, TreeFanout: fanout, Faults: mustPlan(t, "ce:8@57433"), MaxCycles: 2_000_000}
+		run, err := SimulateRunErr(app, cfg, opts)
+		if err != nil {
+			t.Fatalf("tree fanout %d: %v", fanout, err)
+		}
+		if run.Result.FailedCEs != 1 {
+			t.Fatalf("tree fanout %d: FailedCEs = %d, want 1", fanout, run.Result.FailedCEs)
+		}
+	}
+}
+
 func TestFaultInvalidPlanRejectedBeforeRun(t *testing.T) {
 	plan := faults.Plan{{Kind: faults.CEFail, Target: 99, At: 1}}
 	if _, err := SimulateRunErr(perfect.FLO52(), arch.Cedar8, Options{Steps: 1, Faults: plan}); err == nil {

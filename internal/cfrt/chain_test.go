@@ -10,10 +10,11 @@ import (
 
 // TestFailStopMidChain fail-stops a worker CE while its loop body's
 // callback chain has a step pending: the first Compute, then the
-// Global after it. The account must freeze with only the steps that
-// completed before the failure, the dead CE must read idle, and the
-// cluster job must still complete, as when the abort unwinds out of
-// Hold.
+// Global after it, then a CDOACROSS iteration's serialized region,
+// with the doacross lock held. The account must freeze with only the
+// steps that completed before the failure, the dead CE must read idle,
+// a lock it held must pass on, and the cluster job must still
+// complete, as when the abort unwinds out of Hold.
 func TestFailStopMidChain(t *testing.T) {
 	const work = 1000
 	for _, c := range []struct {
@@ -79,4 +80,67 @@ func TestFailStopMidChain(t *testing.T) {
 			}
 		})
 	}
+	t.Run("serialized region pending", func(t *testing.T) {
+		k, m, o, rt := rig(arch.Cedar8)
+		k.SetMaxCycles(100 * 64 * work) // a lock left held hangs the job
+		region := o.NewRegion("d", 4096)
+		victim := m.CE(3)
+		ec := &rt.bodies[victim.Global()]
+		var want metrics.Account
+		var lock *sim.Resource
+		failed, checked, finished := false, false, false
+		// Poll the victim's chain until its serialized region is in
+		// progress, then fail it there.
+		var poll func()
+		poll = func() {
+			if ec.phase != phaseRegion {
+				k.After(10, poll)
+				return
+			}
+			failed = true
+			lock = ec.held
+			if lock == nil || lock != ec.job.across {
+				t.Errorf("victim in its region holds %v, not the doacross lock", lock)
+			}
+			want = *victim.Acct
+			victim.Fail()
+			rt.NotifyCEFailure(victim)
+			// Long after the region would have ended.
+			k.After(10*work, func() {
+				checked = true
+				if got := victim.Busy(); got != metrics.CatIdle {
+					t.Errorf("dead CE busy = %v, want idle", got)
+				}
+				if *victim.Acct != want {
+					t.Errorf("account after the failure:\n%+v\nwant\n%+v", *victim.Acct, want)
+				}
+			})
+		}
+		_, err := rt.RunErr(func(mt *Main) {
+			mt.Serial(func(ec *ExecCtx) { ec.Global(region, 0, 4096) })
+			k.After(0, poll)
+			mt.MCLoop(&Loop{Name: "acr", Outer: 1, Inner: 64, SerialCycles: 2 * work,
+				Body: func(ec *ExecCtx, i int) {
+					ec.Compute(work)
+					ec.Global(region, int64(i*16), 16)
+				}})
+			finished = true
+		})
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if !failed || !checked || lock == nil {
+			t.Fatalf("victim never reached its region (failed %v, checked %v)", failed, checked)
+		}
+		if !finished {
+			t.Fatal("the cluster job never completed")
+		}
+		// Every iteration's region took the lock, the one cut short
+		// included, and the lock ended free: the dead CE's hold passed
+		// to the next waiter.
+		if lock.Acquires() != 64 || lock.Contended() == 0 || lock.InUse() != 0 {
+			t.Fatalf("doacross lock: %d acquires (%d contended), %d in use; want 64, some contended, 0",
+				lock.Acquires(), lock.Contended(), lock.InUse())
+		}
+	})
 }

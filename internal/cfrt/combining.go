@@ -93,12 +93,12 @@ func (rt *Runtime) treeBarrier(ce *cluster.CE, al *activeLoop) {
 	rt.ensureArrived(al)
 	if al.tree == nil {
 		al.tree = rt.newCombTree(rt.M.Cfg.CEs(), rt.TreeFanout)
-		// CEs that fail-stopped before the tree existed still count
-		// toward its node quotas.
+		// CEs absent before the tree existed still count toward its
+		// node quotas.
 		rt.ghostArrivals(al)
 	}
 	al.arrived[ce.Global()] = true
-	leaf := al.tree.leaves[ce.Global()/maxInt(rt.TreeFanout, 2)]
+	leaf := al.tree.leaves[ce.Global()/max(rt.TreeFanout, 2)]
 	rt.treeArrive(ce, al.tree, leaf)
 	// Wait for the release to reach the leaf, polling our own node —
 	// not a shared hot word.
@@ -148,19 +148,20 @@ func (t *combTree) ghostArrive(node *combNode) {
 	}
 }
 
-// ghostArrivals applies a ghost arrival for every fail-stopped CE that
-// never reached the active loop's combining tree, so the survivors'
-// release cascade is not held up by dead processors.
+// ghostArrivals applies a ghost arrival for every absent CE (see
+// Runtime.absent) that never reached the active loop's combining tree,
+// so the survivors' release cascade is not held up by dead processors
+// or by the workers of a dead lead.
 func (rt *Runtime) ghostArrivals(al *activeLoop) {
 	if al.tree == nil {
 		return
 	}
 	rt.ensureArrived(al)
-	fanout := maxInt(rt.TreeFanout, 2)
+	fanout := max(rt.TreeFanout, 2)
 	for _, cl := range rt.M.Clusters {
 		for _, ce := range cl.CEs {
 			g := ce.Global()
-			if ce.Failed() && !al.arrived[g] {
+			if !al.arrived[g] && rt.absent(ce, al) {
 				al.arrived[g] = true
 				al.tree.ghostArrive(al.tree.leaves[g/fanout])
 			}

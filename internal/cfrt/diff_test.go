@@ -14,18 +14,19 @@ import (
 	_ "repro/internal/perfect/gen"
 )
 
-// FuzzChainedJobs runs one whole simulation twice: with each CE's share
-// of a cluster job played as one callback chain, as every run plays
-// it, and with the chains refused, so that every pickup, body step and
-// end-of-job sync holds on the CE's process. The two runs must agree
-// on everything but the number of process switches: the StatfxText
-// block, EventsFired, every CE's account, the run's error and the
-// cedarhpm trace record for record. An input is a gen: workload seed,
-// a machine family member of at most 64 CEs, an XDOALL chunk, and a
-// fail-stop plan aimed by faults.SweepTimes at the run's page-fault
-// windows (none when fail is negative) under a cycle budget. The seed
-// corpus is in
-// testdata/fuzz/FuzzChainedJobs/.
+// FuzzChainedJobs runs one whole simulation twice: once as every run
+// plays it, with each CE's share of a cluster job, each loop body and
+// each serial section played as one callback chain, and once with
+// every chain played as one Proc.Hold per step on the CE's process,
+// the kernel's plain semantics. The two runs must agree on everything
+// but the number of process switches: the StatfxText block,
+// EventsFired, every CE's account, the run's error and the cedarhpm
+// trace record for record. An input is a gen: workload seed, a machine
+// family member of at most 64 CEs, an XDOALL chunk, and a fail-stop
+// plan aimed by faults.SweepTimes at the run's page-fault windows (none
+// when fail is negative) under a cycle budget. The seed corpus is in
+// testdata/fuzz/FuzzChainedJobs/; it reaches CDOACROSS phases, healthy
+// and under a plan, and an unclustered machine.
 func FuzzChainedJobs(f *testing.F) {
 	var families []arch.Config
 	for _, c := range arch.Families() {
@@ -59,28 +60,28 @@ func FuzzChainedJobs(f *testing.F) {
 				opts.Faults = plans[0]
 			}
 			// A plan can leave the survivors spinning for good, so the
-			// degraded runs stop at ten healthy runs' time. A run that
-			// completes sooner still reports the budget when its
-			// kernel holds an event beyond it (the watchdog's next
-			// check); either way both runs must stop alike.
+			// degraded runs stop at ten healthy runs' time; a run whose
+			// processes all finish sooner completes, whatever events
+			// lie beyond the budget. Either way both runs must stop
+			// alike.
 			opts.MaxCycles = 10 * healthy.RT.CT()
 		}
-		chained, errC := simulate(t, app, cfg, opts, true)
-		onProc, errP := simulate(t, app, cfg, opts, false)
+		chained, errC := simulate(t, app, cfg, opts, false)
+		holds, errH := simulate(t, app, cfg, opts, true)
 		what := fmt.Sprintf("gen:seed=%d on %s, chunk %d, plan %q", gen, cfg.Name, opts.XdoallChunk, opts.Faults)
-		if fmt.Sprint(errC) != fmt.Sprint(errP) {
-			t.Fatalf("%s: chained run ended with %v, on the process with %v", what, errC, errP)
+		if fmt.Sprint(errC) != fmt.Sprint(errH) {
+			t.Fatalf("%s: chained run ended with %v, as Holds with %v", what, errC, errH)
 		}
-		kc, kp := chained.Machine.Kernel, onProc.Machine.Kernel
+		kc, kp := chained.Machine.Kernel, holds.Machine.Kernel
 		if kc.EventsFired() != kp.EventsFired() {
-			t.Fatalf("%s: EventsFired %d chained, %d on the process", what, kc.EventsFired(), kp.EventsFired())
+			t.Fatalf("%s: EventsFired %d chained, %d as Holds", what, kc.EventsFired(), kp.EventsFired())
 		}
 		for g, a := range chained.Machine.Accounts() {
-			if b := onProc.Machine.Accounts()[g]; *a != *b {
-				t.Fatalf("%s: ce%d's account differs:\nchained    %+v\non process %+v", what, g, *a, *b)
+			if b := holds.Machine.Accounts()[g]; *a != *b {
+				t.Fatalf("%s: ce%d's account differs:\nchained    %+v\nas Holds   %+v", what, g, *a, *b)
 			}
 		}
-		tc, tp := chained.Monitor.Trace(), onProc.Monitor.Trace()
+		tc, tp := chained.Monitor.Trace(), holds.Monitor.Trace()
 		if chained.Monitor.Dropped() > 0 {
 			t.Fatalf("%s: %d trace records dropped", what, chained.Monitor.Dropped())
 		}
@@ -89,23 +90,23 @@ func FuzzChainedJobs(f *testing.F) {
 			for i < min(len(tc), len(tp)) && tc[i] == tp[i] {
 				i++
 			}
-			t.Fatalf("%s: hpm traces diverge at record %d of %d/%d: chained %s, on the process %s",
+			t.Fatalf("%s: hpm traces diverge at record %d of %d/%d: chained %s, as Holds %s",
 				what, i, len(tc), len(tp), recordAt(tc, i), recordAt(tp, i))
 		}
-		if a, b := chained.StatfxText(), onProc.StatfxText(); a != b {
-			t.Fatalf("%s: StatfxText differs:\n--- chained ---\n%s--- on the process ---\n%s", what, a, b)
+		if a, b := chained.StatfxText(), holds.StatfxText(); a != b {
+			t.Fatalf("%s: StatfxText differs:\n--- chained ---\n%s--- as Holds ---\n%s", what, a, b)
 		}
 		if kc.Switches() > kp.Switches() {
-			t.Errorf("%s: %d switches chained, more than the %d on the process", what, kc.Switches(), kp.Switches())
+			t.Errorf("%s: %d switches chained, more than the %d as Holds", what, kc.Switches(), kp.Switches())
 		}
 	})
 }
 
-// simulate runs the input with cluster jobs chained or on their
-// processes.
-func simulate(t *testing.T, app perfect.App, cfg arch.Config, opts cedar.Options, chain bool) (*cedar.Run, error) {
+// simulate runs the input with its chains played as chains or as
+// Holds.
+func simulate(t *testing.T, app perfect.App, cfg arch.Config, opts cedar.Options, hold bool) (*cedar.Run, error) {
 	t.Helper()
-	defer cfrt.SetChainJobs(cfrt.SetChainJobs(chain))
+	defer cfrt.SetHoldSteps(cfrt.SetHoldSteps(hold))
 	run, err := cedar.SimulateRunErr(app, cfg, opts)
 	if run == nil {
 		t.Fatalf("%s on %s: %v", app.Name, cfg.Name, err)

@@ -19,18 +19,17 @@ import (
 //
 // Compute, Global and ClusterMem cannot block unless a page faults, so
 // they are recorded as steps and played as one callback chain
-// (sim.Proc.Chain), and a Global whose pages are not all mapped takes
-// its faults on the process. In a cluster job the same chain also
-// drives the CE's iterations (see execJob): it picks up an iteration,
-// runs the body in record mode, plays the recorded steps, and picks up
-// the next, so a body mostly runs inside a kernel callback, where there
-// is no process to play its steps on. A loop body may therefore call
-// Rand, Now and CE only before its first recorded step. A serial
-// section, and a CDOACROSS body,
-// which needs its process for the doacross lock, run on the process:
-// there Rand, Now and CE first play what was recorded, so the caller
-// sees the time, random draws and process it would see if each call
-// ran at once.
+// (sim.Proc.Chain, see play), and a Global whose pages are not all
+// mapped takes its faults on the process. In a cluster job the same
+// chain also drives the CE's iterations (see execJob): it picks up an
+// iteration, runs the body in record mode, plays the recorded steps,
+// runs a CDOACROSS iteration's serialized region, and picks up the
+// next, so a body runs inside a kernel callback, where there is no
+// process to play its steps on. A loop body may therefore call Rand,
+// Now and CE only before its first recorded step. A serial section
+// runs on the process: there Rand, Now and CE first play what was
+// recorded, so the caller sees the time, random draws and process it
+// would see if each call ran at once.
 type ExecCtx struct {
 	ce  *cluster.CE
 	rt  *Runtime
@@ -48,13 +47,14 @@ type ExecCtx struct {
 	touched bool
 
 	// The CE's share of a cluster job: the job, where its pickup or
-	// chain stands, and the iteration picked up. locked reports that
-	// the CE holds the XDOALL iteration lock, and [claim, claimEnd) is
-	// what is left of the chunk its last XDOALL pickup claimed.
+	// chain stands, and the iteration picked up. held is the lock the
+	// CE holds, the XDOALL iteration lock or the doacross lock, and
+	// [claim, claimEnd) is what is left of the chunk its last XDOALL
+	// pickup claimed.
 	job             *clusterJob
 	phase           phase
 	iter            int
-	locked          bool
+	held            *sim.Resource
 	claim, claimEnd int
 }
 
@@ -66,12 +66,13 @@ type phase uint8
 const (
 	phaseSteps   phase = iota // play the recorded steps, then return 0
 	phasePick                 // pick up the next iteration
-	phaseLock                 // XDOALL: take the iteration lock
-	phaseWindow               // XDOALL: the serialized window, lock held
+	phaseLock                 // XDOALL: take the iteration lock, then the serialized window
 	phaseTAS                  // XDOALL: claim, release, the test-and-set round trip
 	phaseClaimed              // XDOALL: the pickup's round trip is done
 	phaseIter                 // run the body of the iteration picked up
 	phaseBody                 // play the body's steps, then end the iteration
+	phaseAcross               // CDOACROSS: take the doacross lock, then the serialized region
+	phaseRegion               // CDOACROSS: the region is done; release the lock
 	phasePoll                 // OS work is pending: Poll on the process
 	phaseSync                 // no iteration left: synchronize the cluster
 	phaseDone                 // the end-of-job sync is done
@@ -96,18 +97,10 @@ type bodyStep struct {
 	hit    float64
 }
 
-// Category returns the accounting category user work in this context
-// is charged to.
-func (ec *ExecCtx) Category() metrics.Category { return ec.cat }
-
-// Runtime returns the runtime this context executes under.
-func (ec *ExecCtx) Runtime() *Runtime { return ec.rt }
-
 // CE returns the CE the context runs on, after playing any recorded
 // steps: a caller that uses the CE directly (its process, a lock, a
 // Spend) needs the clock where the body's earlier calls left it. Only
-// code on the CE's process may use it so: a serial section or a
-// CDOACROSS body.
+// code on the CE's process may use it so: a serial section.
 func (ec *ExecCtx) CE() *cluster.CE {
 	ec.flush()
 	return ec.ce
@@ -181,7 +174,7 @@ func (ec *ExecCtx) flush() {
 		panic("cfrt: a loop body called Rand, Now or CE after its first Compute, Global or ClusterMem")
 	}
 	for {
-		ec.ce.Proc.Chain(ec.next)
+		ec.play()
 		if ec.pos == len(ec.steps) {
 			break
 		}
@@ -191,16 +184,41 @@ func (ec *ExecCtx) flush() {
 	ec.pos = 0
 }
 
+// holdSteps makes every chain in this package (a job's, a loop body's
+// or a serial section's) hold for each of its steps on the CE's
+// process instead of playing them as a sim.Proc.Chain. Both run the
+// same events in the same order; only the number of process switches
+// differs, so a run under holdSteps is the whole-run reference that
+// FuzzChainedJobs compares chains with. New copies it into the
+// runtime, so a simulation still running in another goroutine never
+// reads it. It is a test seam, set from export_test.go, and never set
+// in a normal run.
+var holdSteps bool
+
+// play runs advance from the CE's phase until it returns 0: as one
+// callback chain, or as one Hold per step under holdSteps.
+func (ec *ExecCtx) play() {
+	p := ec.ce.Proc
+	if !ec.rt.holdSteps {
+		p.Chain(ec.next)
+		return
+	}
+	for d := ec.next(); d > 0; d = ec.next() {
+		p.Hold(d)
+	}
+}
+
 // advance is the chain's step function (see sim.Proc.Chain): it
 // finishes the step in progress, if any, then moves the CE on from its
 // phase until a step takes time, and returns that step's duration. In
 // phaseSteps it plays the recorded steps and returns 0 after the last.
-// In a job's chain (see execJob) it goes round pickup, body and
-// iteration end until the end-of-job sync is done (phaseDone), and
-// returns 0 early where the CE needs its process: a Global whose span
-// has a page unmapped would fault, and a fault blocks (phaseBody, pos
-// at the step, whose faults touch takes); another CE holds the XDOALL
-// iteration lock (phaseLock); OS work is pending at an iteration end
+// In a job's chain (see execJob) it goes round pickup, body, the
+// CDOACROSS region and iteration end until the end-of-job sync is done
+// (phaseDone), and returns 0 early where the CE needs its process: a
+// Global whose span has a page unmapped would fault, and a fault
+// blocks (phaseBody, pos at the step, whose faults touch takes);
+// another CE holds the XDOALL iteration lock (phaseLock) or the
+// doacross lock (phaseAcross); OS work is pending at an iteration end
 // (phasePoll); or the loop ends in a barrier through global memory
 // (phaseSync).
 func (ec *ExecCtx) advance() sim.Duration {
@@ -213,12 +231,13 @@ func (ec *ExecCtx) advance() sim.Duration {
 		switch ec.phase {
 		case phaseSteps, phaseBody:
 			if ec.pos == len(ec.steps) {
-				if ec.phase == phaseSteps {
+				switch {
+				case ec.phase == phaseSteps:
 					return 0
-				}
-				ec.endIter()
-				if ec.phase == phasePoll {
-					return 0
+				case ec.job.across != nil:
+					ec.phase = phaseAcross
+				default:
+					ec.endIter()
 				}
 				continue
 			}
@@ -231,6 +250,17 @@ func (ec *ExecCtx) advance() sim.Duration {
 			d = ec.start(s)
 		case phaseIter:
 			ec.beginIter()
+		case phaseAcross:
+			// The iteration's serialized region, under the doacross
+			// lock.
+			if !ec.take(ec.job.across) {
+				return 0
+			}
+			ec.phase = phaseRegion
+			d = ec.ce.StartSpend(ec.job.serial, ec.job.cat)
+		case phaseRegion:
+			ec.release()
+			ec.endIter()
 		case phaseSync:
 			if ec.job.barrier {
 				return 0
@@ -252,11 +282,13 @@ func (ec *ExecCtx) advance() sim.Duration {
 }
 
 // beginIter starts the iteration picked up: it posts its start and
-// runs the body, which records the steps the chain then plays.
+// runs the body, if any, which records the steps the chain then plays.
 func (ec *ExecCtx) beginIter() {
 	ec.rt.M.Mon.Post(hpm.EvIterStart, ec.ce.Global(), int64(ec.iter))
 	ec.phase = phaseBody
-	ec.job.body(ec, ec.iter)
+	if ec.job.body != nil {
+		ec.job.body(ec, ec.iter)
+	}
 }
 
 // endIter ends the iteration whose steps have all played: it posts its
@@ -326,12 +358,9 @@ func (ec *ExecCtx) pick() sim.Duration {
 			// requests themselves pipeline through the network and
 			// serialize at the index word's memory module, which is
 			// where the construct's contention lives.
-			if !rt.xdoallLock.TryAcquire() {
+			if !ec.take(rt.xdoallLock) {
 				return 0
 			}
-			ec.locked = true
-			ec.phase = phaseWindow
-		case phaseWindow:
 			// The serialized window: the test-and-set is owned from the
 			// module's grant until the index update commits.
 			ec.phase = phaseTAS
@@ -342,8 +371,7 @@ func (ec *ExecCtx) pick() sim.Duration {
 		case phaseTAS:
 			ec.iter = job.al.flatNext
 			job.al.flatNext += rt.chunk()
-			ec.locked = false
-			rt.xdoallLock.Release()
+			ec.release()
 			// The winning test-and-set round trip, real global memory
 			// traffic on the lock word's module.
 			ec.phase = phaseClaimed
@@ -366,11 +394,28 @@ func (ec *ExecCtx) pick() sim.Duration {
 	}
 }
 
-// acquire takes the XDOALL iteration lock on the CE's process, queuing
-// behind the CE that holds it, for a pickup that stopped at phaseLock.
-func (ec *ExecCtx) acquire() {
-	waited := ec.rt.xdoallLock.Acquire(ec.ce.Proc)
-	ec.ce.Charge(waited, metrics.CatPickIter)
-	ec.locked = true
-	ec.phase = phaseWindow
+// take reports whether the CE holds lock, taking it first in the link
+// if it is free (see sim.Resource.TryAcquire). On false the chain
+// hands back to the process, which queues for it (see acquire).
+func (ec *ExecCtx) take(lock *sim.Resource) bool {
+	if ec.held == nil && lock.TryAcquire() {
+		ec.held = lock
+	}
+	return ec.held != nil
+}
+
+// acquire takes lock on the CE's process, queuing behind the CE that
+// holds it, and charges the wait to cat, for a chain that stopped at
+// phaseLock or phaseAcross; the chain then goes on in the same phase.
+func (ec *ExecCtx) acquire(lock *sim.Resource, cat metrics.Category) {
+	waited := lock.Acquire(ec.ce.Proc)
+	ec.ce.Charge(waited, cat)
+	ec.held = lock
+}
+
+// release releases the lock the CE holds.
+func (ec *ExecCtx) release() {
+	lock := ec.held
+	ec.held = nil
+	lock.Release()
 }

@@ -1,10 +1,10 @@
 package cfrt
 
-// SetChainJobs sets whether the cluster jobs of runtimes made from now
-// on run as callback chains (see chainJobs) and returns the previous
+// SetHoldSteps sets whether the runtimes made from now on play every
+// chain as one Hold per step (see holdSteps) and returns the previous
 // setting. Tests that call it must not run in parallel with others
 // that make runtimes.
-func SetChainJobs(on bool) (was bool) {
-	was, chainJobs = chainJobs, on
+func SetHoldSteps(on bool) (was bool) {
+	was, holdSteps = holdSteps, on
 	return was
 }

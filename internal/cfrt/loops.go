@@ -62,33 +62,13 @@ func (mt *Main) MCLoop(l *Loop) {
 	t0 := lead.Now()
 	job := &clusterJob{cat: metrics.CatMCLoop, body: l.Body, count: l.Total()}
 	if l.SerialCycles > 0 {
-		job.body, job.procBody = rt.serializedBody(l, metrics.CatMCLoop), true
+		job.across = sim.NewLock(rt.M.Kernel, "cfrt.doacross."+l.Name)
+		job.serial = sim.Duration(l.SerialCycles)
 	}
 	rt.runJob(rc, job)
 	rc.MCWall += lead.Now() - t0
 	rt.OS.Poll(lead)
 	rt.M.Mon.Post(hpm.EvMCLoopEnd, lead.Global(), 0)
-}
-
-// serializedBody wraps a CDOACROSS body: after the concurrent part of
-// each iteration, the serialized region runs under the doacross lock.
-func (rt *Runtime) serializedBody(l *Loop, cat metrics.Category) func(*ExecCtx, int) {
-	lock := sim.NewLock(rt.M.Kernel, "cfrt.doacross."+l.Name)
-	inner := l.Body
-	serial := sim.Duration(l.SerialCycles)
-	return func(ec *ExecCtx, i int) {
-		if inner != nil {
-			inner(ec, i)
-		}
-		// The lock needs the process: CE plays what inner recorded.
-		ce := ec.CE()
-		waited := lock.Acquire(ce.Proc)
-		ce.Charge(waited, cat)
-		func() {
-			defer lock.Release()
-			ce.Spend(serial, cat)
-		}()
-	}
 }
 
 // crossClusterLoop posts the loop, participates, and waits at the
@@ -150,10 +130,7 @@ func (rt *Runtime) crossClusterLoop(l *Loop, c Construct) {
 func (rt *Runtime) runSdoallTask(rc *rtCluster, al *activeLoop) {
 	lead := rc.cl.Lead()
 	l := al.loop
-	inner := l.Inner
-	if inner < 1 {
-		inner = 1
-	}
+	inner := max(l.Inner, 1)
 	for {
 		// Pick up the next outer iteration (or determine none are
 		// left): one request per cluster — little contention.
@@ -170,7 +147,7 @@ func (rt *Runtime) runSdoallTask(rc *rtCluster, al *activeLoop) {
 		}()
 		rt.stats.OuterPicks++
 		rt.M.Mon.Post(hpm.EvPickEnd, lead.Global(), int64(al.gen))
-		if o >= maxInt(l.Outer, 1) {
+		if o >= max(l.Outer, 1) {
 			return
 		}
 
@@ -196,9 +173,10 @@ type clusterJob struct {
 	gen  uint64
 	cat  metrics.Category
 	body func(ec *ExecCtx, i int)
-	// procBody reports that the body needs its process (a CDOACROSS
-	// body takes the doacross lock), so the job runs on the process.
-	procBody bool
+	// across, for a CDOACROSS, is the doacross lock each iteration's
+	// serialized region of serial cycles runs under, after the body.
+	across *sim.Resource
+	serial sim.Duration
 	// barrier reports that the job ends in a barrier through global
 	// memory (an XDOALL on an unclustered machine) rather than a
 	// concurrency-bus sync.
@@ -252,96 +230,53 @@ func (rt *Runtime) runJob(rc *rtCluster, job *clusterJob) {
 	}
 }
 
-// chainJobs selects how a CE runs its share of a cluster job whose
-// body needs no process: as one callback chain (true), or on the
-// process, holding for each step (false). Both run the same events in
-// the same order; only the number of process switches differs. New
-// copies it into the runtime, so a simulation still running in another
-// goroutine never reads it. It is a test seam for whole-run
-// differential checks and is never false in a normal run.
-var chainJobs = true
-
 // execJob is every CE's participation in a cluster job: pull
 // iterations until none remain, then synchronize on the concurrency
 // bus (or through global memory on an unclustered machine). The whole
 // share runs as one callback chain (see ExecCtx.advance): pickup, the
-// body's steps, the iteration's end, the next pickup, and at last the
-// concurrency-bus sync. The process is resumed only where it must
-// block or is needed: a Global faults, the XDOALL iteration lock is
+// body's steps, a CDOACROSS iteration's serialized region, the
+// iteration's end, the next pickup, and at last the concurrency-bus
+// sync. The process is resumed only where it must block or is needed:
+// a Global faults, the XDOALL iteration lock or the doacross lock is
 // held, OS work is pending at an iteration end, the loop ends in a
-// barrier, or the job is done. A job whose body needs its process
-// (procBody) runs on the process, holding for each pickup step.
+// barrier, or the job is done.
 func (rt *Runtime) execJob(ce *cluster.CE, job *clusterJob) {
-	// Mark this CE's share finished via defer: it holds on fail-stop
-	// unwind too (a dead CE counts as done), so the cluster's lead is
-	// never left waiting on a processor that will not report in.
+	ec := rt.bodyCtx(ce, job.cat)
+	ec.job, ec.phase, ec.claim, ec.claimEnd = job, phasePick, 0, 0
+	// The deferred wind-up holds on a fail-stop too, which unwinds out
+	// of whatever the CE was parked in, the chain included: a CE parked
+	// in its pickup window or serialized region passes on the lock it
+	// holds, and its share counts as finished (a dead CE counts as
+	// done), so the cluster's lead is never left waiting on a processor
+	// that will not report in.
 	defer func() {
+		if ec.held != nil {
+			ec.release()
+		}
+		ec.job, ec.phase = nil, phaseSteps
+		ec.steps, ec.pos, ec.inStep, ec.touched = ec.steps[:0], 0, false, false
 		job.finished[ce.ID.Local] = true
 		if jobComplete(ce.Cluster, job) {
 			job.done.Broadcast()
 		}
 	}()
-	ec := rt.bodyCtx(ce, job.cat)
-	ec.job, ec.claim, ec.claimEnd = job, 0, 0
-	// A fail-stop unwinds out of whatever the CE was parked in, the
-	// chain included. One parked in its pickup window must not take
-	// the XDOALL iteration lock down with it.
-	defer func() {
-		if ec.locked {
-			ec.locked = false
-			rt.xdoallLock.Release()
-		}
-		ec.job, ec.phase = nil, phaseSteps
-		ec.steps, ec.pos, ec.inStep, ec.touched = ec.steps[:0], 0, false, false
-	}()
-	if rt.chainJobs && !job.procBody {
-		ec.phase = phasePick
-		for {
-			ce.Proc.Chain(ec.next)
-			switch ec.phase {
-			case phaseBody: // a Global that may fault
-				ec.touch()
-			case phaseLock:
-				ec.acquire()
-			case phasePoll:
-				rt.OS.Poll(ce)
-				ec.phase = phasePick
-			case phaseSync:
-				rt.barrier(ce, job.al)
-				return
-			default: // phaseDone
-				return
-			}
-		}
-	}
-	for ec.pickOnProc() {
-		rt.M.Mon.Post(hpm.EvIterStart, ce.Global(), int64(ec.iter))
-		job.body(ec, ec.iter)
-		ec.flush()
-		rt.M.Mon.Post(hpm.EvIterEnd, ce.Global(), int64(ec.iter))
-		rt.OS.Poll(ce)
-	}
-	if job.barrier {
-		rt.barrier(ce, job.al)
-	} else {
-		ce.ConcBusOp(rt.Cost.ConcBusSync, job.cat)
-	}
-}
-
-// pickOnProc picks up the CE's next iteration on its process, holding
-// for each step of the pickup, and reports whether one was left.
-func (ec *ExecCtx) pickOnProc() bool {
-	ec.phase = phasePick
 	for {
-		if d := ec.pick(); d > 0 {
-			ec.ce.Proc.Hold(d)
-			ec.ce.FinishStep()
-		} else if ec.phase == phaseLock {
-			ec.acquire()
-		} else {
-			ok := ec.phase == phaseIter
-			ec.phase = phaseSteps
-			return ok
+		ec.play()
+		switch ec.phase {
+		case phaseBody: // a Global that may fault
+			ec.touch()
+		case phaseLock:
+			ec.acquire(rt.xdoallLock, metrics.CatPickIter)
+		case phaseAcross:
+			ec.acquire(job.across, job.cat)
+		case phasePoll:
+			rt.OS.Poll(ce)
+			ec.phase = phasePick
+		case phaseSync:
+			rt.barrier(ce, job.al)
+			return
+		default: // phaseDone
+			return
 		}
 	}
 }
@@ -377,13 +312,24 @@ func (rt *Runtime) ensureArrived(al *activeLoop) {
 	}
 }
 
-// flatBarrierDone reports whether every CE has arrived or fail-stopped
-// — the degraded machine's barrier predicate (a dead CE is never
+// absent reports whether ce will never reach al's loop-end barrier: it
+// fail-stopped, or its cluster's lead fail-stopped before dispatching
+// the cluster's share of the loop, which no other CE dispatches.
+func (rt *Runtime) absent(ce *cluster.CE, al *activeLoop) bool {
+	if ce.Failed() {
+		return true
+	}
+	rc := rt.rcs[ce.ID.Cluster]
+	return rc.cl.Lead().Failed() && (rc.job == nil || rc.job.al != al)
+}
+
+// flatBarrierDone reports whether every CE has arrived or is absent —
+// the degraded machine's barrier predicate (an absent CE is never
 // coming, so survivors must not spin for it).
 func (rt *Runtime) flatBarrierDone(al *activeLoop) bool {
 	for _, cl := range rt.M.Clusters {
 		for _, other := range cl.CEs {
-			if !al.arrived[other.Global()] && !other.Failed() {
+			if !al.arrived[other.Global()] && !rt.absent(other, al) {
 				return false
 			}
 		}
@@ -407,11 +353,4 @@ func (rt *Runtime) flatBarrier(ce *cluster.CE, al *activeLoop) {
 		ce.Spend(sim.Duration(rt.Cost.SpinPollInterval), metrics.CatBarrierWait)
 		ce.GMAccessAs(rt.barrierAddr, 1, metrics.CatBarrierWait)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -29,14 +29,16 @@
 //
 // Each CE's share of a cluster job runs as one kernel callback chain
 // (sim.Proc.Chain, see ExecCtx and execJob): pick up an iteration,
-// play the body's recorded steps, post the iteration's end, pick up
-// the next, and at last synchronize on the concurrency bus, all in the
-// events and order the same protocol would take on the CE's process.
-// The process is resumed only where it must block or is needed: a page
-// fault, an XDOALL iteration lock another CE holds, OS work pending at
-// an iteration end, an unclustered loop's barrier, and the job's end.
-// Helper and main tasks, serial sections, barriers and CDOACROSS
-// bodies run on the process.
+// play the body's recorded steps, run a CDOACROSS iteration's
+// serialized region under the doacross lock, post the iteration's
+// end, pick up the next, and at last synchronize on the concurrency
+// bus, all in the events and order the same protocol would take on
+// the CE's process. The process is resumed only where it must block or
+// is needed: a page fault, an XDOALL iteration lock or doacross lock
+// another CE holds, OS work pending at an iteration end, an
+// unclustered loop's barrier, and the job's end. Helper and main tasks
+// and barriers run on the process; a serial section's steps play as a
+// chain from it.
 package cfrt
 
 import (
@@ -96,9 +98,11 @@ type Loop struct {
 	// iteration.
 	Inner int
 	// Body executes one iteration, charging its time through the
-	// ExecCtx. It may run inside a kernel callback rather than on the
-	// CE's process (see ExecCtx), so it may call Rand, Now and CE only
-	// before its first Compute, Global or ClusterMem.
+	// ExecCtx; a CDOACROSS iteration's serialized region follows it in
+	// the same chain. It may be nil. It runs inside the CE's chain,
+	// often in a kernel callback rather than on the CE's process (see
+	// ExecCtx), so it may call Rand, Now and CE only before its first
+	// Compute, Global or ClusterMem.
 	Body func(ec *ExecCtx, i int)
 	// SerialCycles, for CDOACROSS loops, is the serialized work per
 	// iteration (executed under the serialization lock).
@@ -106,16 +110,7 @@ type Loop struct {
 }
 
 // Total returns the flat iteration count.
-func (l *Loop) Total() int {
-	o, in := l.Outer, l.Inner
-	if o < 1 {
-		o = 1
-	}
-	if in < 1 {
-		in = 1
-	}
-	return o * in
-}
+func (l *Loop) Total() int { return max(l.Outer, 1) * max(l.Inner, 1) }
 
 // Runtime is the Cedar Fortran runtime bound to one machine and OS.
 type Runtime struct {
@@ -143,7 +138,7 @@ type Runtime struct {
 	bodies    []ExecCtx // per global CE id, see bodyCtx
 	mainDone  sim.Time
 	started   bool
-	chainJobs bool // see the package variable chainJobs
+	holdSteps bool // see the package variable holdSteps
 
 	// loopNames maps each posted loop's generation to its source name;
 	// nil unless the machine's monitor was armed at New (see LoopName).
@@ -226,7 +221,7 @@ func New(m *cluster.Machine, o *xylem.OS) *Runtime {
 		boardCond:   sim.NewCond(k, "cfrt.board"),
 		barrierCond: sim.NewCond(k, "cfrt.barrier"),
 		bodies:      make([]ExecCtx, m.Cfg.CEs()),
-		chainJobs:   chainJobs,
+		holdSteps:   holdSteps,
 	}
 	// Control words live in global memory; keep them on distinct
 	// modules-ish addresses (they are word-interleaved anyway).

@@ -253,6 +253,22 @@ func TestCycleBudgetErrorFields(t *testing.T) {
 	k.Shutdown()
 }
 
+// TestCycleBudgetSparesFinishedRun: a run whose processes all finish
+// within the budget completes with no error, although the watchdog's
+// next check lies beyond the budget.
+func TestCycleBudgetSparesFinishedRun(t *testing.T) {
+	k := NewKernel(1)
+	k.SetWatchdog(1_000)
+	k.SetMaxCycles(500)
+	k.Spawn("p", func(p *Proc) { p.Hold(100) })
+	if _, err := k.RunAllErr(); err != nil {
+		t.Fatalf("RunAllErr = %v, want nil: every process finished at cycle 100", err)
+	}
+	if k.Now() != 100 || k.LiveProcs() != 0 {
+		t.Fatalf("stopped at cycle %d with %d live, want cycle 100 with none", k.Now(), k.LiveProcs())
+	}
+}
+
 // TestAbortBlockedProcRunsDeferred is the fail-stop contract: aborting
 // a blocked process unwinds it with ErrAborted so its deferred
 // cleanups (here, a lock release) run, and the rest of the simulation

@@ -533,6 +533,9 @@ func (k *Kernel) RunErr(until Time) (uint64, error) {
 			break
 		}
 		if k.maxCycles > 0 && next.at > k.maxCycles {
+			if k.finished() {
+				break
+			}
 			return k.dispatched - start, &CycleBudgetError{Budget: k.maxCycles, Now: k.now, Live: k.live}
 		}
 		if next.at < k.now {
@@ -615,9 +618,19 @@ func (k *Kernel) RunAllErr() (uint64, error) {
 }
 
 // SetMaxCycles sets a virtual-time budget: RunErr stops with
-// ErrCycleBudget before dispatching any event later than max. Zero
-// disables the budget.
+// ErrCycleBudget before dispatching any event later than max, unless
+// the run has finished (see finished), when it stops with no error.
+// Zero disables the budget.
 func (k *Kernel) SetMaxCycles(max Time) { k.maxCycles = max }
+
+// finished reports whether the run is over although an event is
+// pending: no process is live and the one event left is the
+// watchdog's next check, which then does nothing. Any other callback
+// may still spawn work, so one past the budget stops the run with
+// ErrCycleBudget even with no process live.
+func (k *Kernel) finished() bool {
+	return k.live == 0 && k.watchdogArmed && k.PendingEvents() == 1
+}
 
 // SetInterrupt installs an external stop check: RunErr calls check
 // before dispatch whenever the dispatched-event count is a multiple of
